@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .records import RawAuthor, CommitMeta, ChangeRecord, BlameSnapshot
 from .metrics import (MetricKind, DataMetric, tokenize, locc,
-                      cosine_change, token_distance, contribution)
+                      token_distance, contribution)
 from .identity import (DeveloperId, IdentityMap, resolve_identities,
                        parse_alias_file, token_set_ratio,
                        DEFAULT_SIMILARITY)
@@ -25,8 +25,7 @@ from .rig import (RigConfig, RigResult, abandoned_file_fraction,
 from .trend import TrendPoint, TrendSeries, yearly_trend
 from .gitrepo import (check_repository, head_revision, resolve_revision,
                       repo_fingerprint, extract_history, extract_blame,
-                      compile_globs, path_matches, filter_external,
-                      filter_snapshot)
+                      compile_globs, path_matches, filter_snapshot)
 from .cache import CacheManifest, SCHEMA_VERSION, save_cache, load_cache
 from .report import (FORMATS, RunManifest, payload_cst, payload_ingest,
                      payload_rig, payload_trend, redacted_label, render)
@@ -35,7 +34,7 @@ from . import errors
 __all__ = [
     "__version__",
     "RawAuthor", "CommitMeta", "ChangeRecord", "BlameSnapshot",
-    "MetricKind", "DataMetric", "tokenize", "locc", "cosine_change",
+    "MetricKind", "DataMetric", "tokenize", "locc",
     "token_distance", "contribution",
     "DeveloperId", "IdentityMap", "resolve_identities", "parse_alias_file",
     "token_set_ratio", "DEFAULT_SIMILARITY",
@@ -49,7 +48,7 @@ __all__ = [
     "TrendPoint", "TrendSeries", "yearly_trend",
     "check_repository", "head_revision", "resolve_revision",
     "repo_fingerprint", "extract_history", "extract_blame", "compile_globs",
-    "path_matches", "filter_external", "filter_snapshot",
+    "path_matches", "filter_snapshot",
     "CacheManifest", "SCHEMA_VERSION", "save_cache", "load_cache",
     "RunManifest", "render", "FORMATS", "payload_cst", "payload_ingest",
     "payload_rig", "payload_trend", "redacted_label",

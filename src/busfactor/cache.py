@@ -6,6 +6,10 @@ of 4-byte big-endian length prefixes followed by UTF-8 JSON payloads,
 closed by a 0xFFFFFFFF sentinel and a SHA-256 digest of everything
 before it. Frames are written and read in a single pass so very large
 histories never need to fit in memory twice.
+
+Schema 2 record frames carry each change's cosine distance (`cd`)
+where schema 1 carried its two token bags. A cache of any other
+schema raises SchemaMismatch; `busfactor ingest` rebuilds it.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CorruptCache, IoFailure, SchemaMismatch
 from .records import BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MANIFEST = "manifest"
 _RECORDS = "records.bin"
@@ -78,7 +82,8 @@ def load_cache(cache_path: str | Path,
         raise CorruptCache(f"manifest lacks a schema_version: {root}") from exc
     if version != SCHEMA_VERSION:
         raise SchemaMismatch(
-            f"cache schema {version} != supported {SCHEMA_VERSION}")
+            f"cache schema {version} != supported {SCHEMA_VERSION}; "
+            f"re-run `busfactor ingest`")
     try:
         manifest = CacheManifest(
             repo_fingerprint=fields["repo_fingerprint"],
@@ -187,8 +192,7 @@ def _encode_record(record: ChangeRecord) -> bytes:
         "p": record.path,
         "la": record.lines_added,
         "ld": record.lines_deleted,
-        "at": dict(record.added_tokens),
-        "dt": dict(record.deleted_tokens),
+        "cd": record.cos_distance,
     })
 
 
@@ -207,8 +211,7 @@ def _decode_record(payload: bytes) -> ChangeRecord:
             path=obj["p"],
             lines_added=int(obj["la"]),
             lines_deleted=int(obj["ld"]),
-            added_tokens=dict(obj["at"]),
-            deleted_tokens=dict(obj["dt"]),
+            cos_distance=float(obj["cd"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCache(f"record frame missing field: {exc}") from exc

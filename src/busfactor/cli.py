@@ -87,37 +87,6 @@ def _config_list(raw: str) -> list[str]:
     return [piece for piece in parts if piece]
 
 
-_CONFIG_CASTS = {
-    "similarity": int, "samples": int, "max-g": int, "seed": int,
-    "runs": int, "from-year": int, "to-year": int,
-    "bf": int, "reference": int,
-    "line-abandon": float, "file-abandon": float,
-    "cos-scale-locc": _config_bool, "redact": _config_bool,
-    "include-merges": _config_bool, "exhaustive": _config_bool,
-    "cumulative": _config_bool,
-    "exclude": _config_list,
-}
-
-# Keys a config file may set, per section; sections mirror subcommands.
-_CONFIG_KEYS = {
-    "ingest": {"repo", "cache", "include-merges"},
-    "cst": {"repo", "cache", "metric", "cos-scale-locc", "cst-metric",
-            "dir", "from", "to", "exclude", "alias-file", "similarity",
-            "format", "out", "redact", "weight-scheme"},
-    "rig": {"repo", "cache", "rev", "samples", "max-g", "seed", "runs",
-            "exhaustive", "line-abandon", "file-abandon", "dir", "exclude",
-            "alias-file", "similarity", "format", "out", "redact"},
-    "trend": {"repo", "cache", "from-year", "to-year", "metric",
-              "cos-scale-locc", "cst-metric", "dir", "exclude",
-              "alias-file", "similarity", "format", "out", "redact",
-              "cumulative", "weight-scheme"},
-    "compare": {"bf", "reference"},
-}
-
-_CONFIG_DEST = {"from": "time_from", "to": "time_to",
-                "exclude": "exclude_cfg"}
-
-
 def _peek(argv: list[str], flag: str) -> str | None:
     """Find a flag value without a full parse (for --config)."""
     for i, token in enumerate(argv):
@@ -147,18 +116,32 @@ def _apply_config(parser: argparse.ArgumentParser, path: str,
     target = parser.subcommands.get(section) if section else None
     if target is None or section not in reader:
         return
-    allowed = _CONFIG_KEYS.get(section, set())
+    # A section's keys are its subcommand's long flags, minus the dashes.
+    actions = {option[2:]: action for action in target._actions
+               for option in action.option_strings
+               if action.dest not in ("help", "config")}
     defaults = {}
     for key, raw in reader[section].items():
-        if key not in allowed:
+        if key not in actions:
             parser.error(f"--config: unknown key {key!r} in [{section}]")
-        cast = _CONFIG_CASTS.get(key, str)
         try:
-            value = cast(raw)
-        except ValueError as exc:
+            value = _config_value(actions[key], raw)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"--config: bad value for {key!r}: {exc}")
-        defaults[_CONFIG_DEST.get(key, key.replace("-", "_"))] = value
+        defaults[actions[key].dest] = value
     target.set_defaults(**defaults)
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """Cast a config string as the flag's own action would cast it."""
+    if isinstance(action, _AppendOverDefault):
+        return _config_list(raw)
+    if action.nargs == 0:  # store_true
+        return _config_bool(raw)
+    value = action.type(raw) if action.type else raw
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not one of {list(action.choices)}")
+    return value
 
 
 # --- parser --------------------------------------------------------------
@@ -184,10 +167,20 @@ def _add_identity_flags(sub: argparse.ArgumentParser) -> None:
                           "(default %(default)s)")
 
 
+class _AppendOverDefault(argparse.Action):
+    """action="append", except that the first use replaces the default
+    (a config file's list) instead of extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        items = [] if items is self.default else items
+        setattr(namespace, self.dest, [*items, values])
+
+
 def _add_scope_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dir", metavar="PREFIX",
                      help="restrict analysis to one directory subtree")
-    sub.add_argument("--exclude", action="append", metavar="GLOB",
+    sub.add_argument("--exclude", action=_AppendOverDefault, metavar="GLOB",
                      help="drop paths matching this glob (repeatable)")
 
 
@@ -215,10 +208,11 @@ def _add_cst_metric_flags(sub: argparse.ArgumentParser,
                      default=(None if required
                               else CstMetricKind.MUL_CHANGES_EQUAL.value),
                      help="knowledge metric")
-    sub.add_argument("--from", dest="time_from", metavar="YYYY[-MM]",
-                     help="start of the analyzed period (inclusive)")
-    sub.add_argument("--to", dest="time_to", metavar="YYYY[-MM]",
-                     help="end of the analyzed period (inclusive)")
+    sub.add_argument("--weight-scheme",
+                     choices=[s.value for s in WeightScheme],
+                     default=WeightScheme.LINEAR.value,
+                     help="position weights of weighted-non-consecutive "
+                          "(default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,23 +226,29 @@ def build_parser() -> argparse.ArgumentParser:
                                      metavar="COMMAND")
 
     ingest = commands.add_parser(
-        "ingest", help="extract history and blame into a cache directory")
+        "ingest", help="extract history and blame into a cache directory",
+        allow_abbrev=False)
     _add_common(ingest, "ingest")
     ingest.add_argument("--include-merges", action="store_true",
                         help="keep merge commits (first-parent diffs)")
     ingest.set_defaults(func=_cmd_ingest)
 
     cst = commands.add_parser(
-        "cst", help="commit-based bus factor")
+        "cst", help="commit-based bus factor", allow_abbrev=False)
     _add_common(cst, "cst")
     _add_cst_metric_flags(cst, required=True)
+    cst.add_argument("--from", dest="time_from", metavar="YYYY[-MM]",
+                     help="start of the analyzed period (inclusive)")
+    cst.add_argument("--to", dest="time_to", metavar="YYYY[-MM]",
+                     help="end of the analyzed period (inclusive)")
     _add_scope_flags(cst)
     _add_identity_flags(cst)
     _add_output_flags(cst)
     cst.set_defaults(func=_cmd_cst)
 
     rig = commands.add_parser(
-        "rig", help="bus factor by simulated developer departure")
+        "rig", help="bus factor by simulated developer departure",
+        allow_abbrev=False)
     _add_common(rig, "rig")
     rig.add_argument("--rev", metavar="REV",
                      help="revision to blame (default HEAD)")
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     rig.set_defaults(func=_cmd_rig)
 
     trend = commands.add_parser(
-        "trend", help="per-year bus factor series")
+        "trend", help="per-year bus factor series", allow_abbrev=False)
     _add_common(trend, "trend")
     trend.add_argument("--from-year", type=_int_min(1), default=None,
                        metavar="YYYY", help="first year of the series")
@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     trend.set_defaults(func=_cmd_trend)
 
     compare = commands.add_parser(
-        "compare", help="absolute error against a reference bus factor")
+        "compare", help="absolute error against a reference bus factor",
+        allow_abbrev=False)
     compare.add_argument("--config", help=argparse.SUPPRESS)
     compare.add_argument("--bf", type=_int_min(0), default=None,
                          help="computed bus factor")
@@ -355,23 +356,6 @@ def _window(parser, args) -> TimeWindow | None:
         return TimeWindow.parse(args.time_from, args.time_to)
     except ValueError as exc:
         parser.error(f"--from/--to: {exc}")
-
-
-def _weight_scheme(parser, args) -> WeightScheme:
-    raw = getattr(args, "weight_scheme", None)
-    if raw is None:
-        return WeightScheme.LINEAR
-    try:
-        return WeightScheme(raw)
-    except ValueError:
-        parser.error(f"--config: weight-scheme must be one of "
-                     f"{[s.value for s in WeightScheme]}")
-
-
-def _excludes(args) -> tuple[str, ...]:
-    if args.exclude:
-        return tuple(args.exclude)
-    return tuple(getattr(args, "exclude_cfg", ()) or ())
 
 
 def _manifest(argv, fingerprint, started, seed=None) -> RunManifest:
@@ -444,8 +428,8 @@ def _cmd_cst(parser, args, argv, started) -> int:
                                cos_scale_by_locc=args.cos_scale_locc),
         scope=args.dir,
         time_range=_window(parser, args),
-        exclude_globs=_excludes(args),
-        weight_scheme=_weight_scheme(parser, args),
+        exclude_globs=tuple(args.exclude or ()),
+        weight_scheme=WeightScheme(args.weight_scheme),
     )
     result = cst_bus_factor(records, identity, config)
     payload = payload_cst(result, _manifest(argv, fingerprint, started),
@@ -470,7 +454,7 @@ def _cmd_rig(parser, args, argv, started) -> int:
                 f"cache holds blame for {blame.revision}, not {args.rev}")
         fingerprint = cache_manifest.repo_fingerprint
     blame = filter_snapshot(blame, scope=args.dir,
-                            exclude_globs=_excludes(args))
+                            exclude_globs=tuple(args.exclude or ()))
 
     weights = Counter()
     for lines in blame.files.values():
@@ -509,9 +493,8 @@ def _cmd_trend(parser, args, argv, started) -> int:
         data_metric=DataMetric(MetricKind(args.metric),
                                cos_scale_by_locc=args.cos_scale_locc),
         scope=args.dir,
-        time_range=None,
-        exclude_globs=_excludes(args),
-        weight_scheme=_weight_scheme(parser, args),
+        exclude_globs=tuple(args.exclude or ()),
+        weight_scheme=WeightScheme(args.weight_scheme),
     )
     series = yearly_trend(records, identity, base, first, last,
                           cumulative=args.cumulative)

@@ -7,6 +7,7 @@ are available for tokenization.
 """
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -22,7 +23,7 @@ from .errors import (
     NoTextFiles,
     UnknownRevision,
 )
-from .metrics import tokenize
+from .metrics import token_distance, tokenize
 from .records import BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor
 
 _FIELD_SEP = "\x01"
@@ -154,20 +155,22 @@ class _FileDiff:
             path=self.path,
             lines_added=len(self.added),
             lines_deleted=len(self.deleted),
-            added_tokens=tokenize(self.added),
-            deleted_tokens=tokenize(self.deleted),
+            cos_distance=token_distance(tokenize(self.added),
+                                        tokenize(self.deleted)),
         )
 
 
 def _strip_diff_path(header_line: str, prefix: str) -> str | None:
-    # "--- a/path" / "+++ b/path" / "--- /dev/null"
-    value = header_line[4:]
+    # "--- a/path" / "+++ b/path" / "--- /dev/null"; git appends "\t" to
+    # names holding a space. It C-quotes names holding '"', '\\' or a
+    # control character; under core.quotepath=false it escapes only those
+    # ASCII characters, each in an escape that Python string literals share.
+    value = header_line[4:].rstrip("\t")
+    if value.startswith('"'):
+        value = ast.literal_eval(value)
     if value == "/dev/null":
         return None
-    if value.startswith(prefix):
-        value = value[len(prefix):]
-    # git appends "\t" before an EOL marker for paths ending in spaces
-    return value.rstrip("\t")
+    return value[len(prefix):] if value.startswith(prefix) else value
 
 
 def extract_history(repo_path: str, include_merges: bool = False) -> Iterator[ChangeRecord]:
@@ -253,11 +256,11 @@ _TEXT_BLOB_MODES = ("100644", "100755")
 
 def _list_text_files(repo_path: str, revision: str, path_filter: str | None) -> list[str]:
     """Regular-blob text files at a revision, optionally under a prefix."""
-    args = ["ls-tree", "-r", revision]
+    args = ["ls-tree", "-r", "-z", revision]
     if path_filter:
         args += ["--", path_filter]
     entries = []
-    for line in _git(repo_path, *args).splitlines():
+    for line in _git(repo_path, *args).split("\0")[:-1]:
         meta, _, path = line.partition("\t")
         mode, kind, _ = meta.split(" ", 2)
         if kind == "blob" and mode in _TEXT_BLOB_MODES:
@@ -267,10 +270,11 @@ def _list_text_files(repo_path: str, revision: str, path_filter: str | None) -> 
     empty_tree = _git(repo_path, "hash-object", "-t", "tree", os.devnull).strip()
     binary: set[str] = set()
     nonempty: set[str] = set()
-    numstat_args = ["diff", "--numstat", "--no-renames", empty_tree, revision]
+    numstat_args = ["diff", "--numstat", "-z", "--no-renames", empty_tree,
+                    revision]
     if path_filter:
         numstat_args += ["--", path_filter]
-    for line in _git(repo_path, *numstat_args).splitlines():
+    for line in _git(repo_path, *numstat_args).split("\0")[:-1]:
         added, _, rest = line.split("\t", 2)
         if added == "-":
             binary.add(rest)
@@ -387,18 +391,6 @@ def compile_globs(patterns: Iterable[str]) -> list[re.Pattern]:
 
 def path_matches(path: str, compiled: Sequence[re.Pattern]) -> bool:
     return any(rx.match(path) for rx in compiled)
-
-
-def filter_external(records: Iterable[ChangeRecord],
-                    exclude_globs: Sequence[str]) -> list[ChangeRecord]:
-    """Drop records whose path matches any exclusion glob.
-
-    Relative order is preserved and the input is left unmodified.
-    """
-    compiled = compile_globs(exclude_globs)
-    if not compiled:
-        return list(records)
-    return [r for r in records if not path_matches(r.path, compiled)]
 
 
 def filter_snapshot(blame: BlameSnapshot, scope: str | None = None,

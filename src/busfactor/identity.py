@@ -223,8 +223,3 @@ def resolve_identities(authors: Iterable[RawAuthor],
         for member in members:
             entries[member] = dev
     return IdentityMap(entries, similarity_threshold)
-
-
-def canonical(identity_map: IdentityMap, author: RawAuthor) -> DeveloperId:
-    """Module-level alias for IdentityMap.canonical."""
-    return identity_map.canonical(author)

@@ -47,17 +47,13 @@ def locc(record: "ChangeRecord") -> int:
     return record.lines_added + record.lines_deleted
 
 
-def cosine_change(record: "ChangeRecord") -> float:
+def token_distance(added: Mapping[str, int], deleted: Mapping[str, int]) -> float:
     """Cosine distance between the added and deleted token bags.
 
     1 means a maximal change (pure addition, pure deletion, or fully
-    disjoint vocabularies); 0 means the bags are identical. A record
-    with two empty bags (only non-token lines changed) scores 0.
+    disjoint vocabularies); 0 means the bags are identical. Two empty
+    bags (only non-token lines changed) score 0.
     """
-    return token_distance(record.added_tokens, record.deleted_tokens)
-
-
-def token_distance(added: Mapping[str, int], deleted: Mapping[str, int]) -> float:
     if not added and not deleted:
         return 0.0
     if not added or not deleted:
@@ -75,7 +71,6 @@ def contribution(record: "ChangeRecord", metric: DataMetric) -> float:
         return 1.0
     if metric.kind is MetricKind.LOCC:
         return float(locc(record))
-    distance = cosine_change(record)
     if metric.cos_scale_by_locc:
-        return distance * locc(record)
-    return distance
+        return record.cos_distance * locc(record)
+    return record.cos_distance

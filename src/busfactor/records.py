@@ -5,7 +5,7 @@ across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
@@ -57,17 +57,17 @@ class CommitMeta:
 class ChangeRecord:
     """One (commit, file) modification.
 
-    Token bags are multisets of the alphanumeric tokens appearing on
-    this record's added and deleted lines only. lines_added +
-    lines_deleted is always >= 1; zero-change records are never
-    emitted by ingestion.
+    `cos_distance` is the cosine distance between the multisets of
+    alphanumeric tokens on this record's added and on its deleted
+    lines (metrics.token_distance), computed once at ingestion.
+    lines_added + lines_deleted is always >= 1; zero-change records
+    are never emitted by ingestion.
     """
     commit: CommitMeta
     path: str
     lines_added: int
     lines_deleted: int
-    added_tokens: Mapping[str, int] = field(default_factory=dict)
-    deleted_tokens: Mapping[str, int] = field(default_factory=dict)
+    cos_distance: float
 
     @property
     def author(self) -> RawAuthor:

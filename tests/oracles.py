@@ -7,8 +7,10 @@ output elsewhere. Slow and simple on purpose.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import re
 import subprocess
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -60,6 +62,45 @@ def raw_blame(repo, revision, path) -> list[tuple[str, str]]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def changed_lines(repo, commit) -> dict[str, tuple[list[str], list[str]]]:
+    """(added, removed) lines per path of one non-merge commit, from
+    `git show -U0`; a deleted file is keyed by its old path."""
+    changes = {}
+    old_path = lines = None
+    for line in git_lines(repo, "show", "--format=", "-U0", "--no-renames",
+                          commit):
+        if line.startswith("diff --git "):
+            lines = None
+        elif lines is None and line.startswith("--- "):
+            old_path = line[len("--- a/"):]
+        elif lines is None and line.startswith("+++ "):
+            new_path = line[len("+++ b/"):]
+            path = old_path if line == "+++ /dev/null" else new_path
+            lines = changes.setdefault(path, ([], []))
+        elif lines is not None and line[:1] in ("+", "-"):
+            lines[line[0] == "-"].append(line[1:])
+    return changes
+
+
+_TOKEN = re.compile(r"[^\W_]+")
+
+
+def cos_distance(added_lines, removed_lines) -> float:
+    """Cosine distance between the token bags of two line lists."""
+    added = Counter(t for line in added_lines for t in _TOKEN.findall(line))
+    deleted = Counter(t for line in removed_lines
+                      for t in _TOKEN.findall(line))
+    if not added and not deleted:
+        return 0.0
+    if not added or not deleted:
+        return 1.0
+    dot = sum(n * deleted[tok] for tok, n in added.items())
+    norm_a = math.sqrt(sum(n * n for n in added.values()))
+    norm_d = math.sqrt(sum(n * n for n in deleted.values()))
+    return min(1.0, max(0.0, 1.0 - dot / (norm_a * norm_d)))
+
+
 # --- commit-based bus factor, exact arithmetic ------------------------------
 
 CST_METRICS = ("last-change", "mul-equal", "non-consecutive",
@@ -67,30 +108,23 @@ CST_METRICS = ("last-change", "mul-equal", "non-consecutive",
 DATA_METRICS = ("commits", "locc", "cos")
 
 
-def contribution_value(record, data_metric: str, cos_scale=False):
+def contribution_value(record, data_metric: str, cos_scale=False,
+                       repo=None):
+    """A record's contribution; "cos" re-reads its lines from `repo`."""
     if data_metric == "commits":
         return Fraction(1)
     if data_metric == "locc":
         return Fraction(record.lines_added + record.lines_deleted)
-    added, deleted = dict(record.added_tokens), dict(record.deleted_tokens)
-    if not added and not deleted:
-        value = 0.0
-    elif not added or not deleted:
-        value = 1.0
-    else:
-        dot = sum(n * deleted.get(tok, 0) for tok, n in added.items())
-        norm_a = math.sqrt(sum(n * n for n in added.values()))
-        norm_d = math.sqrt(sum(n * n for n in deleted.values()))
-        value = min(1.0, max(0.0, 1.0 - dot / (norm_a * norm_d)))
+    value = cos_distance(*changed_lines(repo, record.commit.hash)[record.path])
     if cos_scale:
         value *= record.lines_added + record.lines_deleted
     return value
 
 
 def file_shares(chronological, dev_of, cst_metric: str, data_metric: str,
-                cos_scale=False) -> dict:
+                cos_scale=False, repo=None) -> dict:
     """Shares for one file from its time-ordered records."""
-    seq = [(dev_of(r), contribution_value(r, data_metric, cos_scale))
+    seq = [(dev_of(r), contribution_value(r, data_metric, cos_scale, repo))
            for r in chronological]
     seq = [(dev, value) for dev, value in seq if value > 0]
     if not seq:
@@ -120,8 +154,9 @@ def file_shares(chronological, dev_of, cst_metric: str, data_metric: str,
 
 
 def bus_factor(records, dev_of, cst_metric: str, data_metric: str,
-               cos_scale=False):
-    """Independent end-to-end computation over pre-filtered records.
+               cos_scale=False, repo=None):
+    """Independent end-to-end computation over pre-filtered records of
+    `repo` (needed only for the "cos" metric).
 
     Returns (bf, primary set, secondary set, aggregated shares).
     """
@@ -132,7 +167,8 @@ def bus_factor(records, dev_of, cst_metric: str, data_metric: str,
     for path, recs in per_path.items():
         recs = sorted(recs, key=lambda r: (r.commit.author_timestamp,
                                            r.commit.sequence, r.commit.hash))
-        shares = file_shares(recs, dev_of, cst_metric, data_metric, cos_scale)
+        shares = file_shares(recs, dev_of, cst_metric, data_metric,
+                             cos_scale, repo)
         if shares:
             tables.append(shares)
     assert tables, "oracle: nothing contributed"

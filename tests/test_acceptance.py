@@ -181,26 +181,20 @@ _EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 def _synthetic_records(rng: random.Random):
     """A random but self-consistent record set: every record changes at
-    least one line and its token bags never cancel to a zero cosine."""
+    least one line and has a nonzero cosine distance."""
     dev_count = rng.randint(1, 6)
     authors = [RawAuthor(f"Syn {i}", f"syn{i}@x.test") for i in range(dev_count)]
     paths = [f"p{i}.txt" for i in range(rng.randint(1, 6))]
     records = []
     for seq in range(rng.randint(2, 30)):
-        added = {f"t{rng.randrange(8)}": rng.randint(1, 5)
-                 for _ in range(rng.randint(0, 4))}
-        added[f"uniq{seq}"] = 1  # keeps added/deleted bags distinct
-        deleted = {f"t{rng.randrange(8)}": rng.randint(1, 5)
-                   for _ in range(rng.randint(0, 3))}
         meta = CommitMeta(hash=f"{rng.getrandbits(160):040x}",
                           author=rng.choice(authors),
                           author_timestamp=_EPOCH + timedelta(hours=seq),
                           sequence=seq)
         records.append(ChangeRecord(
             commit=meta, path=rng.choice(paths),
-            lines_added=sum(added.values()),
-            lines_deleted=sum(deleted.values()),
-            added_tokens=added, deleted_tokens=deleted))
+            lines_added=rng.randint(1, 20), lines_deleted=rng.randint(0, 15),
+            cos_distance=rng.uniform(0.01, 1.0)))
     return records
 
 
@@ -282,7 +276,8 @@ def test_accept_02_cst_matches_exact_oracle_across_corpus(corpus):
                 result = cst_bus_factor(records, identity, CstConfig(
                     cst_metric=cst_metric, data_metric=DataMetric(kind)))
                 bf, primary, secondary, agg = oracles.bus_factor(
-                    records, dev_of, cst_metric.value, kind.value)
+                    records, dev_of, cst_metric.value, kind.value,
+                    repo=repo.path)
                 context = f"{name}/{cst_metric.value}/{kind.value}"
                 assert result.bus_factor == bf, context
                 assert set(result.primary_devs) == primary, context

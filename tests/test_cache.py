@@ -26,17 +26,12 @@ def make_records(count, seed=7):
             sequence=i,
             is_merge=rng.random() < 0.1,
         )
-        added = {f"tok{rng.randrange(20)}": rng.randrange(1, 9)
-                 for _ in range(rng.randrange(4))}
-        deleted = {f"tok{rng.randrange(20)}": rng.randrange(1, 9)
-                   for _ in range(rng.randrange(3))}
         records.append(ChangeRecord(
             commit=meta,
             path=f"dir{i % 3}/file{i % 11}.py",
-            lines_added=sum(added.values()),
-            lines_deleted=sum(deleted.values()),
-            added_tokens=added,
-            deleted_tokens=deleted,
+            lines_added=rng.randrange(1, 30),
+            lines_deleted=rng.randrange(20),
+            cos_distance=rng.choice((0.0, 1.0, rng.random())),
         ))
     return records
 
@@ -98,6 +93,19 @@ def test_schema_mismatch_detected(tmp_path):
                      f"schema_version={SCHEMA_VERSION + 1}"),
         encoding="utf-8")
     with pytest.raises(SchemaMismatch):
+        load_cache(target)
+
+
+def test_schema_1_cache_asks_for_reingest(tmp_path):
+    # schema 1 stored token bags; schema 2 stores the cosine distance
+    assert SCHEMA_VERSION == 2
+    target = tmp_path / "cache"
+    save_cache(make_records(2), None, manifest_for(make_records(2)), target)
+    manifest_file = target / "manifest"
+    text = manifest_file.read_text(encoding="utf-8")
+    manifest_file.write_text(
+        text.replace("schema_version=2", "schema_version=1"), encoding="utf-8")
+    with pytest.raises(SchemaMismatch, match="re-run `busfactor ingest`"):
         load_cache(target)
 
 
@@ -183,6 +191,6 @@ def test_unicode_survives_roundtrip(tmp_path):
                       sequence=0)
     records = [ChangeRecord(commit=meta, path="päth/ファイル.txt",
                             lines_added=1, lines_deleted=0,
-                            added_tokens={"naïve": 1}, deleted_tokens={})]
+                            cos_distance=1.0)]
     got, _, _ = roundtrip(tmp_path, records, None)
     assert got == records

@@ -184,6 +184,15 @@ def test_trend_requires_span(two_dev_repo):
     assert proc.returncode == 2
 
 
+def test_trend_has_no_window_flags(two_dev_repo):
+    # the year span is --from-year/--to-year; --from must not abbreviate it
+    proc = run_cli("trend", "--repo", str(two_dev_repo.path),
+                   "--from-year", "2021", "--to-year", "2021",
+                   "--from", "1990")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --from 1990" in proc.stderr
+
+
 def test_compare_prints_bare_difference():
     proc = run_cli("compare", "--bf", "12", "--reference", "17")
     assert proc.returncode == 0
@@ -252,6 +261,34 @@ def test_config_weight_scheme_key(two_dev_repo, tmp_path):
             == "exponential")
 
 
+def test_weight_scheme_flag(two_dev_repo):
+    proc = run_cli("cst", "--repo", str(two_dev_repo.path),
+                   "--metric", "commits",
+                   "--cst-metric", "weighted-non-consecutive",
+                   "--weight-scheme", "exponential", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert (json.loads(proc.stdout)["config"]["weight_scheme"]
+            == "exponential")
+
+
+@pytest.mark.parametrize("section, line", [
+    ("rig", "samples = 0"),
+    ("rig", "max-g = 0"),
+    ("rig", "line-abandon = 2"),
+    ("rig", "similarity = 150"),
+    ("cst", "metric = bogus"),
+])
+def test_config_value_validated_like_its_flag(two_dev_repo, tmp_path,
+                                              section, line):
+    cfg = tmp_path / "bf.cfg"
+    cfg.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+    proc = run_cli(section, "--repo", str(two_dev_repo.path),
+                   "--config", str(cfg))
+    assert proc.returncode == 2, proc.stderr
+    assert f"bad value for {line.split(' = ')[0]!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_time_window_flags(two_dev_repo):
     proc = run_cli("cst", "--repo", str(two_dev_repo.path),
                    "--metric", "commits", "--cst-metric", "mul-equal",
@@ -280,13 +317,18 @@ def test_redact_flag(two_dev_repo):
     assert "dev-" in proc.stdout
 
 
-def test_exclude_flag(repo_factory):
+def _vendored_repo(repo_factory):
     repo = repo_factory()
     repo.write("src/app.py", "x = 1\n")
     repo.write("vendor/lib.py", "y = 2\n" * 5)
     repo.commit(("Ada Core", "ada@fixture.test"), "app")
     repo.write("vendor/extra.py", "z\n")
     repo.commit(("Bert Low", "bert@fixture.test"), "vendored")
+    return repo
+
+
+def test_exclude_flag(repo_factory):
+    repo = _vendored_repo(repo_factory)
     proc = run_cli("cst", "--repo", str(repo.path), "--metric", "commits",
                    "--cst-metric", "mul-equal", "--exclude", "vendor/**",
                    "--format", "json")
@@ -294,6 +336,34 @@ def test_exclude_flag(repo_factory):
     doc = json.loads(proc.stdout)
     assert doc["developer_count"] == 1
     assert doc["file_count"] == 1
+
+
+def test_config_exclude_list(repo_factory, tmp_path):
+    repo = _vendored_repo(repo_factory)
+    cfg = tmp_path / "bf.cfg"
+    cfg.write_text("[cst]\nexclude = vendor/lib.py, vendor/extra.py\n",
+                   encoding="utf-8")
+    proc = run_cli("cst", "--repo", str(repo.path), "--config", str(cfg),
+                   "--metric", "commits", "--cst-metric", "mul-equal",
+                   "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["config"]["exclude"] == ["vendor/lib.py", "vendor/extra.py"]
+    assert doc["file_count"] == 1
+
+
+def test_exclude_flag_replaces_config_list(repo_factory, tmp_path):
+    repo = _vendored_repo(repo_factory)
+    cfg = tmp_path / "bf.cfg"
+    cfg.write_text("[cst]\nexclude = vendor/**\n", encoding="utf-8")
+    proc = run_cli("cst", "--repo", str(repo.path), "--config", str(cfg),
+                   "--metric", "commits", "--cst-metric", "mul-equal",
+                   "--exclude", "src/**", "--exclude", "vendor/extra.py",
+                   "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["config"]["exclude"] == ["src/**", "vendor/extra.py"]
+    assert doc["file_count"] == 1  # only vendor/lib.py is left
 
 
 def test_dir_scope_flag(repo_factory):

@@ -29,7 +29,7 @@ DEV_A, DEV_B, DEV_C = dev(A), dev(B), dev(C)
 
 
 def record(author, path="f.txt", when=None, added=1, deleted=0,
-           added_tokens=None, deleted_tokens=None, seq=0, hash_suffix="0"):
+           cos_distance=1.0, seq=0, hash_suffix="0"):
     meta = CommitMeta(
         hash=(hash_suffix * 40)[:40],
         author=author,
@@ -37,9 +37,7 @@ def record(author, path="f.txt", when=None, added=1, deleted=0,
         sequence=seq,
     )
     return ChangeRecord(commit=meta, path=path, lines_added=added,
-                        lines_deleted=deleted,
-                        added_tokens=added_tokens or {"tok": added or 1},
-                        deleted_tokens=deleted_tokens or {})
+                        lines_deleted=deleted, cos_distance=cos_distance)
 
 
 def month(m, seq=0, author=A, **kwargs):

@@ -1,17 +1,21 @@
 """History extraction, blame, globbing and the path filters."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from busfactor import (BlameSnapshot, RawAuthor, check_repository,
                        compile_globs, extract_blame, extract_history,
-                       filter_external, filter_snapshot, head_revision,
-                       path_matches, repo_fingerprint, resolve_revision)
+                       filter_records, filter_snapshot, head_revision,
+                       load_cache, path_matches, repo_fingerprint,
+                       resolve_revision, token_distance, tokenize)
+from busfactor.cli import main
 from busfactor.errors import (EmptyRepository, InvalidGlob, NoTextFiles,
                               NotARepository, UnknownRevision)
 
 from tests.conftest import ADA, BERT, CLEO
-from tests.oracles import numstat_totals, raw_blame
+from tests.oracles import changed_lines, numstat_totals, raw_blame
 
 
 def test_two_commits_two_records(repo_factory):
@@ -71,9 +75,12 @@ def test_token_bags_come_from_changed_lines_only(repo_factory):
     repo.write("f.py", "untouched = 1\ncount = new_value + 2\n")
     repo.commit(BERT)
     records = list(extract_history(repo.path))
-    assert records[1].added_tokens == {"count": 1, "new": 1, "value": 1, "2": 1}
-    assert records[1].deleted_tokens == {"count": 1, "old": 1, "value": 1}
-    assert "untouched" not in records[1].added_tokens
+    added, deleted = changed_lines(repo.path, records[1].commit.hash)["f.py"]
+    assert tokenize(added) == {"count": 1, "new": 1, "value": 1, "2": 1}
+    assert tokenize(deleted) == {"count": 1, "old": 1, "value": 1}
+    assert records[1].cos_distance == token_distance(tokenize(added),
+                                                     tokenize(deleted))
+    assert records[1].cos_distance == pytest.approx(1 - 2 / math.sqrt(12))
 
 
 def test_records_ordered_oldest_first(two_dev_repo):
@@ -220,6 +227,38 @@ def test_blame_skips_binaries_and_symlinks(repo_factory):
     assert set(snap.files) == {"real.txt"}
 
 
+QUOTED_NAMES = ('say "hi".txt', "back\\slash.txt", "tab\there.txt")
+
+
+def test_quoted_paths_through_history_blame_and_ingest(repo_factory,
+                                                        tmp_path):
+    # git C-quotes names holding '"', '\\' or a tab in diff headers, even
+    # with core.quotepath=false
+    repo = repo_factory()
+    for name in QUOTED_NAMES + ('gone "soon".txt',):
+        repo.write(name, "one line\n")
+    repo.commit(ADA)
+    for name in QUOTED_NAMES:
+        repo.write(name, "one line\nsecond line\n")
+    repo.remove('gone "soon".txt')
+    repo.commit(BERT)
+
+    paths = [r.path for r in extract_history(repo.path)]
+    assert sorted(paths) == sorted(2 * QUOTED_NAMES + 2 * ('gone "soon".txt',))
+    blame = extract_blame(repo.path)
+    assert set(blame.files) == set(QUOTED_NAMES)
+    for name in QUOTED_NAMES:
+        assert ([(a.name, a.email) for a in blame.files[name]]
+                == raw_blame(repo.path, "HEAD", name))
+
+    cache = tmp_path / "cache"
+    assert main(["ingest", "--repo", str(repo.path),
+                 "--cache", str(cache)]) == 0
+    records, cached_blame, _ = load_cache(cache)
+    assert sorted(r.path for r in records) == sorted(paths)
+    assert cached_blame == blame
+
+
 def test_unknown_revision(two_dev_repo):
     with pytest.raises(UnknownRevision):
         resolve_revision(two_dev_repo.path, "no-such-ref")
@@ -279,26 +318,27 @@ def _rec(path):
                       author_timestamp=datetime(2021, 1, 1,
                                                 tzinfo=timezone.utc))
     return ChangeRecord(commit=meta, path=path, lines_added=1,
-                        lines_deleted=0)
+                        lines_deleted=0, cos_distance=1.0)
 
 
-def test_filter_external_removes_matches_keeps_order():
+def test_filter_records_excludes_keep_order():
     records = [_rec("src/a.py"), _rec("vendor/x.c"), _rec("src/b.py"),
                _rec("third_party/y.c")]
-    kept = filter_external(records, ["vendor/**", "third_party/**"])
+    kept = filter_records(records,
+                          exclude_globs=["vendor/**", "third_party/**"])
     assert [r.path for r in kept] == ["src/a.py", "src/b.py"]
 
 
-def test_filter_external_is_idempotent():
+def test_filter_records_excludes_are_idempotent():
     records = [_rec("src/a.py"), _rec("vendor/x.c")]
-    once = filter_external(records, ["vendor/**"])
-    twice = filter_external(once, ["vendor/**"])
+    once = filter_records(records, exclude_globs=["vendor/**"])
+    twice = filter_records(once, exclude_globs=["vendor/**"])
     assert once == twice
 
 
-def test_filter_external_empty_globs_is_identity():
+def test_filter_records_empty_globs_keep_everything():
     records = [_rec("a"), _rec("b")]
-    assert filter_external(records, []) == records
+    assert filter_records(records, exclude_globs=[]) == records
 
 
 def test_filter_snapshot_scope_and_excludes():

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from busfactor import (ChangeRecord, CommitMeta, DataMetric, MetricKind,
-                       RawAuthor, contribution, cosine_change, locc,
-                       token_distance, tokenize)
+                       RawAuthor, contribution, locc, token_distance,
+                       tokenize)
 
 
-def make_record(added=0, deleted=0, added_tokens=None, deleted_tokens=None):
+def make_record(added=0, deleted=0, cos_distance=1.0):
     meta = CommitMeta(hash="a" * 40, author=RawAuthor("A", "a@x"),
                       author_timestamp=datetime(2021, 6, 1,
                                                 tzinfo=timezone.utc))
     return ChangeRecord(commit=meta, path="f", lines_added=added,
-                        lines_deleted=deleted,
-                        added_tokens=added_tokens or {},
-                        deleted_tokens=deleted_tokens or {})
+                        lines_deleted=deleted, cos_distance=cos_distance)
 
 
 def test_tokenize_splits_on_non_alphanumerics():
@@ -46,45 +44,39 @@ def test_locc_sums_added_and_deleted():
 
 
 def test_cosine_orthogonal_changes_score_one():
-    record = make_record(added=1, deleted=1,
-                         added_tokens={"new": 1, "code": 1},
-                         deleted_tokens={"old": 1, "stuff": 1})
-    assert cosine_change(record) == 1.0
+    assert token_distance({"new": 1, "code": 1}, {"old": 1, "stuff": 1}) == 1.0
 
 
 def test_cosine_identical_bags_score_zero():
     bag = {"same": 2, "thing": 1}
-    record = make_record(added=1, deleted=1, added_tokens=bag,
-                         deleted_tokens=dict(bag))
-    assert cosine_change(record) == pytest.approx(0.0, abs=1e-12)
+    assert token_distance(bag, dict(bag)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cosine_pure_addition_scores_one():
-    record = make_record(added=3, added_tokens={"fresh": 3})
-    assert cosine_change(record) == 1.0
+    assert token_distance({"fresh": 3}, {}) == 1.0
 
 
 def test_cosine_pure_deletion_scores_one():
-    record = make_record(deleted=3, deleted_tokens={"dead": 3})
-    assert cosine_change(record) == 1.0
+    assert token_distance({}, {"dead": 3}) == 1.0
 
 
 def test_cosine_both_bags_empty_scores_zero():
     # e.g. whitespace-only change: lines moved, no tokens at all
-    record = make_record(added=1, deleted=1)
-    assert cosine_change(record) == 0.0
+    assert token_distance({}, {}) == 0.0
 
 
 def test_cosine_half_overlap():
-    record = make_record(added=1, deleted=1,
-                         added_tokens={"keep": 1, "new": 1},
-                         deleted_tokens={"keep": 1, "old": 1})
-    assert cosine_change(record) == pytest.approx(0.5)
+    assert token_distance({"keep": 1, "new": 1},
+                          {"keep": 1, "old": 1}) == pytest.approx(0.5)
+
+
+def test_cos_contribution_is_the_stored_distance():
+    record = make_record(added=3, deleted=1, cos_distance=0.375)
+    assert contribution(record, DataMetric(MetricKind.CHANGE_SIZE_COS)) == 0.375
 
 
 def test_cos_scaled_by_locc():
-    record = make_record(added=4, deleted=2,
-                         added_tokens={"a": 1}, deleted_tokens={"b": 1})
+    record = make_record(added=4, deleted=2, cos_distance=1.0)
     plain = contribution(record, DataMetric(MetricKind.CHANGE_SIZE_COS))
     scaled = contribution(record, DataMetric(MetricKind.CHANGE_SIZE_COS,
                                              cos_scale_by_locc=True))

@@ -21,8 +21,7 @@ def record(author, year, month=1, seq=0, path="f.txt"):
                                                 tzinfo=timezone.utc),
                       sequence=seq)
     return ChangeRecord(commit=meta, path=path, lines_added=2,
-                        lines_deleted=0, added_tokens={"x": 2},
-                        deleted_tokens={})
+                        lines_deleted=0, cos_distance=1.0)
 
 
 def config(**kwargs):
