@@ -71,9 +71,13 @@ def save_cache(records: Sequence[ChangeRecord],
         raise IoFailure(f"cannot write cache at {root}: {exc}") from exc
 
 
-def load_cache(cache_path: str | Path,
+def load_cache(cache_path: str | Path, *, records: bool = True,
                ) -> tuple[list[ChangeRecord], BlameSnapshot | None, CacheManifest]:
-    """Read a cache directory back; the inverse of save_cache."""
+    """Read a cache directory back; the inverse of save_cache.
+
+    With `records=False` the record frames are still read and checked
+    (checksum and count) but not decoded, and an empty list comes back.
+    """
     root = Path(cache_path)
     fields = _read_manifest(root / _MANIFEST)
     try:
@@ -94,15 +98,20 @@ def load_cache(cache_path: str | Path,
     except (KeyError, ValueError) as exc:
         raise CorruptCache(f"manifest field missing or malformed: {exc}") from exc
 
-    records = [_decode_record(p) for p in _read_frames(root / _RECORDS)]
-    if len(records) != manifest.record_count:
+    decoded: list[ChangeRecord] = []
+    found = 0
+    for payload in _read_frames(root / _RECORDS):
+        found += 1
+        if records:
+            decoded.append(_decode_record(payload))
+    if found != manifest.record_count:
         raise CorruptCache(
             f"manifest promises {manifest.record_count} records, "
-            f"found {len(records)}")
+            f"found {found}")
     blame = None
     if fields.get("has_blame") == "1":
         blame = _decode_blame(_read_frames(root / _BLAME))
-    return records, blame, manifest
+    return decoded, blame, manifest
 
 
 def _read_manifest(path: Path) -> dict[str, str]:

@@ -446,7 +446,7 @@ def _cmd_rig(parser, args, argv, started) -> int:
         blame = extract_blame(repo, revision, path_filter=args.dir)
         fingerprint = repo_fingerprint(repo)
     else:
-        _, blame, cache_manifest = load_cache(cache)
+        _, blame, cache_manifest = load_cache(cache, records=False)
         if blame is None:
             raise EmptySnapshot("cache holds no blame data; re-run ingest")
         if args.rev and not blame.revision.startswith(args.rev):

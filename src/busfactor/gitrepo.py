@@ -11,6 +11,7 @@ import ast
 import os
 import re
 import subprocess
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Sequence
@@ -49,23 +50,29 @@ def _git(repo_path: str, *args: str, ok_codes: Sequence[int] = (0,)) -> str:
 
 
 def _git_stream(repo_path: str, *args: str) -> Iterator[str]:
-    """Stream stdout lines of one git command (newlines stripped)."""
+    """Stream stdout lines of one git command (newlines stripped).
+
+    stderr goes to a temporary file that is read once git has exited: a
+    pipe drained only after stdout ends would block git as soon as its
+    warnings filled the pipe.
+    """
     cmd = ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args]
-    proc = subprocess.Popen(
-        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, encoding="utf-8", errors="replace")
-    assert proc.stdout is not None
-    try:
-        for line in proc.stdout:
-            yield line.rstrip("\n")
-    finally:
-        proc.stdout.close()
-        stderr = proc.stderr.read() if proc.stderr else ""
-        if proc.stderr:
-            proc.stderr.close()
-        returncode = proc.wait()
-        if returncode != 0:
-            raise GitInvocationFailure(" ".join(args), returncode, stderr)
+    with tempfile.TemporaryFile() as stderr:
+        proc = subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=stderr,
+            text=True, encoding="utf-8", errors="replace")
+        assert proc.stdout is not None
+        try:
+            for line in proc.stdout:
+                yield line.rstrip("\n")
+        finally:
+            proc.stdout.close()
+            returncode = proc.wait()
+            if returncode != 0:
+                stderr.seek(0)
+                raise GitInvocationFailure(
+                    " ".join(args), returncode,
+                    stderr.read().decode("utf-8", errors="replace"))
 
 
 def check_repository(repo_path: str) -> None:

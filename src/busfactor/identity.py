@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import Iterable, Mapping
@@ -87,6 +88,10 @@ def _ratio(a: str, b: str) -> float:
     return SequenceMatcher(None, a, b).ratio()
 
 
+def _name_tokens(name: str) -> set[str]:
+    return set(_NAME_TOKEN_RE.findall(normalize_name(name)))
+
+
 def token_set_ratio(a: str, b: str) -> int:
     """Order-insensitive token similarity on a 0-100 scale.
 
@@ -96,8 +101,8 @@ def token_set_ratio(a: str, b: str) -> int:
     string, and the full strings against each other; the best of the
     three ratios wins. "smith, john" and "John Smith" score 100.
     """
-    tokens_a = set(_NAME_TOKEN_RE.findall(normalize_name(a)))
-    tokens_b = set(_NAME_TOKEN_RE.findall(normalize_name(b)))
+    tokens_a = _name_tokens(a)
+    tokens_b = _name_tokens(b)
     if not tokens_a or not tokens_b:
         return 0
     common = " ".join(sorted(tokens_a & tokens_b))
@@ -106,6 +111,38 @@ def token_set_ratio(a: str, b: str) -> int:
     best = max(_ratio(common, full_a), _ratio(common, full_b),
                _ratio(full_a, full_b))
     return int(round(100 * best))
+
+
+class _NameShape:
+    """What bounds a name's token_set_ratio against any other name.
+
+    When two names have non-empty, disjoint token sets, the shared token
+    string is empty, so their score is ratio() of their two sorted token
+    strings. That ratio is at most 2 * (characters the strings have in
+    common, as multisets) / (sum of their lengths), which is what
+    SequenceMatcher.quick_ratio() computes. Rounding is monotone, so a
+    bound that rounds below the threshold proves the pair cannot merge.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.tokens = _name_tokens(name)
+        joined = " ".join(sorted(self.tokens))
+        self.length = len(joined)
+        # The k-th occurrence of each character, so that a set
+        # intersection counts the characters two names share.
+        self.chars = frozenset((char, k) for char, count in
+                               Counter(joined).items() for k in range(count))
+
+    def cannot_merge(self, other: _NameShape, threshold: int) -> bool:
+        if (not self.tokens or not other.tokens
+                or not self.tokens.isdisjoint(other.tokens)):
+            return False
+        shared = len(self.chars & other.chars)
+        # difflib's own expression, so the float bound is never below
+        # the float ratio it bounds.
+        bound = 2.0 * shared / (self.length + other.length)
+        return int(round(100 * bound)) < threshold
 
 
 class _UnionFind:
@@ -201,12 +238,15 @@ def resolve_identities(authors: Iterable[RawAuthor],
         for other in group[1:]:
             uf.union(group[0], other)
 
-    # Fuzzy name matching over distinct normalized names.
-    names = sorted(by_name)
-    for i, name_a in enumerate(names):
-        for name_b in names[i + 1:]:
-            if token_set_ratio(name_a, name_b) >= similarity_threshold:
-                uf.union(by_name[name_a][0], by_name[name_b][0])
+    # Fuzzy name matching over distinct normalized names. Pairs whose
+    # _NameShape bound rules out a merge are never scored.
+    shapes = [_NameShape(name) for name in sorted(by_name)]
+    for i, a in enumerate(shapes):
+        for b in shapes[i + 1:]:
+            if a.cannot_merge(b, similarity_threshold):
+                continue
+            if token_set_ratio(a.name, b.name) >= similarity_threshold:
+                uf.union(by_name[a.name][0], by_name[b.name][0])
     for group in by_name.values():
         for other in group[1:]:
             uf.union(group[0], other)

@@ -7,11 +7,13 @@ output elsewhere. Slow and simple on purpose.
 """
 from __future__ import annotations
 
+import difflib
 import functools
 import itertools
 import math
 import re
 import subprocess
+import unicodedata
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -215,3 +217,66 @@ def rig_min_g(blame, dev_of, line_fraction=Fraction(9, 10),
         if feasible:
             return g, feasible
     return None, []
+
+
+# --- identity resolution, brute force ---------------------------------------
+
+
+def _plain_name(name: str) -> str:
+    """Lowercased, diacritic-free name with single spaces."""
+    decomposed = unicodedata.normalize("NFKD", name)
+    kept = "".join(c for c in decomposed if not unicodedata.combining(c))
+    return " ".join(kept.lower().split())
+
+
+def name_score(a: str, b: str) -> int:
+    """Token-set similarity 0-100 of two names, straight from difflib."""
+    tokens_a = set(_TOKEN.findall(_plain_name(a)))
+    tokens_b = set(_TOKEN.findall(_plain_name(b)))
+    if not tokens_a or not tokens_b:
+        return 0
+    shared = sorted(tokens_a & tokens_b)
+    side_a = shared + sorted(tokens_a - tokens_b)
+    side_b = shared + sorted(tokens_b - tokens_a)
+    texts = [" ".join(shared), " ".join(side_a), " ".join(side_b)]
+    best = max(difflib.SequenceMatcher(None, x, y).ratio()
+               for x, y in ((texts[0], texts[1]), (texts[0], texts[2]),
+                            (texts[1], texts[2])))
+    return int(round(100 * best))
+
+
+def identity_partition(authors, threshold: int) -> set[frozenset]:
+    """Developer groups of `authors` (objects with .name and .email).
+
+    Two authors are linked when their trimmed, lowercased emails are
+    equal and non-empty, when those emails share a local part of at
+    least 3 characters, or when their plain names are non-empty and
+    either equal or score at least `threshold`. Groups are the
+    connected components of that relation, found by checking every pair.
+    """
+    authors = sorted(set(authors))
+
+    def email(author):
+        return author.email.strip().lower()
+
+    def local(author):
+        address = email(author)
+        return address.split("@", 1)[0] if "@" in address else ""
+
+    def linked(a, b) -> bool:
+        if email(a) and email(a) == email(b):
+            return True
+        if len(local(a)) >= 3 and local(a) == local(b):
+            return True
+        name_a, name_b = _plain_name(a.name), _plain_name(b.name)
+        if not name_a or not name_b:
+            return False
+        return name_a == name_b or name_score(name_a, name_b) >= threshold
+
+    component = {author: {author} for author in authors}
+    for a, b in itertools.combinations(authors, 2):
+        if component[a] is not component[b] and linked(a, b):
+            joined = component[a] | component[b]
+            for member in joined:
+                component[member] = joined
+    return {frozenset(group) for group in component.values()}

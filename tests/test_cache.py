@@ -109,6 +109,37 @@ def test_schema_1_cache_asks_for_reingest(tmp_path):
         load_cache(target)
 
 
+def test_blame_only_load_skips_records(tmp_path):
+    records = make_records(5)
+    target = tmp_path / "cache"
+    manifest = manifest_for(records)
+    save_cache(records, make_blame(), manifest, target)
+    loaded, blame, loaded_manifest = load_cache(target, records=False)
+    assert loaded == []
+    assert blame == make_blame()
+    assert loaded_manifest == manifest
+
+
+def test_blame_only_load_still_checks_records(tmp_path):
+    records = make_records(20)
+    target = tmp_path / "cache"
+    save_cache(records, make_blame(), manifest_for(records), target)
+    manifest_file = target / "manifest"
+    manifest_file.write_text(
+        manifest_file.read_text(encoding="utf-8").replace(
+            "record_count=20", "record_count=21"), encoding="utf-8")
+    with pytest.raises(CorruptCache, match="promises 21 records"):
+        load_cache(target, records=False)
+
+    save_cache(records, make_blame(), manifest_for(records), target)
+    data_file = target / "records.bin"
+    blob = bytearray(data_file.read_bytes())
+    blob[len(blob) // 3] ^= 0xFF
+    data_file.write_bytes(bytes(blob))
+    with pytest.raises(CorruptCache, match="checksum"):
+        load_cache(target, records=False)
+
+
 def test_truncated_records_detected(tmp_path):
     records = make_records(20)
     target = tmp_path / "cache"

@@ -159,6 +159,19 @@ def test_rig_from_cache_requires_blame(two_dev_repo, tmp_path):
     assert json.loads(proc.stdout)["bus_factor"] >= 1
 
 
+def test_rig_from_cache_checks_records(two_dev_repo, tmp_path):
+    cache = tmp_path / "cache"
+    assert run_cli("ingest", "--repo", str(two_dev_repo.path),
+                   "--cache", str(cache)).returncode == 0
+    data_file = cache / "records.bin"
+    blob = bytearray(data_file.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    data_file.write_bytes(bytes(blob))
+    proc = run_cli("rig", "--cache", str(cache), "--exhaustive")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ERROR CorruptCache:")
+
+
 def test_rig_cache_rev_mismatch(two_dev_repo, tmp_path):
     cache = tmp_path / "cache"
     run_cli("ingest", "--repo", str(two_dev_repo.path),

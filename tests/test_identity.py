@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from busfactor import (RawAuthor, parse_alias_file, resolve_identities,
                        token_set_ratio)
+from busfactor import identity
 from busfactor.errors import EmptyAuthorSet, UnknownAuthor
 from busfactor.identity import normalize_email, normalize_name
+
+from . import oracles
 
 
 def resolve(*authors, **kwargs):
@@ -165,3 +169,97 @@ def test_lookup_total_over_input_authors():
 def test_normalizers():
     assert normalize_name("  José  GARCÍA ") == "jose garcia"
     assert normalize_email(" MiXeD@CaSe.Org ") == "mixed@case.org"
+
+
+# --- partition against the brute-force oracle -------------------------------
+
+GOLDEN_CORPUS = [
+    RawAuthor("John Smith", "js@one.com"),
+    RawAuthor("Smith, John", "john.smith@two.com"),
+    RawAuthor("José García", "jg@one.com"),
+    RawAuthor("Garcia, Jose", "GARCIA@TWO.COM"),
+    RawAuthor("Zoë Ünal", "zoe@three.org"),
+    RawAuthor("Unal, Zoe", "z.unal@four.org"),
+    RawAuthor("Dev Person1", "p1@devs.test"),
+    RawAuthor("Dev Person2", "p2@devs.test"),
+    RawAuthor("Dev Person12", "p12@devs.test"),
+    RawAuthor("dependabot[bot]",
+              "49699333+dependabot[bot]@users.noreply.github.com"),
+    RawAuthor("renovate[bot]", "bot@renovateapp.com"),
+    RawAuthor("github-actions[bot]",
+              "41898282+github-actions[bot]@users.noreply.github.com"),
+    RawAuthor("J", "j@x.test"),
+    RawAuthor("K", "k@y.test"),
+    RawAuthor("J Doe", "jd@z.test"),
+    RawAuthor("John Doe", "john@doe.test"),
+    RawAuthor("Ada_Core", "ada@core.test"),
+    RawAuthor("Ada Core", "a.core@elsewhere.test"),
+    RawAuthor("---", "dash@x.test"),
+    RawAuthor("", "anonymous@x.test"),
+    RawAuthor("Bert Low", "bert@low.test"),
+]
+
+
+def partition(idmap) -> set[frozenset]:
+    return {dev.members for dev in idmap.developers()}
+
+
+@pytest.mark.parametrize("threshold, groups", [
+    (0, 2), (77, 13), (90, 14), (100, 16)])
+def test_partition_matches_oracle_on_golden_corpus(threshold, groups):
+    idmap = resolve_identities(GOLDEN_CORPUS, similarity_threshold=threshold)
+    assert partition(idmap) == oracles.identity_partition(GOLDEN_CORPUS,
+                                                          threshold)
+    assert len(idmap) == groups
+
+
+def test_numbered_names_still_merge_at_default():
+    idmap = resolve_identities(GOLDEN_CORPUS)
+    one, two = GOLDEN_CORPUS[6:8]
+    assert token_set_ratio(one.name, two.name) == 91
+    assert idmap.canonical(one) is idmap.canonical(two)
+
+
+_NAME_PARTS = ["ada", "Ada", "Lovelace", "lovelace1", "Löve", "love",
+               "J", "j", "x", "jo", "John", "Jöhn", "smith", "Smith,",
+               "dev", "person1", "person2", "o_neil", "o-neil", "2",
+               "bot", "[bot]", "ab", "ba", "abc"]
+_names = st.lists(st.sampled_from(_NAME_PARTS), min_size=0, max_size=3).map(
+    " ".join)
+_emails = st.sampled_from(["", "a@x.test", "abc@y.test", "abc@z.test",
+                           "ab@x.test", "q@w.test"])
+_raw_authors = st.lists(
+    st.tuples(_names, _emails).filter(any).map(lambda pair: RawAuthor(*pair)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(authors=_raw_authors, threshold=st.integers(0, 100))
+def test_partition_matches_oracle(authors, threshold):
+    idmap = resolve_identities(authors, similarity_threshold=threshold)
+    assert partition(idmap) == oracles.identity_partition(authors, threshold)
+
+
+def test_only_pairs_that_can_merge_are_scored(monkeypatch):
+    # No two names share a token, so every pair meets the character
+    # bound; only the numbered pairs come close enough to be scored.
+    names = ["Alexandria1", "Alexandria2", "Bartholomew3", "Bartholomew4",
+             "Konstantinos5", "Konstantinos6", "Wilhelmina Zhou",
+             "Quincy Oduya", "Priya Raman", "Thaddeus Kowalczyk",
+             "Ingrid Bjornsdottir", "Mateo Fuentes", "Yuki Tanaka",
+             "Olumide Adeyemi", "Svetlana Petrova", "Hamish Mcleod"]
+    authors = [RawAuthor(name, f"dev{i}@corp.test")
+               for i, name in enumerate(names)]
+    merging = sum(token_set_ratio(a, b) >= 90
+                  for i, a in enumerate(names) for b in names[i + 1:])
+    assert merging == 3
+
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return token_set_ratio(a, b)
+    monkeypatch.setattr(identity, "token_set_ratio", counted)
+    idmap = resolve_identities(authors, similarity_threshold=90)
+    assert len(calls) == merging
+    assert len(idmap) == len(names) - merging

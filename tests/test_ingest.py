@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -10,6 +13,7 @@ from busfactor import (BlameSnapshot, RawAuthor, check_repository,
                        filter_records, filter_snapshot, head_revision,
                        load_cache, path_matches, repo_fingerprint,
                        resolve_revision, token_distance, tokenize)
+from busfactor import gitrepo
 from busfactor.cli import main
 from busfactor.errors import (EmptyRepository, InvalidGlob, NoTextFiles,
                               NotARepository, UnknownRevision)
@@ -351,3 +355,32 @@ def test_filter_snapshot_scope_and_excludes():
                                exclude_globs=["src/gen/**"])
     assert set(narrowed.files) == {"src/a.py"}
     assert narrowed.revision == snap.revision
+
+
+def test_git_stream_survives_large_stderr(monkeypatch):
+    # More warnings than a pipe holds, written before any stdout line.
+    script = ("import sys\n"
+              "sys.stderr.write('warning: x\\n' * 25000)\n"
+              "sys.stderr.flush()\n"
+              "print('one'); print('two'); print('three')\n")
+    real_popen = subprocess.Popen
+    procs = []
+
+    def popen(cmd, **kwargs):
+        procs.append(real_popen([sys.executable, "-c", script], **kwargs))
+        return procs[-1]
+    monkeypatch.setattr(gitrepo.subprocess, "Popen", popen)
+
+    lines = []
+    worker = threading.Thread(
+        target=lambda: lines.extend(gitrepo._git_stream(".", "log")),
+        daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    hung = worker.is_alive()
+    if hung:
+        for proc in procs:
+            proc.kill()
+        worker.join(timeout=5)
+    assert not hung, "git stream blocked on a full stderr pipe"
+    assert lines == ["one", "two", "three"]
