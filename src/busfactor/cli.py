@@ -16,9 +16,8 @@ from .cst import (CstConfig, CstMetricKind, TimeWindow, WeightScheme,
                   compare_error, cst_bus_factor)
 from .errors import (BusFactorError, EmptySnapshot, IoFailure, NoTextFiles,
                      UnknownRevision)
-from .gitrepo import (check_repository, extract_blame, extract_history,
-                      filter_snapshot, head_revision, repo_fingerprint,
-                      resolve_revision)
+from .gitrepo import (extract_blame, extract_history, filter_snapshot,
+                      repo_fingerprint)
 from .identity import (DEFAULT_SIMILARITY, parse_alias_file,
                        resolve_identities)
 from .metrics import DataMetric, MetricKind
@@ -329,7 +328,6 @@ def _resolve_source(parser, args) -> tuple[str | None, str | None]:
 def _load_history(repo: str | None, cache: str | None):
     """Records + fingerprint from either a live repo or a cache dir."""
     if repo:
-        check_repository(repo)
         return list(extract_history(repo)), repo_fingerprint(repo)
     records, _, manifest = load_cache(cache)
     return records, manifest.repo_fingerprint
@@ -387,11 +385,9 @@ def _cmd_ingest(parser, args, argv, started) -> int:
     cache = args.cache or os.environ.get(_ENV_CACHE)
     if not cache:
         parser.error(f"--cache is required (or set ${_ENV_CACHE})")
-    check_repository(repo)
     records = list(extract_history(repo, include_merges=args.include_merges))
-    head = head_revision(repo)
     try:
-        blame = extract_blame(repo, head)
+        blame = extract_blame(repo)
     except NoTextFiles:
         blame = None
     fingerprint = repo_fingerprint(repo)
@@ -441,9 +437,7 @@ def _cmd_cst(parser, args, argv, started) -> int:
 def _cmd_rig(parser, args, argv, started) -> int:
     repo, cache = _resolve_source(parser, args)
     if repo:
-        check_repository(repo)
-        revision = resolve_revision(repo, args.rev or "HEAD")
-        blame = extract_blame(repo, revision, path_filter=args.dir)
+        blame = extract_blame(repo, args.rev or "HEAD", path_filter=args.dir)
         fingerprint = repo_fingerprint(repo)
     else:
         _, blame, cache_manifest = load_cache(cache, records=False)
@@ -455,6 +449,9 @@ def _cmd_rig(parser, args, argv, started) -> int:
         fingerprint = cache_manifest.repo_fingerprint
     blame = filter_snapshot(blame, scope=args.dir,
                             exclude_globs=tuple(args.exclude or ()))
+    if not blame.files:
+        raise EmptySnapshot(f"no blamed file under {args.dir or '.'!r} "
+                            f"outside excludes {args.exclude or []}")
 
     weights = Counter()
     for lines in blame.files.values():

@@ -7,10 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import EmptyScope, ZeroDevelopers
-from .gitrepo import compile_globs, path_matches
+from .gitrepo import compile_globs, in_scope, normalize_scope, path_matches
 from .identity import DeveloperId, IdentityMap
 from .metrics import DataMetric, MetricKind, contribution
 from .records import ChangeRecord
@@ -49,7 +50,7 @@ class TimeWindow:
         for month in (self.start_month, self.end_month):
             if month is not None and not 1 <= month <= 12:
                 raise ValueError(f"month out of range: {month}")
-        lo, hi = self._bounds()
+        lo, hi = self._bounds
         if lo and hi and lo >= hi:
             raise ValueError("time range start is after its end")
 
@@ -64,6 +65,7 @@ class TimeWindow:
     def year(cls, year: int) -> "TimeWindow":
         return cls(start_year=year, end_year=year)
 
+    @cached_property
     def _bounds(self) -> tuple[datetime | None, datetime | None]:
         lo = hi = None
         if self.start_year is not None:
@@ -78,7 +80,7 @@ class TimeWindow:
         return lo, hi
 
     def contains(self, instant: datetime) -> bool:
-        lo, hi = self._bounds()
+        lo, hi = self._bounds
         if lo and instant < lo:
             return False
         if hi and instant >= hi:
@@ -153,16 +155,12 @@ def filter_records(records: Iterable[ChangeRecord],
                    exclude_globs: Sequence[str] = ()) -> list[ChangeRecord]:
     """Apply time, directory and external-code filters, in that order."""
     compiled = compile_globs(exclude_globs)
-    cleaned = (scope or "").strip("/")
-    while cleaned.startswith("./"):
-        cleaned = cleaned[2:].lstrip("/")
-    prefix = "" if cleaned in ("", ".") else cleaned + "/"
+    scope = normalize_scope(scope)
     kept = []
     for record in records:
         if window and not window.contains(record.commit.author_timestamp):
             continue
-        if prefix and not (record.path.startswith(prefix)
-                           or record.path == prefix.rstrip("/")):
+        if not in_scope(record.path, scope):
             continue
         if compiled and path_matches(record.path, compiled):
             continue

@@ -35,18 +35,28 @@ _LOG_FORMAT = "%x00%H%x01%an%x01%ae%x01%at%x01%P"
 _BLAME_WORKERS = min(8, os.cpu_count() or 1)
 
 
-def _git(repo_path: str, *args: str, ok_codes: Sequence[int] = (0,)) -> str:
-    """Run one git command and return stdout, raising on failure."""
+def _spawn(repo_path: str, args: Sequence[str], stderr) -> subprocess.Popen:
+    """Start one git command with stdout piped as text.
+
+    The only place that spawns git: a missing binary (OSError) becomes
+    GitInvocationFailure like any failed command.
+    """
     cmd = ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args]
     try:
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True,
-            encoding="utf-8", errors="replace")
+        return subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=stderr,
+            text=True, encoding="utf-8", errors="replace")
     except OSError as exc:
-        raise GitInvocationFailure(" ".join(cmd), -1, str(exc))
+        raise GitInvocationFailure(" ".join(cmd), -1, str(exc)) from None
+
+
+def _git(repo_path: str, *args: str, ok_codes: Sequence[int] = (0,)) -> str:
+    """Run one git command and return stdout, raising on failure."""
+    proc = _spawn(repo_path, args, subprocess.PIPE)
+    stdout, stderr = proc.communicate()
     if proc.returncode not in ok_codes:
-        raise GitInvocationFailure(" ".join(args), proc.returncode, proc.stderr)
-    return proc.stdout
+        raise GitInvocationFailure(" ".join(args), proc.returncode, stderr)
+    return stdout
 
 
 def _git_stream(repo_path: str, *args: str) -> Iterator[str]:
@@ -56,12 +66,8 @@ def _git_stream(repo_path: str, *args: str) -> Iterator[str]:
     pipe drained only after stdout ends would block git as soon as its
     warnings filled the pipe.
     """
-    cmd = ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args]
     with tempfile.TemporaryFile() as stderr:
-        proc = subprocess.Popen(
-            cmd, stdout=subprocess.PIPE, stderr=stderr,
-            text=True, encoding="utf-8", errors="replace")
-        assert proc.stdout is not None
+        proc = _spawn(repo_path, args, stderr)
         try:
             for line in proc.stdout:
                 yield line.rstrip("\n")
@@ -75,50 +81,39 @@ def _git_stream(repo_path: str, *args: str) -> Iterator[str]:
                     stderr.read().decode("utf-8", errors="replace"))
 
 
-def check_repository(repo_path: str) -> None:
-    """Raise NotARepository unless repo_path has git metadata."""
+def resolve_revision(repo_path: str, revision: str) -> str:
+    """Resolve a revision name to its full commit hash.
+
+    The one probe of a repository: raises NotARepository when repo_path
+    has no git metadata, EmptyRepository when HEAD has no commit yet,
+    and UnknownRevision for any other name that does not resolve.
+    """
     if not os.path.isdir(repo_path):
         raise NotARepository(f"not a directory: {repo_path}")
-    probe = subprocess.run(
-        ["git", "-C", str(repo_path), "rev-parse", "--git-dir"],
-        capture_output=True, text=True)
-    if probe.returncode != 0:
-        raise NotARepository(f"no git repository at {repo_path}")
+    try:
+        return _git(repo_path, "rev-parse", "--verify", "--quiet",
+                    f"{revision}^{{commit}}").strip()
+    except GitInvocationFailure as exc:
+        if exc.returncode == 128:
+            raise NotARepository(f"no git repository at {repo_path}") from None
+        if exc.returncode != 1:
+            raise
+    if revision == "HEAD":
+        raise EmptyRepository(f"repository at {repo_path} has no commits")
+    raise UnknownRevision(f"cannot resolve revision {revision!r}")
 
 
 def head_revision(repo_path: str) -> str:
     """Full hash of HEAD; raises EmptyRepository when there are no commits."""
-    check_repository(repo_path)
-    probe = subprocess.run(
-        ["git", "-C", str(repo_path), "rev-parse", "--verify", "HEAD"],
-        capture_output=True, text=True)
-    if probe.returncode != 0:
-        raise EmptyRepository(f"repository at {repo_path} has no commits")
-    return probe.stdout.strip()
-
-
-def resolve_revision(repo_path: str, revision: str) -> str:
-    """Resolve a revision name to its full commit hash."""
-    check_repository(repo_path)
-    probe = subprocess.run(
-        ["git", "-C", str(repo_path), "rev-parse", "--verify",
-         f"{revision}^{{commit}}"],
-        capture_output=True, text=True)
-    if probe.returncode != 0:
-        raise UnknownRevision(f"cannot resolve revision {revision!r}")
-    return probe.stdout.strip()
+    return resolve_revision(repo_path, "HEAD")
 
 
 def repo_fingerprint(repo_path: str) -> str:
     """Stable identifier for a working copy: origin URL or path, plus HEAD."""
     head = head_revision(repo_path)
-    origin = subprocess.run(
-        ["git", "-C", str(repo_path), "config", "--get", "remote.origin.url"],
-        capture_output=True, text=True)
-    source = origin.stdout.strip() if origin.returncode == 0 else ""
-    if not source:
-        source = os.path.abspath(repo_path)
-    return f"{source}@{head}"
+    source = _git(repo_path, "config", "--get", "remote.origin.url",
+                  ok_codes=(0, 1)).strip()
+    return f"{source or os.path.abspath(repo_path)}@{head}"
 
 
 # --- history extraction ---
@@ -189,14 +184,11 @@ def extract_history(repo_path: str, include_merges: bool = False) -> Iterator[Ch
     case their diff is taken against the first parent. Binary files
     and submodule pointer bumps are skipped.
     """
-    head_revision(repo_path)  # raises NotARepository / EmptyRepository
-
+    head = head_revision(repo_path)  # NotARepository / EmptyRepository
     args = ["log", "--reverse", "--author-date-order", "--no-renames",
-            "-p", "-U0", f"--pretty=format:{_LOG_FORMAT}"]
-    if include_merges:
-        args.append("--diff-merges=first-parent")
-    else:
-        args.append("--no-merges")
+            "-p", "-U0", f"--pretty=format:{_LOG_FORMAT}",
+            "--diff-merges=first-parent" if include_merges else "--no-merges",
+            head, "--"]
 
     commit: CommitMeta | None = None
     current: _FileDiff | None = None
@@ -261,33 +253,30 @@ def extract_history(repo_path: str, include_merges: bool = False) -> Iterator[Ch
 _TEXT_BLOB_MODES = ("100644", "100755")
 
 
-def _list_text_files(repo_path: str, revision: str, path_filter: str | None) -> list[str]:
-    """Regular-blob text files at a revision, optionally under a prefix."""
-    args = ["ls-tree", "-r", "-z", revision]
-    if path_filter:
-        args += ["--", path_filter]
-    entries = []
-    for line in _git(repo_path, *args).split("\0")[:-1]:
-        meta, _, path = line.partition("\t")
-        mode, kind, _ = meta.split(" ", 2)
-        if kind == "blob" and mode in _TEXT_BLOB_MODES:
-            entries.append(path)
+def _list_text_files(repo_path: str, revision: str, scope: str) -> list[str]:
+    """Non-empty regular text files at a revision, within a scope.
 
-    # Binary detection: numstat against the empty tree reports "-" counts.
+    One diff against the empty tree gives each file's mode (raw entries,
+    ":<old mode> <new mode> ...", then the path) and its line count
+    (numstat entries, "-" for binary files).
+    """
     empty_tree = _git(repo_path, "hash-object", "-t", "tree", os.devnull).strip()
-    binary: set[str] = set()
-    nonempty: set[str] = set()
-    numstat_args = ["diff", "--numstat", "-z", "--no-renames", empty_tree,
-                    revision]
-    if path_filter:
-        numstat_args += ["--", path_filter]
-    for line in _git(repo_path, *numstat_args).split("\0")[:-1]:
-        added, _, rest = line.split("\t", 2)
-        if added == "-":
-            binary.add(rest)
-        elif int(added) > 0:
-            nonempty.add(rest)
-    return sorted(p for p in entries if p not in binary and p in nonempty)
+    args = ["diff", "--raw", "--numstat", "-z", "--no-renames", empty_tree,
+            revision]
+    if scope:
+        args += ["--", f":(literal){scope}"]  # a prefix, as in `in_scope`
+    modes: dict[str, str] = {}
+    added: dict[str, str] = {}
+    fields = iter(_git(repo_path, *args).split("\0")[:-1])
+    for field in fields:
+        if field.startswith(":"):
+            modes[next(fields)] = field.split(" ")[1]
+        else:
+            count, _, rest = field.split("\t", 2)
+            added[rest] = count
+    return sorted(path for path, mode in modes.items()
+                  if mode in _TEXT_BLOB_MODES
+                  and added[path] != "-" and int(added[path]) > 0)
 
 
 _AUTHOR_RE = re.compile(r"^author (.*)$")
@@ -323,11 +312,10 @@ def extract_blame(repo_path: str, revision: str = "HEAD",
     NoTextFiles when the filter matches nothing blame-able.
     """
     resolved = resolve_revision(repo_path, revision)
-    if path_filter:
-        path_filter = path_filter.strip("/")
-    paths = _list_text_files(repo_path, resolved, path_filter)
+    scope = normalize_scope(path_filter)
+    paths = _list_text_files(repo_path, resolved, scope)
     if not paths:
-        detail = f"under {path_filter!r} " if path_filter else ""
+        detail = f"under {scope!r} " if scope else ""
         raise NoTextFiles(f"no text files {detail}at revision {revision}")
 
     with ThreadPoolExecutor(max_workers=_BLAME_WORKERS) as pool:
@@ -392,6 +380,23 @@ def _glob_to_regex(pattern: str) -> re.Pattern:
         raise InvalidGlob(f"cannot compile pattern {pattern!r}: {exc}")
 
 
+def normalize_scope(scope: str | None) -> str:
+    """A directory scope as a bare repo-relative path; "" is the whole tree.
+
+    "./src/", "/src" and "src" all name "src"; ".", "./" and "/" name
+    the whole tree.
+    """
+    cleaned = (scope or "").strip("/")
+    while cleaned.startswith("./"):
+        cleaned = cleaned[2:].lstrip("/")
+    return "" if cleaned == "." else cleaned
+
+
+def in_scope(path: str, scope: str) -> bool:
+    """Whether a path lies in a scope from `normalize_scope`."""
+    return not scope or path == scope or path.startswith(scope + "/")
+
+
 def compile_globs(patterns: Iterable[str]) -> list[re.Pattern]:
     return [_glob_to_regex(p) for p in patterns]
 
@@ -404,10 +409,7 @@ def filter_snapshot(blame: BlameSnapshot, scope: str | None = None,
                     exclude_globs: Sequence[str] = ()) -> BlameSnapshot:
     """Restrict a blame snapshot to a directory prefix minus exclusions."""
     compiled = compile_globs(exclude_globs)
-    prefix = scope.strip("/") + "/" if scope else ""
-    files = {
-        path: lines for path, lines in blame.files.items()
-        if (not prefix or path.startswith(prefix) or path == prefix.rstrip("/"))
-        and not path_matches(path, compiled)
-    }
+    scope = normalize_scope(scope)
+    files = {path: lines for path, lines in blame.files.items()
+             if in_scope(path, scope) and not path_matches(path, compiled)}
     return BlameSnapshot(revision=blame.revision, files=files)

@@ -386,13 +386,68 @@ def test_dir_scope_flag(repo_factory):
     repo.commit(("Ada Core", "ada@fixture.test"), "both")
     repo.write("docs/b.md", "b\nc\n")
     repo.commit(("Bert Low", "bert@fixture.test"), "docs only")
-    proc = run_cli("cst", "--repo", str(repo.path), "--metric", "commits",
-                   "--cst-metric", "mul-equal", "--dir", "docs",
-                   "--format", "json")
+    for scope in ("docs", "./docs"):
+        proc = run_cli("cst", "--repo", str(repo.path), "--metric", "commits",
+                       "--cst-metric", "mul-equal", "--dir", scope,
+                       "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["scope"] == scope  # the report echoes the flag as given
+        assert doc["developer_count"] == 2
+
+
+def _rig_report(*args) -> dict:
+    """An exhaustive rig JSON report without its run manifest."""
+    proc = run_cli("rig", *args, "--exhaustive", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["scope"] == "docs"
-    assert doc["developer_count"] == 2
+    del doc["manifest"]
+    return doc
+
+
+def test_rig_scope_spellings_match(repo_factory, tmp_path):
+    repo = repo_factory()
+    repo.write("d00/a.py", "a\nb\nc\n")
+    repo.write("d01/b.py", "x\n")
+    repo.write("top.txt", "t\n")
+    repo.commit(("Ada Core", "ada@fixture.test"))
+    repo.write("d00/a.py", "a\nB\nc\nd\n")
+    repo.commit(("Bert Low", "bert@fixture.test"))
+    repo.write("d01/b.py", "x\ny\n")
+    repo.commit(("Cleo Vian", "cleo@fixture.test"))
+    cache = tmp_path / "cache"
+    assert run_cli("ingest", "--repo", str(repo.path),
+                   "--cache", str(cache)).returncode == 0
+    for source in (("--repo", str(repo.path)), ("--cache", str(cache))):
+        scoped = _rig_report(*source, "--dir", "d00")
+        assert scoped["file_count"] == 1
+        assert _rig_report(*source, "--dir", "./d00") == scoped
+        whole = _rig_report(*source)
+        assert whole["file_count"] == 3
+        for spelling in (".", "/"):
+            assert _rig_report(*source, "--dir", spelling) == whole
+
+
+@pytest.mark.parametrize("scope", [["--dir", "nosuch"], ["--exclude", "**"]])
+def test_rig_nothing_in_scope_is_empty_snapshot(two_dev_repo, tmp_path,
+                                                scope):
+    cache = tmp_path / "cache"
+    assert run_cli("ingest", "--repo", str(two_dev_repo.path),
+                   "--cache", str(cache)).returncode == 0
+    proc = run_cli("rig", "--cache", str(cache), *scope)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ERROR EmptySnapshot:")
+    assert repr(scope[1]) in proc.stderr
+
+
+def test_git_missing_from_path(two_dev_repo, tmp_path):
+    assert os.path.isabs(sys.executable)
+    proc = run_cli("cst", "--repo", str(two_dev_repo.path),
+                   "--metric", "commits", "--cst-metric", "mul-equal",
+                   env_extra={"PATH": str(tmp_path)})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ERROR GitInvocationFailure:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_ingest_reports_stats(two_dev_repo, tmp_path):

@@ -6,11 +6,12 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from busfactor import (BusFactorResult, ChangeRecord, CommitMeta, CstConfig,
-                       CstMetricKind, DataMetric, DeveloperId, MetricKind,
-                       RawAuthor, TimeWindow, WeightScheme,
-                       aggregate_knowledge, compare_error, compute_thresholds,
-                       classify_developers, cst_bus_factor, filter_records,
+from busfactor import (BlameSnapshot, BusFactorResult, ChangeRecord,
+                       CommitMeta, CstConfig, CstMetricKind, DataMetric,
+                       DeveloperId, MetricKind, RawAuthor, TimeWindow,
+                       WeightScheme, aggregate_knowledge, compare_error,
+                       compute_thresholds, classify_developers,
+                       cst_bus_factor, filter_records, filter_snapshot,
                        knowledge_per_file, resolve_identities,
                        shares_from_timeline)
 from busfactor.cst import KnowledgeTable
@@ -299,10 +300,15 @@ def test_scope_and_exclude_filters():
 def test_scope_spellings_normalize(scope):
     records = [record(A, path="src/a.py"), record(B, path="docs/r.md", seq=1)]
     kept = filter_records(records, scope=scope)
+    snap = BlameSnapshot(revision="e" * 40,
+                         files={"src/a.py": (A,), "docs/r.md": (B,)})
+    narrowed = filter_snapshot(snap, scope=scope)
     if "src" in scope:
         assert [r.path for r in kept] == ["src/a.py"]
+        assert set(narrowed.files) == {"src/a.py"}
     else:
         assert len(kept) == 2
+        assert narrowed == snap
 
 
 def test_pipeline_raises_on_empty_scope():

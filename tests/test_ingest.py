@@ -8,11 +8,11 @@ import threading
 
 import pytest
 
-from busfactor import (BlameSnapshot, RawAuthor, check_repository,
-                       compile_globs, extract_blame, extract_history,
-                       filter_records, filter_snapshot, head_revision,
-                       load_cache, path_matches, repo_fingerprint,
-                       resolve_revision, token_distance, tokenize)
+from busfactor import (BlameSnapshot, RawAuthor, compile_globs,
+                       extract_blame, extract_history, filter_records,
+                       filter_snapshot, head_revision, load_cache,
+                       path_matches, repo_fingerprint, resolve_revision,
+                       token_distance, tokenize)
 from busfactor import gitrepo
 from busfactor.cli import main
 from busfactor.errors import (EmptyRepository, InvalidGlob, NoTextFiles,
@@ -166,7 +166,7 @@ def test_not_a_repository(tmp_path):
     plain = tmp_path / "plain"
     plain.mkdir()
     with pytest.raises(NotARepository):
-        check_repository(plain)
+        head_revision(plain)
     with pytest.raises(NotARepository):
         list(extract_history(plain))
 
@@ -384,3 +384,32 @@ def test_git_stream_survives_large_stderr(monkeypatch):
         worker.join(timeout=5)
     assert not hung, "git stream blocked on a full stderr pipe"
     assert lines == ["one", "two", "three"]
+
+
+def test_git_spawns_per_command(repo_factory, tmp_path, monkeypatch):
+    repo = repo_factory()
+    repo.write("a.txt", "a\n")
+    repo.write("d/b.txt", "b\nc\n")
+    repo.write("empty.txt", "")
+    repo.write_bytes("blob.bin", b"\x00\x01\x02")
+    repo.commit(ADA)
+    repo.write("a.txt", "a\nz\n")
+    repo.commit(BERT)
+    blamed = 2  # a.txt and d/b.txt: not the empty or the binary file
+    spawns = []
+    real_popen = subprocess.Popen
+
+    def popen(cmd, **kwargs):
+        spawns.append(cmd)
+        return real_popen(cmd, **kwargs)
+    monkeypatch.setattr(gitrepo.subprocess, "Popen", popen)
+
+    def count(*argv):
+        spawns.clear()
+        assert main([*argv, "--repo", str(repo.path)]) == 0
+        return len(spawns)
+    assert count("ingest", "--cache", str(tmp_path / "cache")) == 7 + blamed
+    assert count("cst", "--metric", "commits",
+                 "--cst-metric", "mul-equal") == 4
+    assert count("trend", "--from-year", "2021", "--to-year", "2021") == 4
+    assert count("rig", "--exhaustive") == 5 + blamed
