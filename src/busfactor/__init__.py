@@ -23,9 +23,9 @@ from .cst import (CstMetricKind, WeightScheme, TimeWindow, CstConfig,
 from .rig import (RigConfig, RigResult, abandoned_file_fraction,
                   rig_bus_factor, rig_repeat, summarize_runs)
 from .trend import TrendPoint, TrendSeries, yearly_trend
-from .gitrepo import (head_revision, resolve_revision, repo_fingerprint,
-                      extract_history, extract_blame, compile_globs,
-                      path_matches, filter_snapshot)
+from .gitrepo import (resolve_revision, repo_fingerprint, extract_history,
+                      extract_blame, compile_globs, path_matches,
+                      filter_snapshot)
 from .cache import CacheManifest, SCHEMA_VERSION, save_cache, load_cache
 from .report import (FORMATS, RunManifest, payload_cst, payload_ingest,
                      payload_rig, payload_trend, redacted_label, render)
@@ -46,9 +46,8 @@ __all__ = [
     "RigConfig", "RigResult", "abandoned_file_fraction", "rig_bus_factor",
     "rig_repeat", "summarize_runs",
     "TrendPoint", "TrendSeries", "yearly_trend",
-    "head_revision", "resolve_revision", "repo_fingerprint",
-    "extract_history", "extract_blame", "compile_globs", "path_matches",
-    "filter_snapshot",
+    "resolve_revision", "repo_fingerprint", "extract_history",
+    "extract_blame", "compile_globs", "path_matches", "filter_snapshot",
     "CacheManifest", "SCHEMA_VERSION", "save_cache", "load_cache",
     "RunManifest", "render", "FORMATS", "payload_cst", "payload_ingest",
     "payload_rig", "payload_trend", "redacted_label",

@@ -17,7 +17,7 @@ from .cst import (CstConfig, CstMetricKind, TimeWindow, WeightScheme,
 from .errors import (BusFactorError, EmptySnapshot, IoFailure, NoTextFiles,
                      UnknownRevision)
 from .gitrepo import (extract_blame, extract_history, filter_snapshot,
-                      repo_fingerprint)
+                      repo_fingerprint, resolve_revision)
 from .identity import (DEFAULT_SIMILARITY, parse_alias_file,
                        resolve_identities)
 from .metrics import DataMetric, MetricKind
@@ -31,43 +31,28 @@ _ENV_CACHE = "BUSFACTOR_CACHE_DIR"
 
 # --- argument casting ----------------------------------------------------
 
-def _int_min(minimum: int):
-    def cast(text: str) -> int:
+def _number(cast, rule: str = "", ok=lambda value: True):
+    """argparse type: `cast` the text, then require `ok(value)` or fail
+    with `rule`."""
+    noun = "an integer" if cast is int else "a number"
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule)
         return value
-    return cast
+    return parse
 
 
-def _any_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-
-
-def _fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError("must lie in (0, 1]")
-    return value
-
-
-def _similarity(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 0 <= value <= 100:
-        raise argparse.ArgumentTypeError("must lie in 0..100")
-    return value
+_COUNT = _number(int, "must be >= 1", lambda value: value >= 1)
+_NATURAL = _number(int, "must be >= 0", lambda value: value >= 0)
+_FRACTION = _number(float, "must lie in (0, 1]",
+                    lambda value: 0.0 < value <= 1.0)
+_PERCENT = _number(int, "must lie in 0..100",
+                   lambda value: 0 <= value <= 100)
 
 
 # --- config file ---------------------------------------------------------
@@ -112,7 +97,7 @@ def _apply_config(parser: argparse.ArgumentParser, path: str,
         parser.error(f"--config: cannot read {path}: {exc}")
     except configparser.Error as exc:
         parser.error(f"--config: {exc}")
-    target = parser.subcommands.get(section) if section else None
+    target = parser.commands.choices.get(section) if section else None
     if target is None or section not in reader:
         return
     # A section's keys are its subcommand's long flags, minus the dashes.
@@ -160,7 +145,7 @@ def _add_common(sub: argparse.ArgumentParser, name: str,
 def _add_identity_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alias-file", metavar="PATH",
                      help="file of `raw_email -> canonical_email` merges")
-    sub.add_argument("--similarity", type=_similarity,
+    sub.add_argument("--similarity", type=_PERCENT,
                      default=DEFAULT_SIMILARITY, metavar="0-100",
                      help="name-similarity threshold for identity merging "
                           "(default %(default)s)")
@@ -251,21 +236,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(rig, "rig")
     rig.add_argument("--rev", metavar="REV",
                      help="revision to blame (default HEAD)")
-    rig.add_argument("--samples", type=_int_min(1), default=1000,
+    rig.add_argument("--samples", type=_COUNT, default=1000,
                      help="random subsets per group size (default %(default)s)")
-    rig.add_argument("--max-g", type=_int_min(1), default=200,
+    rig.add_argument("--max-g", type=_COUNT, default=200,
                      help="largest departing group to try (default %(default)s)")
-    rig.add_argument("--seed", type=_any_int, default=0,
+    rig.add_argument("--seed", type=_number(int), default=0,
                      help="random seed (default %(default)s)")
-    rig.add_argument("--runs", type=_int_min(1), default=1,
+    rig.add_argument("--runs", type=_COUNT, default=1,
                      help="independent runs with derived seeds (default %(default)s)")
     rig.add_argument("--exhaustive", action="store_true",
                      help="enumerate every subset instead of sampling (exact)")
-    rig.add_argument("--line-abandon", type=_fraction, default=0.90,
+    rig.add_argument("--line-abandon", type=_FRACTION, default=0.90,
                      metavar="RATIO",
                      help="line-ownership fraction that abandons a file "
                           "(default %(default)s)")
-    rig.add_argument("--file-abandon", type=_fraction, default=0.50,
+    rig.add_argument("--file-abandon", type=_FRACTION, default=0.50,
                      metavar="RATIO",
                      help="abandoned-file fraction that abandons the project "
                           "(default %(default)s)")
@@ -277,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     trend = commands.add_parser(
         "trend", help="per-year bus factor series", allow_abbrev=False)
     _add_common(trend, "trend")
-    trend.add_argument("--from-year", type=_int_min(1), default=None,
+    trend.add_argument("--from-year", type=_COUNT, default=None,
                        metavar="YYYY", help="first year of the series")
-    trend.add_argument("--to-year", type=_int_min(1), default=None,
+    trend.add_argument("--to-year", type=_COUNT, default=None,
                        metavar="YYYY", help="last year of the series")
     trend.add_argument("--cumulative", action="store_true",
                        help="each point covers all history through its year")
@@ -293,14 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="absolute error against a reference bus factor",
         allow_abbrev=False)
     compare.add_argument("--config", help=argparse.SUPPRESS)
-    compare.add_argument("--bf", type=_int_min(0), default=None,
+    compare.add_argument("--bf", type=_NATURAL, default=None,
                          help="computed bus factor")
-    compare.add_argument("--reference", type=_int_min(0), default=None,
+    compare.add_argument("--reference", type=_NATURAL, default=None,
                          help="reference bus factor to compare against")
     compare.set_defaults(func=_cmd_compare)
 
-    parser.subcommands = {"ingest": ingest, "cst": cst, "rig": rig,
-                          "trend": trend, "compare": compare}
+    parser.commands = commands
     return parser
 
 
@@ -325,14 +309,6 @@ def _resolve_source(parser, args) -> tuple[str | None, str | None]:
     return repo, cache
 
 
-def _load_history(repo: str | None, cache: str | None):
-    """Records + fingerprint from either a live repo or a cache dir."""
-    if repo:
-        return list(extract_history(repo)), repo_fingerprint(repo)
-    records, _, manifest = load_cache(cache)
-    return records, manifest.repo_fingerprint
-
-
 def _identity_for(parser, args, weights: Counter):
     aliases = None
     if args.alias_file:
@@ -354,6 +330,32 @@ def _window(parser, args) -> TimeWindow | None:
         return TimeWindow.parse(args.time_from, args.time_to)
     except ValueError as exc:
         parser.error(f"--from/--to: {exc}")
+
+
+def _cst_inputs(parser, args, time_range: TimeWindow | None = None):
+    """Config, records, identities and fingerprint for cst and trend."""
+    metric = _require(parser, args, "metric", "--metric")
+    cst_metric = _require(parser, args, "cst_metric", "--cst-metric")
+    repo, cache = _resolve_source(parser, args)
+    config = CstConfig(
+        cst_metric=CstMetricKind(cst_metric),
+        data_metric=DataMetric(MetricKind(metric),
+                               cos_scale_by_locc=args.cos_scale_locc),
+        scope=args.dir,
+        time_range=time_range,
+        exclude_globs=tuple(args.exclude or ()),
+        weight_scheme=WeightScheme(args.weight_scheme),
+    )
+    if repo:
+        commit = resolve_revision(repo, "HEAD")
+        records = list(extract_history(repo, commit))
+        fingerprint = repo_fingerprint(repo, commit)
+    else:
+        records, _, manifest = load_cache(cache)
+        fingerprint = manifest.repo_fingerprint
+    identity = _identity_for(parser, args,
+                             Counter(r.author for r in records))
+    return config, records, identity, fingerprint
 
 
 def _manifest(argv, fingerprint, started, seed=None) -> RunManifest:
@@ -385,12 +387,14 @@ def _cmd_ingest(parser, args, argv, started) -> int:
     cache = args.cache or os.environ.get(_ENV_CACHE)
     if not cache:
         parser.error(f"--cache is required (or set ${_ENV_CACHE})")
-    records = list(extract_history(repo, include_merges=args.include_merges))
+    commit = resolve_revision(repo, "HEAD")
+    records = list(extract_history(repo, commit,
+                                   include_merges=args.include_merges))
     try:
-        blame = extract_blame(repo)
+        blame = extract_blame(repo, commit)
     except NoTextFiles:
         blame = None
-    fingerprint = repo_fingerprint(repo)
+    fingerprint = repo_fingerprint(repo, commit)
     save_cache(records, blame,
                CacheManifest(repo_fingerprint=fingerprint,
                              created_at=started,
@@ -412,21 +416,8 @@ def _cmd_ingest(parser, args, argv, started) -> int:
 
 
 def _cmd_cst(parser, args, argv, started) -> int:
-    metric = _require(parser, args, "metric", "--metric")
-    cst_metric = _require(parser, args, "cst_metric", "--cst-metric")
-    repo, cache = _resolve_source(parser, args)
-    records, fingerprint = _load_history(repo, cache)
-    identity = _identity_for(parser, args,
-                             Counter(r.author for r in records))
-    config = CstConfig(
-        cst_metric=CstMetricKind(cst_metric),
-        data_metric=DataMetric(MetricKind(metric),
-                               cos_scale_by_locc=args.cos_scale_locc),
-        scope=args.dir,
-        time_range=_window(parser, args),
-        exclude_globs=tuple(args.exclude or ()),
-        weight_scheme=WeightScheme(args.weight_scheme),
-    )
+    config, records, identity, fingerprint = _cst_inputs(
+        parser, args, _window(parser, args))
     result = cst_bus_factor(records, identity, config)
     payload = payload_cst(result, _manifest(argv, fingerprint, started),
                           redact=args.redact)
@@ -438,14 +429,17 @@ def _cmd_rig(parser, args, argv, started) -> int:
     repo, cache = _resolve_source(parser, args)
     if repo:
         blame = extract_blame(repo, args.rev or "HEAD", path_filter=args.dir)
-        fingerprint = repo_fingerprint(repo)
+        fingerprint = repo_fingerprint(repo, blame.revision)
     else:
         _, blame, cache_manifest = load_cache(cache, records=False)
         if blame is None:
             raise EmptySnapshot("cache holds no blame data; re-run ingest")
-        if args.rev and not blame.revision.startswith(args.rev):
+        # ingest snapshots HEAD, so HEAD names the cached commit.
+        wanted = args.rev or "HEAD"
+        if wanted != "HEAD" and not blame.revision.startswith(wanted):
             raise UnknownRevision(
-                f"cache holds blame for {blame.revision}, not {args.rev}")
+                f"cache holds blame for {blame.revision}, not {wanted}; "
+                "other revisions need --repo")
         fingerprint = cache_manifest.repo_fingerprint
     blame = filter_snapshot(blame, scope=args.dir,
                             exclude_globs=tuple(args.exclude or ()))
@@ -467,12 +461,11 @@ def _cmd_rig(parser, args, argv, started) -> int:
         exhaustive=args.exhaustive,
     )
     results = rig_repeat(blame, identity, config, runs=args.runs)
-    developer_count = len({identity.canonical(a) for a in blame.authors()})
     payload = payload_rig(results, config,
                           _manifest(argv, fingerprint, started, seed=args.seed),
                           revision=blame.revision,
                           file_count=len(blame.files),
-                          developer_count=developer_count,
+                          developer_count=len(identity),
                           redact=args.redact)
     _emit(payload, args)
     return 0
@@ -481,18 +474,7 @@ def _cmd_rig(parser, args, argv, started) -> int:
 def _cmd_trend(parser, args, argv, started) -> int:
     first = _require(parser, args, "from_year", "--from-year")
     last = _require(parser, args, "to_year", "--to-year")
-    repo, cache = _resolve_source(parser, args)
-    records, fingerprint = _load_history(repo, cache)
-    identity = _identity_for(parser, args,
-                             Counter(r.author for r in records))
-    base = CstConfig(
-        cst_metric=CstMetricKind(args.cst_metric),
-        data_metric=DataMetric(MetricKind(args.metric),
-                               cos_scale_by_locc=args.cos_scale_locc),
-        scope=args.dir,
-        exclude_globs=tuple(args.exclude or ()),
-        weight_scheme=WeightScheme(args.weight_scheme),
-    )
+    base, records, identity, fingerprint = _cst_inputs(parser, args)
     series = yearly_trend(records, identity, base, first, last,
                           cumulative=args.cumulative)
     payload = payload_trend(series, _manifest(argv, fingerprint, started))

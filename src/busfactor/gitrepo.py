@@ -103,17 +103,12 @@ def resolve_revision(repo_path: str, revision: str) -> str:
     raise UnknownRevision(f"cannot resolve revision {revision!r}")
 
 
-def head_revision(repo_path: str) -> str:
-    """Full hash of HEAD; raises EmptyRepository when there are no commits."""
-    return resolve_revision(repo_path, "HEAD")
-
-
-def repo_fingerprint(repo_path: str) -> str:
-    """Stable identifier for a working copy: origin URL or path, plus HEAD."""
-    head = head_revision(repo_path)
+def repo_fingerprint(repo_path: str, commit: str) -> str:
+    """Stable identifier for a working copy at a commit: origin URL or
+    path, plus the commit hash (as `resolve_revision` gives it)."""
     source = _git(repo_path, "config", "--get", "remote.origin.url",
                   ok_codes=(0, 1)).strip()
-    return f"{source or os.path.abspath(repo_path)}@{head}"
+    return f"{source or os.path.abspath(repo_path)}@{commit}"
 
 
 # --- history extraction ---
@@ -175,20 +170,21 @@ def _strip_diff_path(header_line: str, prefix: str) -> str | None:
     return value[len(prefix):] if value.startswith(prefix) else value
 
 
-def extract_history(repo_path: str, include_merges: bool = False) -> Iterator[ChangeRecord]:
+def extract_history(repo_path: str, revision: str = "HEAD",
+                    include_merges: bool = False) -> Iterator[ChangeRecord]:
     """Yield one ChangeRecord per (commit, modified text file) pair.
 
-    Covers the full history of the currently checked-out branch,
-    oldest first (author-date order under topological constraints).
+    Covers the full history reachable from a revision, oldest first
+    (author-date order under topological constraints).
     Merge commits are skipped unless include_merges is set, in which
     case their diff is taken against the first parent. Binary files
     and submodule pointer bumps are skipped.
     """
-    head = head_revision(repo_path)  # NotARepository / EmptyRepository
+    resolved = resolve_revision(repo_path, revision)
     args = ["log", "--reverse", "--author-date-order", "--no-renames",
             "-p", "-U0", f"--pretty=format:{_LOG_FORMAT}",
             "--diff-merges=first-parent" if include_merges else "--no-merges",
-            head, "--"]
+            resolved, "--"]
 
     commit: CommitMeta | None = None
     current: _FileDiff | None = None

@@ -41,10 +41,8 @@ class DeveloperId:
 class IdentityMap:
     """Total mapping from every observed RawAuthor to its DeveloperId."""
 
-    def __init__(self, entries: Mapping[RawAuthor, DeveloperId],
-                 similarity_threshold: int):
+    def __init__(self, entries: Mapping[RawAuthor, DeveloperId]):
         self._entries = dict(entries)
-        self.similarity_threshold = similarity_threshold
 
     def canonical(self, author: RawAuthor) -> DeveloperId:
         """The identity containing `author`; stable across calls."""
@@ -262,4 +260,4 @@ def resolve_identities(authors: Iterable[RawAuthor],
         )
         for member in members:
             entries[member] = dev
-    return IdentityMap(entries, similarity_threshold)
+    return IdentityMap(entries)

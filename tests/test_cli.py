@@ -181,6 +181,39 @@ def test_rig_cache_rev_mismatch(two_dev_repo, tmp_path):
     assert proc.stderr.startswith("ERROR UnknownRevision:")
 
 
+def _without_run_fields(doc: dict) -> dict:
+    for key in ("started_at", "finished_at", "command_line"):
+        del doc["manifest"][key]
+    return doc
+
+
+def test_rig_cache_rev_head_names_cached_commit(two_dev_repo, tmp_path):
+    cache = tmp_path / "cache"
+    run_cli("ingest", "--repo", str(two_dev_repo.path),
+            "--cache", str(cache))
+    args = ("rig", "--cache", str(cache), "--exhaustive", "--format", "json")
+    plain = run_cli(*args)
+    head = run_cli(*args, "--rev", "HEAD")
+    assert plain.returncode == head.returncode == 0, head.stderr
+    assert _without_run_fields(json.loads(head.stdout)) == \
+        _without_run_fields(json.loads(plain.stdout))
+    proc = run_cli(*args, "--rev", "main")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ERROR UnknownRevision:")
+    assert two_dev_repo.head() in proc.stderr
+    assert "other revisions need --repo" in proc.stderr
+
+
+def test_rig_repo_rev_fingerprint_names_that_commit(two_dev_repo):
+    first = two_dev_repo.git("rev-list", "--max-parents=0", "HEAD").strip()
+    proc = run_cli("rig", "--repo", str(two_dev_repo.path), "--rev", first,
+                   "--exhaustive", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["revision"] == first
+    assert doc["manifest"]["repo_fingerprint"].endswith("@" + first)
+
+
 def test_trend_csv(two_dev_repo):
     proc = run_cli("trend", "--repo", str(two_dev_repo.path),
                    "--from-year", "2021", "--to-year", "2022",

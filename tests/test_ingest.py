@@ -10,10 +10,10 @@ import pytest
 
 from busfactor import (BlameSnapshot, RawAuthor, compile_globs,
                        extract_blame, extract_history, filter_records,
-                       filter_snapshot, head_revision, load_cache,
-                       path_matches, repo_fingerprint, resolve_revision,
-                       token_distance, tokenize)
-from busfactor import gitrepo
+                       filter_snapshot, load_cache, path_matches,
+                       repo_fingerprint, resolve_revision, token_distance,
+                       tokenize)
+from busfactor import cli, gitrepo
 from busfactor.cli import main
 from busfactor.errors import (EmptyRepository, InvalidGlob, NoTextFiles,
                               NotARepository, UnknownRevision)
@@ -166,13 +166,13 @@ def test_not_a_repository(tmp_path):
     plain = tmp_path / "plain"
     plain.mkdir()
     with pytest.raises(NotARepository):
-        head_revision(plain)
+        resolve_revision(plain, "HEAD")
     with pytest.raises(NotARepository):
         list(extract_history(plain))
 
 
 def test_fingerprint_combines_path_and_head(two_dev_repo):
-    fp = repo_fingerprint(two_dev_repo.path)
+    fp = repo_fingerprint(two_dev_repo.path, two_dev_repo.head())
     assert str(two_dev_repo.path) in fp
     assert fp.endswith("@" + two_dev_repo.head())
 
@@ -412,4 +412,26 @@ def test_git_spawns_per_command(repo_factory, tmp_path, monkeypatch):
     assert count("cst", "--metric", "commits",
                  "--cst-metric", "mul-equal") == 4
     assert count("trend", "--from-year", "2021", "--to-year", "2021") == 4
-    assert count("rig", "--exhaustive") == 5 + blamed
+    assert count("rig", "--exhaustive") == 4 + blamed
+
+
+def test_ingest_reads_one_commit_while_head_moves(repo_factory, tmp_path,
+                                                 monkeypatch):
+    repo = repo_factory()
+    repo.write("a.txt", "a\n")
+    first = repo.commit(ADA)
+    read_history = cli.extract_history
+
+    def history_then_commit(*args, **kwargs):
+        records = list(read_history(*args, **kwargs))
+        repo.write("a.txt", "a\nb\n")
+        repo.commit(BERT)  # lands after the history was read
+        return iter(records)
+    monkeypatch.setattr(cli, "extract_history", history_then_commit)
+    cache = tmp_path / "cache"
+    assert main(["ingest", "--repo", str(repo.path),
+                 "--cache", str(cache)]) == 0
+    records, blame, manifest = load_cache(cache)
+    assert {r.commit.hash for r in records} == {first}
+    assert blame.revision == first
+    assert manifest.repo_fingerprint.endswith("@" + first)
