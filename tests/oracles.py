@@ -11,6 +11,7 @@ import difflib
 import functools
 import itertools
 import math
+import random
 import re
 import subprocess
 import unicodedata
@@ -217,6 +218,65 @@ def rig_min_g(blame, dev_of, line_fraction=Fraction(9, 10),
         if feasible:
             return g, feasible
     return None, []
+
+
+def abandoned_fraction(per_file, gone, line_fraction) -> float:
+    """Share of files whose departed lines reach line_fraction, in the
+    engine's float arithmetic; per_file holds (line total, Counter)."""
+    abandoned = 0
+    for total, counts in per_file:
+        lost = sum(n for dev, n in counts.items() if dev in gone)
+        if lost / total >= line_fraction:
+            abandoned += 1
+    return abandoned / len(per_file)
+
+
+def rig_reference(blame, dev_of, config):
+    """The departure loop written out literally, for any RigConfig.
+
+    Developers are ordered by (email, name). Sampled mode draws each
+    g-subset with a partial Fisher-Yates shuffle whose swaps come from a
+    getrandbits rejection draw on random.Random(seed); exhaustive mode
+    walks every g-subset in lexicographic order. Returns (bus factor,
+    departed set, subsets evaluated, abandoned fraction at return).
+    """
+    per_file = [(len(lines), Counter(dev_of(a) for a in lines))
+                for _, lines in sorted(blame.files.items())]
+    devs = set()
+    for _, counts in per_file:
+        devs.update(counts)
+    ordered = sorted(devs, key=lambda d: (d.canonical_email, d.canonical_name))
+    n = len(ordered)
+    rng = random.Random(config.seed)
+
+    def below(bound):
+        width = bound.bit_length()
+        while True:
+            value = rng.getrandbits(width)
+            if value < bound:
+                return value
+
+    def draws(g):
+        if config.exhaustive:
+            yield from itertools.combinations(ordered, g)
+            return
+        for _ in range(config.samples_per_size):
+            deck = list(ordered)
+            for i in range(g):
+                j = i + below(n - i)
+                deck[i], deck[j] = deck[j], deck[i]
+            yield deck[:g]
+
+    evaluated = 0
+    for g in range(1, min(config.max_group_size, n) + 1):
+        for group in draws(g):
+            gone = frozenset(group)
+            evaluated += 1
+            fraction = abandoned_fraction(per_file, gone,
+                                          config.line_abandon_fraction)
+            if fraction >= config.file_abandon_fraction:
+                return g, gone, evaluated, fraction
+    return None, None, evaluated, 0.0
 
 
 # --- identity resolution, brute force ---------------------------------------

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from busfactor import (BlameSnapshot, DeveloperId, RawAuthor, RigConfig,
-                       RigResult, abandoned_file_fraction,
+from busfactor import (BlameSnapshot, DeveloperId, IdentityMap, RawAuthor,
+                       RigConfig, RigResult, abandoned_file_fraction,
                        resolve_identities, rig_bus_factor, rig_repeat,
                        summarize_runs)
 from busfactor.errors import EmptySnapshot
@@ -286,3 +289,164 @@ def test_rig_rejects_empty_snapshot():
     idmap = resolve_identities({A})
     with pytest.raises(EmptySnapshot):
         rig_bus_factor(snap, idmap, config())
+
+
+# --- golden results -----------------------------------------------------------
+# Recorded from the engine that walked every file's owners per subset;
+# any engine must reproduce them exactly, floats included.
+
+PEOPLE = [RawAuthor(name, name.split()[0].lower() + "@fixture.test")
+          for name in ("Ada Core", "Bert Low", "Cleo Vian", "Dmitri Fen",
+                       "Edna Holt", "Farid Osei", "Greta Lund", "Hiro Sato",
+                       "Ines Prado", "Jonas Berg", "Kemal Aydin",
+                       "Lucia Ferro")]
+
+
+def generated(seed, files, people, owners_per_file):
+    """Files of 1-30 lines, each owned mostly by the first of a few
+    owners drawn from the first `people` of PEOPLE."""
+    rng = random.Random(seed)
+    out = {}
+    for i in range(files):
+        owners = rng.sample(PEOPLE[:people], owners_per_file)
+        out[f"src/f{i:02d}.py"] = [
+            owners[0] if rng.random() < 0.7 else rng.choice(owners)
+            for _ in range(rng.randint(1, 30))]
+    return snapshot(out)
+
+
+def one_per_author(snap):
+    """An identity per raw author, so the pins do not hang on fuzzy
+    name matching."""
+    return IdentityMap({a: DeveloperId(a.name, a.email, frozenset({a}))
+                        for a in snap.authors()})
+
+
+GOLDEN_FIXTURES = {
+    "mixed": (snapshot({"f1": [A, A, B], "f2": [B, B, B], "f3": [C],
+                        "f4": [A, C, C, C], "f5": [D, D], "f6": [B, D]}),
+              dict(max_group_size=4)),
+    "owned": (generated(10, files=25, people=10, owners_per_file=3),
+              dict(max_group_size=6)),
+    "owned-low-threshold": (generated(10, files=25, people=10,
+                                      owners_per_file=3),
+                            dict(max_group_size=6, line_abandon_fraction=1 / 3,
+                                 file_abandon_fraction=0.6)),
+    "shared": (generated(8, files=20, people=12, owners_per_file=4),
+               dict(max_group_size=4)),  # no group of 4 abandons half
+}
+
+# (fixture, mode) -> (bus factor, bf_set emails, subsets evaluated,
+# abandoned fraction at return); sampled modes use 40 samples per size.
+GOLDEN = {
+    ("mixed", "exhaustive"): (
+        2, ["bert@fixture.test", "dmitri@fixture.test"], 9, 0.5),
+    ("mixed", "seed0"): (
+        2, ["bert@fixture.test", "dmitri@fixture.test"], 42, 0.5),
+    ("mixed", "seed1"): (
+        2, ["bert@fixture.test", "dmitri@fixture.test"], 41, 0.5),
+    ("mixed", "seed2"): (
+        2, ["bert@fixture.test", "dmitri@fixture.test"], 50, 0.5),
+    ("owned", "exhaustive"): (
+        5, ["ada@fixture.test", "cleo@fixture.test", "dmitri@fixture.test",
+            "farid@fixture.test", "greta@fixture.test"], 447, 0.52),
+    ("owned", "seed0"): (
+        6, ["ada@fixture.test", "cleo@fixture.test", "dmitri@fixture.test",
+            "farid@fixture.test", "hiro@fixture.test", "jonas@fixture.test"],
+        208, 0.52),
+    ("owned", "seed1"): (
+        6, ["ada@fixture.test", "cleo@fixture.test", "dmitri@fixture.test",
+            "edna@fixture.test", "farid@fixture.test", "jonas@fixture.test"],
+        216, 0.52),
+    ("owned", "seed2"): (
+        6, ["ada@fixture.test", "cleo@fixture.test", "dmitri@fixture.test",
+            "farid@fixture.test", "hiro@fixture.test", "ines@fixture.test"],
+        204, 0.52),
+    ("owned-low-threshold", "exhaustive"): (
+        4, ["ada@fixture.test", "cleo@fixture.test", "farid@fixture.test",
+            "hiro@fixture.test"], 216, 0.64),
+    ("owned-low-threshold", "seed0"): (
+        4, ["cleo@fixture.test", "farid@fixture.test", "greta@fixture.test",
+            "jonas@fixture.test"], 132, 0.6),
+    ("owned-low-threshold", "seed1"): (
+        4, ["ada@fixture.test", "cleo@fixture.test", "farid@fixture.test",
+            "jonas@fixture.test"], 124, 0.6),
+    ("owned-low-threshold", "seed2"): (
+        4, ["dmitri@fixture.test", "farid@fixture.test", "hiro@fixture.test",
+            "jonas@fixture.test"], 153, 0.6),
+    ("shared", "exhaustive"): (
+        None, None, 793, 0.0),
+    ("shared", "seed0"): (
+        None, None, 160, 0.0),
+    ("shared", "seed1"): (
+        None, None, 160, 0.0),
+    ("shared", "seed2"): (
+        None, None, 160, 0.0),
+}
+
+
+def golden_runs():
+    for name, (snap, kwargs) in GOLDEN_FIXTURES.items():
+        yield name, "exhaustive", snap, RigConfig(exhaustive=True, **kwargs)
+        for seed in range(3):
+            yield name, f"seed{seed}", snap, RigConfig(
+                seed=seed, samples_per_size=40, **kwargs)
+
+
+def pinned(result):
+    emails = (sorted(d.canonical_email for d in result.bf_set)
+              if result.bf_set is not None else None)
+    return (result.bus_factor, emails, result.samples_evaluated,
+            result.abandoned_fraction_at_return)
+
+
+@pytest.mark.parametrize("name, mode, snap, cfg",
+                         [pytest.param(*run, id=f"{run[0]}-{run[1]}")
+                          for run in golden_runs()])
+def test_golden_results(name, mode, snap, cfg):
+    result = rig_bus_factor(snap, one_per_author(snap), cfg)
+    assert pinned(result) == GOLDEN[name, mode]
+
+
+def test_golden_fixtures_cover_both_outcomes():
+    outcomes = {name: GOLDEN[name, "exhaustive"][0] is not None
+                for name in GOLDEN_FIXTURES}
+    assert sum(outcomes.values()) >= 2 and not all(outcomes.values())
+
+
+# --- against the reference loop ----------------------------------------------
+
+_FRACTIONS = st.sampled_from([0.1, 0.25, 0.29, 1 / 3, 0.5, 0.6, 2 / 3, 0.9,
+                              1.0])
+_SNAPSHOTS = st.dictionaries(
+    st.sampled_from([f"f{i}" for i in range(8)]),
+    st.lists(st.sampled_from(PEOPLE[:7]), min_size=1, max_size=12),
+    min_size=1, max_size=8).map(snapshot)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(snap=_SNAPSHOTS, line=_FRACTIONS, file=_FRACTIONS,
+       exhaustive=st.booleans(), seed=st.integers(0, 2**32),
+       samples=st.integers(1, 12), max_g=st.integers(1, 7))
+def test_matches_reference_loop(snap, line, file, exhaustive, seed, samples,
+                                max_g):
+    cfg = RigConfig(max_group_size=max_g, samples_per_size=samples, seed=seed,
+                    line_abandon_fraction=line, file_abandon_fraction=file,
+                    exhaustive=exhaustive)
+    idmap = one_per_author(snap)
+    result = rig_bus_factor(snap, idmap, cfg)
+    assert (result.bus_factor, result.bf_set, result.samples_evaluated,
+            result.abandoned_fraction_at_return) == oracles.rig_reference(
+                snap, idmap.canonical, cfg)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(snap=_SNAPSHOTS, line=_FRACTIONS,
+       gone=st.sets(st.sampled_from(PEOPLE[:8])))
+def test_fraction_matches_reference(snap, line, gone):
+    idmap = one_per_author(snap)
+    departed = {DeveloperId(a.name, a.email, frozenset({a})) for a in gone}
+    per_file = [(len(lines), Counter(idmap.canonical(a) for a in lines))
+                for lines in snap.files.values()]
+    assert abandoned_file_fraction(snap, idmap, departed, line) == (
+        oracles.abandoned_fraction(per_file, departed, line))
