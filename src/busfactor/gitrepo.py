@@ -13,6 +13,7 @@ import re
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Sequence
 
@@ -103,6 +104,30 @@ def resolve_revision(repo_path: str, revision: str) -> str:
     raise UnknownRevision(f"cannot resolve revision {revision!r}")
 
 
+_FULL_HASH = re.compile(r"[0-9a-f]{40}|[0-9a-f]{64}")
+
+
+def _commit_of(repo_path: str, revision: str) -> str:
+    """The full hash of a revision; one that already is a full hash, as
+    `resolve_revision` gives it, is taken without probing again."""
+    if _FULL_HASH.fullmatch(revision):
+        return revision
+    return resolve_revision(repo_path, revision)
+
+
+@contextmanager
+def _rejections_of(repo_path: str, revision: str):
+    """Raise what `resolve_revision` raises for a revision when git fails
+    on it unprobed: UnknownRevision for a name that is no commit (git
+    exits 128), NotARepository outside a repository. A failure with any
+    other cause propagates as it is."""
+    try:
+        yield
+    except GitInvocationFailure:
+        resolve_revision(repo_path, revision)
+        raise
+
+
 def repo_fingerprint(repo_path: str, commit: str) -> str:
     """Stable identifier for a working copy at a commit: origin URL or
     path, plus the commit hash (as `resolve_revision` gives it)."""
@@ -180,12 +205,17 @@ def extract_history(repo_path: str, revision: str = "HEAD",
     case their diff is taken against the first parent. Binary files
     and submodule pointer bumps are skipped.
     """
-    resolved = resolve_revision(repo_path, revision)
+    commit = _commit_of(repo_path, revision)
     args = ["log", "--reverse", "--author-date-order", "--no-renames",
             "-p", "-U0", f"--pretty=format:{_LOG_FORMAT}",
             "--diff-merges=first-parent" if include_merges else "--no-merges",
-            resolved, "--"]
+            f"{commit}^{{commit}}", "--"]  # a tree's log would be empty
+    with _rejections_of(repo_path, revision):
+        yield from _parse_log(_git_stream(repo_path, *args))
 
+
+def _parse_log(lines: Iterable[str]) -> Iterator[ChangeRecord]:
+    """Change records from the lines of `git log -p -U0` in _LOG_FORMAT."""
     commit: CommitMeta | None = None
     current: _FileDiff | None = None
     in_hunks = False
@@ -197,7 +227,7 @@ def extract_history(repo_path: str, revision: str = "HEAD",
         current = None
         return record
 
-    for line in _git_stream(repo_path, *args):
+    for line in lines:
         if line.startswith(_COMMIT_MARK):
             record = flush()
             if record:
@@ -307,21 +337,21 @@ def extract_blame(repo_path: str, revision: str = "HEAD",
     changed it (plain blame, no copy/move detection). Raises
     NoTextFiles when the filter matches nothing blame-able.
     """
-    resolved = resolve_revision(repo_path, revision)
+    commit = _commit_of(repo_path, revision)
     scope = normalize_scope(path_filter)
-    paths = _list_text_files(repo_path, resolved, scope)
-    if not paths:
-        detail = f"under {scope!r} " if scope else ""
-        raise NoTextFiles(f"no text files {detail}at revision {revision}")
-
-    with ThreadPoolExecutor(max_workers=_BLAME_WORKERS) as pool:
-        attributions = list(pool.map(
-            lambda p: _blame_file(repo_path, resolved, p), paths))
+    with _rejections_of(repo_path, revision):
+        paths = _list_text_files(repo_path, commit, scope)
+        if not paths:
+            detail = f"under {scope!r} " if scope else ""
+            raise NoTextFiles(f"no text files {detail}at revision {revision}")
+        with ThreadPoolExecutor(max_workers=_BLAME_WORKERS) as pool:
+            attributions = list(pool.map(
+                lambda p: _blame_file(repo_path, commit, p), paths))
     files = {path: tuple(lines)
              for path, lines in zip(paths, attributions) if lines}
     if not files:
         raise NoTextFiles(f"no blame-able lines at revision {revision}")
-    return BlameSnapshot(revision=resolved, files=files)
+    return BlameSnapshot(revision=commit, files=files)
 
 
 # --- path filtering ---

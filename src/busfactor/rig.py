@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import itertools
 import random
-import statistics
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import EmptySnapshot
 from .identity import DeveloperId, IdentityMap
 from .records import BlameSnapshot
-
-_Ownership = list[tuple[int, dict[DeveloperId, int]]]
-
 
 @dataclass(frozen=True)
 class RigConfig:
@@ -56,38 +53,75 @@ class RigResult:
             raise ValueError("bus_factor and bf_set must be None together")
 
 
-def _ownership(blame: BlameSnapshot, identity: IdentityMap) -> _Ownership:
-    """Collapse a snapshot to per-file line counts per developer."""
-    if not blame.files:
-        raise EmptySnapshot("blame snapshot lists no files")
-    files: _Ownership = []
-    for path in sorted(blame.files):
-        lines = blame.files[path]
-        counts: dict[DeveloperId, int] = {}
-        for author in lines:
-            dev = identity.canonical(author)
-            counts[dev] = counts.get(dev, 0) + 1
-        files.append((len(lines), counts))
-    return files
+def _lines_needed(total: int, line_threshold: float) -> int:
+    """Fewest departed lines n for which n / total >= line_threshold.
+
+    The float quotient is monotone in n, so `gone >= need` is exactly
+    the test `gone / total >= line_threshold`; with the threshold in
+    (0, 1], need lies in [1, total].
+    """
+    need = int(line_threshold * total)
+    while need / total < line_threshold:
+        need += 1
+    while (need - 1) / total >= line_threshold:
+        need -= 1
+    return need
 
 
-def _fraction(ownership: _Ownership, departed: frozenset[DeveloperId],
-              line_threshold: float) -> float:
-    abandoned = 0
-    for total, counts in ownership:
-        gone = sum(n for dev, n in counts.items() if dev in departed)
-        if gone / total >= line_threshold:
-            abandoned += 1
-    return abandoned / len(ownership)
+class _Departures:
+    """A snapshot indexed for departure tests.
+
+    `population` lists the developers owning lines, in sort_key order;
+    `owned[i]` holds (file, line count) for each file developer i owns
+    lines of, and `need[file]` the lines whose departure abandons it.
+    A departure then walks only the files its own developers touch.
+    """
+
+    def __init__(self, blame: BlameSnapshot, identity: IdentityMap,
+                 line_threshold: float):
+        if not 0.0 < line_threshold <= 1.0:
+            raise ValueError("line_abandon_fraction must lie in (0, 1], "
+                             f"got {line_threshold}")
+        if not blame.files:
+            raise EmptySnapshot("blame snapshot lists no files")
+        owned: dict[DeveloperId, list[tuple[int, int]]] = {}
+        self.need: list[int] = []
+        for file, path in enumerate(sorted(blame.files)):
+            lines = blame.files[path]
+            if not lines:
+                raise EmptySnapshot(f"blame snapshot lists {path!r} "
+                                    "with no lines")
+            counts: Counter[DeveloperId] = Counter()
+            for author, n in Counter(lines).items():
+                counts[identity.canonical(author)] += n
+            for dev, n in counts.items():
+                owned.setdefault(dev, []).append((file, n))
+            self.need.append(_lines_needed(len(lines), line_threshold))
+        self.population = sorted(owned, key=DeveloperId.sort_key)
+        self.owned = [owned[dev] for dev in self.population]
+
+    def fraction(self, departed: Iterable[int]) -> float:
+        """Share of files abandoned when the developers at these
+        distinct population positions leave."""
+        gone: dict[int, int] = {}
+        for i in departed:
+            for file, n in self.owned[i]:
+                gone[file] = gone.get(file, 0) + n
+        need = self.need
+        abandoned = sum(1 for file, n in gone.items() if n >= need[file])
+        return abandoned / len(need)
 
 
 def abandoned_file_fraction(blame: BlameSnapshot, identity: IdentityMap,
                             departed: Iterable[DeveloperId],
                             line_abandon_fraction: float = 0.90) -> float:
     """Fraction of files whose line ownership is at least
-    line_abandon_fraction held by the departed set."""
-    ownership = _ownership(blame, identity)
-    return _fraction(ownership, frozenset(departed), line_abandon_fraction)
+    line_abandon_fraction held by the departed set; the fraction must
+    lie in (0, 1], as in RigConfig."""
+    index = _Departures(blame, identity, line_abandon_fraction)
+    position = {dev: i for i, dev in enumerate(index.population)}
+    return index.fraction({position[dev] for dev in departed
+                           if dev in position})
 
 
 def _randbelow(rng: random.Random, n: int) -> int:
@@ -117,30 +151,25 @@ def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
     exhaustive mode checks every subset in lexicographic order and is
     exact. Group size is capped at the developer population.
     """
-    ownership = _ownership(blame, identity)
-    developers: set[DeveloperId] = set()
-    for _, counts in ownership:
-        developers.update(counts)
-    population = sorted(developers, key=DeveloperId.sort_key)
-    cap = min(config.max_group_size, len(population))
+    index = _Departures(blame, identity, config.line_abandon_fraction)
+    population = len(index.population)
+    cap = min(config.max_group_size, population)
 
     rng = random.Random(config.seed)
     evaluated = 0
     for g in range(1, cap + 1):
         if config.exhaustive:
-            candidates = itertools.combinations(range(len(population)), g)
+            candidates = itertools.combinations(range(population), g)
         else:
-            candidates = (_sample_indexes(rng, len(population), g)
+            candidates = (_sample_indexes(rng, population, g)
                           for _ in range(config.samples_per_size))
         for indexes in candidates:
-            departed = frozenset(population[i] for i in indexes)
             evaluated += 1
-            fraction = _fraction(ownership, departed,
-                                 config.line_abandon_fraction)
+            fraction = index.fraction(indexes)
             if fraction >= config.file_abandon_fraction:
                 return RigResult(
                     bus_factor=g,
-                    bf_set=departed,
+                    bf_set=frozenset(index.population[i] for i in indexes),
                     samples_evaluated=evaluated,
                     abandoned_fraction_at_return=fraction,
                 )
@@ -164,8 +193,10 @@ def summarize_runs(results: Sequence[RigResult]) -> dict[str, int | None]:
     values = [r.bus_factor for r in results if r.bus_factor is not None]
     if not values:
         return {"min": None, "max": None, "mode": None}
+    counts = Counter(values)
+    top = max(counts.values())
     return {
         "min": min(values),
         "max": max(values),
-        "mode": min(statistics.multimode(values)),
+        "mode": min(value for value, n in counts.items() if n == top),
     }

@@ -270,6 +270,22 @@ def test_unknown_revision(two_dev_repo):
         extract_blame(two_dev_repo.path, revision="0" * 40)
 
 
+@pytest.mark.parametrize("extract", [extract_blame,
+                                     lambda *a: list(extract_history(*a))])
+def test_rejected_full_hash_is_unknown_revision(two_dev_repo, tmp_path,
+                                                extract):
+    # A full hash is taken without a rev-parse probe; when git rejects
+    # it, the error is the one the probe would have raised.
+    tree = two_dev_repo.git("rev-parse", "HEAD^{tree}").strip()
+    for name in ("0" * 40, "1" * 64, tree):
+        with pytest.raises(UnknownRevision):
+            extract(two_dev_repo.path, name)
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    with pytest.raises(NotARepository):
+        extract(plain, two_dev_repo.head())
+
+
 def test_line_counts_match_worktree(two_dev_repo):
     snap = extract_blame(two_dev_repo.path)
     for path, lines in snap.files.items():
@@ -408,10 +424,12 @@ def test_git_spawns_per_command(repo_factory, tmp_path, monkeypatch):
         spawns.clear()
         assert main([*argv, "--repo", str(repo.path)]) == 0
         return len(spawns)
-    assert count("ingest", "--cache", str(tmp_path / "cache")) == 7 + blamed
+    # history and blame take the hash that cli.py resolved without a
+    # second rev-parse
+    assert count("ingest", "--cache", str(tmp_path / "cache")) == 5 + blamed
     assert count("cst", "--metric", "commits",
-                 "--cst-metric", "mul-equal") == 4
-    assert count("trend", "--from-year", "2021", "--to-year", "2021") == 4
+                 "--cst-metric", "mul-equal") == 3
+    assert count("trend", "--from-year", "2021", "--to-year", "2021") == 3
     assert count("rig", "--exhaustive") == 4 + blamed
 
 
