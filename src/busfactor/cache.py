@@ -1,36 +1,49 @@
 """On-disk persistence for ingested history and blame data.
 
-A cache is a directory: a `manifest` of key=value lines plus binary
-frame files (`records.bin`, `blame.bin`). Each frame file is a series
-of 4-byte big-endian length prefixes followed by UTF-8 JSON payloads,
-closed by a 0xFFFFFFFF sentinel and a SHA-256 digest of everything
-before it. Frames are written and read in a single pass so very large
-histories never need to fit in memory twice.
+A cache is a directory of three files. `records.bin` and `blame.bin`
+each hold one compact UTF-8 JSON document. `manifest` holds key=value
+lines, among them the SHA-256 of each data file, and is written last,
+through a temporary file and os.replace. A truncated or corrupt data
+file, or one that an interrupted re-ingest left beside another save's
+manifest, fails its digest and raises CorruptCache.
 
-Schema 2 record frames carry each change's cosine distance (`cd`)
-where schema 1 carried its two token bags. A cache of any other
-schema raises SchemaMismatch; `busfactor ingest` rebuilds it.
+Schema 3 documents:
+- `records.bin`: {"commits": [[hash, name, email, epoch, merge, sequence],
+  ...], "records": [[commit index, path, lines added, lines deleted,
+  cos distance], ...]}. Each commit is stored once however many files
+  it changed, and loading builds one CommitMeta per commit, shared by
+  its records as extract_history shares them.
+- `blame.bin`: {"revision": ..., "authors": [[name, email], ...],
+  "files": {path: [[author index, run length], ...]}}, one author table
+  for the whole snapshot and each file's runs in line order.
+
+Each document is read and parsed whole. That costs little: the CLI
+holds every record as objects anyway, and a record takes about 100
+bytes of document.
+
+Schema 1 stored token bags and schema 2 one length-prefixed JSON frame
+per record. A cache of any schema but 3 raises SchemaMismatch;
+`busfactor ingest` rebuilds it.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-import struct
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import CorruptCache, IoFailure, SchemaMismatch
 from .records import BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _MANIFEST = "manifest"
 _RECORDS = "records.bin"
 _BLAME = "blame.bin"
-_SENTINEL = 0xFFFFFFFF
-_MAX_FRAME = 1 << 28  # a single record frame beyond 256 MiB is garbage
 
 
 @dataclass(frozen=True)
@@ -52,21 +65,24 @@ def save_cache(records: Sequence[ChangeRecord],
                cache_path: str | Path) -> None:
     """Write records, optional blame snapshot and manifest under cache_path."""
     root = Path(cache_path)
+    lines = [
+        f"schema_version={manifest.schema_version}",
+        f"repo_fingerprint={manifest.repo_fingerprint}",
+        f"created_at={manifest.created_at.astimezone(timezone.utc).isoformat()}",
+        f"record_count={manifest.record_count}",
+    ]
     try:
         root.mkdir(parents=True, exist_ok=True)
-        _write_frames(root / _RECORDS, (_encode_record(r) for r in records))
+        digest = _write(root / _RECORDS, _encode_records(records))
+        lines.append(f"records_sha256={digest}")
         if blame is not None:
-            _write_frames(root / _BLAME, _encode_blame(blame))
+            digest = _write(root / _BLAME, _encode_blame(blame))
+            lines.append(f"blame_sha256={digest}")
         else:
             (root / _BLAME).unlink(missing_ok=True)
-        lines = [
-            f"schema_version={manifest.schema_version}",
-            f"repo_fingerprint={manifest.repo_fingerprint}",
-            f"created_at={manifest.created_at.astimezone(timezone.utc).isoformat()}",
-            f"record_count={manifest.record_count}",
-            f"has_blame={1 if blame is not None else 0}",
-        ]
-        (root / _MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        staged = root / (_MANIFEST + ".tmp")
+        staged.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        os.replace(staged, root / _MANIFEST)
     except OSError as exc:
         raise IoFailure(f"cannot write cache at {root}: {exc}") from exc
 
@@ -75,8 +91,8 @@ def load_cache(cache_path: str | Path, *, records: bool = True,
                ) -> tuple[list[ChangeRecord], BlameSnapshot | None, CacheManifest]:
     """Read a cache directory back; the inverse of save_cache.
 
-    With `records=False` the record frames are still read and checked
-    (checksum and count) but not decoded, and an empty list comes back.
+    With `records=False` the records document is still checked (digest
+    and count) but no record is built, and an empty list comes back.
     """
     root = Path(cache_path)
     fields = _read_manifest(root / _MANIFEST)
@@ -95,22 +111,24 @@ def load_cache(cache_path: str | Path, *, records: bool = True,
             record_count=int(fields["record_count"]),
             schema_version=version,
         )
+        records_digest = fields["records_sha256"]
     except (KeyError, ValueError) as exc:
         raise CorruptCache(f"manifest field missing or malformed: {exc}") from exc
 
-    decoded: list[ChangeRecord] = []
-    found = 0
-    for payload in _read_frames(root / _RECORDS):
-        found += 1
-        if records:
-            decoded.append(_decode_record(payload))
+    document = _read(root / _RECORDS, records_digest)
+    blame_document = None
+    if "blame_sha256" in fields:
+        blame_document = _read(root / _BLAME, fields["blame_sha256"])
+    try:
+        found = len(document["records"])
+        decoded = _decode_records(document) if records else []
+        blame = None if blame_document is None else _decode_blame(blame_document)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CorruptCache(f"malformed cache document: {exc!r}") from exc
     if found != manifest.record_count:
         raise CorruptCache(
             f"manifest promises {manifest.record_count} records, "
             f"found {found}")
-    blame = None
-    if fields.get("has_blame") == "1":
-        blame = _decode_blame(_read_frames(root / _BLAME))
     return decoded, blame, manifest
 
 
@@ -132,135 +150,68 @@ def _read_manifest(path: Path) -> dict[str, str]:
     return fields
 
 
-def _write_frames(path: Path, payloads: Iterable[bytes]) -> None:
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for payload in payloads:
-            head = struct.pack(">I", len(payload))
-            fh.write(head)
-            fh.write(payload)
-            digest.update(head)
-            digest.update(payload)
-        tail = struct.pack(">I", _SENTINEL)
-        fh.write(tail)
-        digest.update(tail)
-        fh.write(digest.digest())
+def _write(path: Path, document) -> str:
+    """Write a document as compact JSON; returns its SHA-256 in hex."""
+    data = json.dumps(document, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def _read_frames(path: Path) -> Iterator[bytes]:
+def _read(path: Path, digest: str):
     try:
-        fh = open(path, "rb")
+        data = path.read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    digest = hashlib.sha256()
-    with fh:
-        while True:
-            head = fh.read(4)
-            if len(head) != 4:
-                raise CorruptCache(f"truncated frame header in {path.name}")
-            digest.update(head)
-            (length,) = struct.unpack(">I", head)
-            if length == _SENTINEL:
-                break
-            if length > _MAX_FRAME:
-                raise CorruptCache(
-                    f"frame of {length} bytes in {path.name} exceeds limit")
-            payload = fh.read(length)
-            if len(payload) != length:
-                raise CorruptCache(f"truncated frame payload in {path.name}")
-            digest.update(payload)
-            yield payload
-        stored = fh.read(32)
-        if len(stored) != 32 or fh.read(1):
-            raise CorruptCache(f"malformed checksum trailer in {path.name}")
-        if stored != digest.digest():
-            raise CorruptCache(f"checksum mismatch in {path.name}")
-
-
-def _dump(obj) -> bytes:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True,
-                      ensure_ascii=False).encode("utf-8")
-
-
-def _load(payload: bytes):
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise CorruptCache(f"checksum mismatch in {path.name}")
     try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptCache(f"undecodable cache frame: {exc}") from exc
+        return json.loads(data)
+    except ValueError as exc:
+        raise CorruptCache(f"undecodable {path.name}: {exc}") from exc
 
 
-def _encode_record(record: ChangeRecord) -> bytes:
-    c = record.commit
-    return _dump({
-        "h": c.hash,
-        "an": c.author.name,
-        "ae": c.author.email,
-        "ts": int(c.author_timestamp.timestamp()),
-        "mg": c.is_merge,
-        "sq": c.sequence,
-        "p": record.path,
-        "la": record.lines_added,
-        "ld": record.lines_deleted,
-        "cd": record.cos_distance,
-    })
+def _encode_records(records: Sequence[ChangeRecord]) -> dict:
+    commits: dict[CommitMeta, int] = {}
+    rows = [[commits.setdefault(r.commit, len(commits)), r.path,
+             r.lines_added, r.lines_deleted, r.cos_distance]
+            for r in records]
+    return {
+        "commits": [[c.hash, c.author.name, c.author.email,
+                     int(c.author_timestamp.timestamp()), int(c.is_merge),
+                     c.sequence] for c in commits],
+        "records": rows,
+    }
 
 
-def _decode_record(payload: bytes) -> ChangeRecord:
-    obj = _load(payload)
-    try:
-        meta = CommitMeta(
-            hash=obj["h"],
-            author=RawAuthor(obj["an"], obj["ae"]),
-            author_timestamp=datetime.fromtimestamp(obj["ts"], tz=timezone.utc),
-            is_merge=bool(obj["mg"]),
-            sequence=int(obj["sq"]),
-        )
-        return ChangeRecord(
-            commit=meta,
-            path=obj["p"],
-            lines_added=int(obj["la"]),
-            lines_deleted=int(obj["ld"]),
-            cos_distance=float(obj["cd"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptCache(f"record frame missing field: {exc}") from exc
+def _decode_records(document: dict) -> list[ChangeRecord]:
+    commits = [
+        CommitMeta(hash=hash_, author=RawAuthor(name, email),
+                   author_timestamp=datetime.fromtimestamp(epoch,
+                                                           tz=timezone.utc),
+                   is_merge=bool(merge), sequence=sequence)
+        for hash_, name, email, epoch, merge, sequence in document["commits"]]
+    return [ChangeRecord(commits[index], path, added, deleted, cos)
+            for index, path, added, deleted, cos in document["records"]]
 
 
-def _encode_blame(blame: BlameSnapshot) -> Iterator[bytes]:
-    yield _dump({"revision": blame.revision})
-    # Per-file frames carry an author table plus per-line indexes into
-    # it; blame lists repeat a handful of authors thousands of times.
-    for path in sorted(blame.files):
-        lines = blame.files[path]
-        table: list[RawAuthor] = []
-        position: dict[RawAuthor, int] = {}
-        indexes = []
-        for author in lines:
-            if author not in position:
-                position[author] = len(table)
-                table.append(author)
-            indexes.append(position[author])
-        yield _dump({
-            "p": path,
-            "authors": [[a.name, a.email] for a in table],
-            "lines": indexes,
-        })
+def _encode_blame(blame: BlameSnapshot) -> dict:
+    authors: dict[RawAuthor, int] = {}
+    files = {
+        path: [[authors.setdefault(author, len(authors)), len(list(run))]
+               for author, run in itertools.groupby(blame.files[path])]
+        for path in sorted(blame.files)}
+    return {
+        "revision": blame.revision,
+        "authors": [[a.name, a.email] for a in authors],
+        "files": files,
+    }
 
 
-def _decode_blame(payloads: Iterator[bytes]) -> BlameSnapshot:
-    try:
-        header = _load(next(payloads))
-        revision = header["revision"]
-    except StopIteration:
-        raise CorruptCache("blame file has no revision header") from None
-    except KeyError as exc:
-        raise CorruptCache("blame header lacks a revision") from exc
-    files: dict[str, tuple[RawAuthor, ...]] = {}
-    for payload in payloads:
-        obj = _load(payload)
-        try:
-            table = [RawAuthor(name, email) for name, email in obj["authors"]]
-            files[obj["p"]] = tuple(table[i] for i in obj["lines"])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise CorruptCache(f"blame frame malformed: {exc}") from exc
-    return BlameSnapshot(revision=revision, files=files)
+def _decode_blame(document: dict) -> BlameSnapshot:
+    authors = [RawAuthor(name, email) for name, email in document["authors"]]
+    files = {path: tuple(itertools.chain.from_iterable(
+                 itertools.repeat(authors[index], length)
+                 for index, length in runs))
+             for path, runs in document["files"].items()}
+    return BlameSnapshot(revision=document["revision"], files=files)

@@ -47,7 +47,7 @@ class SchemaMismatch(BusFactorError):
 
 
 class CorruptCache(BusFactorError):
-    """Cache failed its checksum or framing checks."""
+    """Cache failed its checksum or format checks."""
 
 
 class IoFailure(BusFactorError):

@@ -135,12 +135,18 @@ def _randbelow(rng: random.Random, n: int) -> int:
 
 
 def _sample_indexes(rng: random.Random, population: int, g: int) -> tuple[int, ...]:
-    """One uniform g-subset of range(population) via partial Fisher-Yates."""
-    slots = list(range(population))
+    """One uniform g-subset of range(population) via partial Fisher-Yates.
+
+    `moved` maps each slot a swap displaced to the index now in it; an
+    unlisted slot j still holds j, so a draw costs O(g), not O(population).
+    """
+    moved: dict[int, int] = {}
+    drawn = []
     for i in range(g):
         j = i + _randbelow(rng, population - i)
-        slots[i], slots[j] = slots[j], slots[i]
-    return tuple(slots[:g])
+        drawn.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return tuple(drawn)
 
 
 def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
@@ -180,9 +186,15 @@ def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
 
 def rig_repeat(blame: BlameSnapshot, identity: IdentityMap,
                config: RigConfig, runs: int) -> list[RigResult]:
-    """Repeat the estimate with seeds seed, seed+1, ... seed+runs-1."""
+    """Repeat the estimate with seeds seed, seed+1, ... seed+runs-1.
+
+    Exhaustive mode ignores the seed, so it searches once and returns
+    that result runs times.
+    """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if config.exhaustive:
+        return [rig_bus_factor(blame, identity, config)] * runs
     return [rig_bus_factor(blame, identity, replace(config, seed=config.seed + i))
             for i in range(runs)]
 

@@ -1,6 +1,7 @@
 """Cache round trips and corruption handling."""
 from __future__ import annotations
 
+import dataclasses
 import random
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -97,16 +98,19 @@ def test_schema_mismatch_detected(tmp_path):
 
 
 def test_schema_1_cache_asks_for_reingest(tmp_path):
-    # schema 1 stored token bags; schema 2 stores the cosine distance
-    assert SCHEMA_VERSION == 2
+    # schema 1 stored token bags, schema 2 one frame per record; schema 3
+    # stores one document per data file
+    assert SCHEMA_VERSION == 3
     target = tmp_path / "cache"
     save_cache(make_records(2), None, manifest_for(make_records(2)), target)
     manifest_file = target / "manifest"
     text = manifest_file.read_text(encoding="utf-8")
-    manifest_file.write_text(
-        text.replace("schema_version=2", "schema_version=1"), encoding="utf-8")
-    with pytest.raises(SchemaMismatch, match="re-run `busfactor ingest`"):
-        load_cache(target)
+    for old_version in (1, 2):
+        manifest_file.write_text(
+            text.replace("schema_version=3", f"schema_version={old_version}"),
+            encoding="utf-8")
+        with pytest.raises(SchemaMismatch, match="re-run `busfactor ingest`"):
+            load_cache(target)
 
 
 def test_blame_only_load_skips_records(tmp_path):
@@ -225,3 +229,56 @@ def test_unicode_survives_roundtrip(tmp_path):
                             cos_distance=1.0)]
     got, _, _ = roundtrip(tmp_path, records, None)
     assert got == records
+
+
+def test_data_file_from_another_save_is_refused(tmp_path):
+    # an interrupted re-ingest can leave a new records.bin beside the old
+    # manifest; equal record counts must not let the mix load
+    first, second = tmp_path / "first", tmp_path / "second"
+    save_cache(make_records(6, seed=1), make_blame(),
+               manifest_for(make_records(6, seed=1)), first)
+    save_cache(make_records(6, seed=2), make_blame(),
+               manifest_for(make_records(6, seed=2)), second)
+    (first / "records.bin").write_bytes((second / "records.bin").read_bytes())
+    with pytest.raises(CorruptCache, match="checksum"):
+        load_cache(first)
+    with pytest.raises(CorruptCache, match="checksum"):
+        load_cache(first, records=False)
+
+
+def test_records_of_one_commit_share_its_meta(tmp_path):
+    records = make_records(6)
+    spread = [dataclasses.replace(r, commit=records[i // 3].commit)
+              for i, r in enumerate(records)]
+    got, _, _ = roundtrip(tmp_path, spread, None)
+    assert got == spread
+    assert got[0].commit is got[1].commit is got[2].commit
+    assert got[3].commit is got[4].commit is got[5].commit
+    assert got[2].commit is not got[3].commit
+
+
+def test_same_inputs_save_identical_bytes(tmp_path):
+    records = make_records(50)
+    blame = make_blame()
+    reordered = BlameSnapshot(revision=blame.revision,
+                              files=dict(reversed(list(blame.files.items()))))
+    save_cache(records, blame, manifest_for(records), tmp_path / "one")
+    save_cache(records, reordered, manifest_for(records), tmp_path / "two")
+    for name in ("records.bin", "blame.bin"):
+        assert ((tmp_path / "one" / name).read_bytes()
+                == (tmp_path / "two" / name).read_bytes())
+
+
+def test_blame_runs_roundtrip_exactly(tmp_path):
+    a, b, c = (RawAuthor(f"Dev {i}", f"dev{i}@x.test") for i in range(3))
+    blame = BlameSnapshot(revision="c" * 40, files={
+        "alternating.py": (a, b) * 50 + (c,),
+        "one-line.py": (c,),
+        "also-one.py": (a,),
+        "long-runs.py": (b,) * 5000 + (a,) * 3 + (b,) * 7000,
+        "mixed.py": (a, a, b, c, c, c, a, b, b),
+    })
+    records = make_records(1)
+    _, got, _ = roundtrip(tmp_path, records, blame)
+    assert got == blame
+    assert all(isinstance(lines, tuple) for lines in got.files.values())

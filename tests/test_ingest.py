@@ -453,3 +453,22 @@ def test_ingest_reads_one_commit_while_head_moves(repo_factory, tmp_path,
     assert {r.commit.hash for r in records} == {first}
     assert blame.revision == first
     assert manifest.repo_fingerprint.endswith("@" + first)
+
+
+def test_ingest_twice_writes_identical_data_files(repo_factory, tmp_path):
+    repo = repo_factory()
+    repo.write("a.txt", "one\ntwo\n")
+    repo.write("b.txt", "three\n")
+    repo.commit(ADA)
+    repo.write("a.txt", "one\nzwei\n")
+    repo.write("b.txt", "three\nfour\n")
+    repo.commit(BERT)
+    repo.write("c.txt", "five\n")
+    repo.commit(CLEO)
+    caches = [tmp_path / "one", tmp_path / "two"]
+    for cache in caches:
+        assert main(["ingest", "--repo", str(repo.path),
+                     "--cache", str(cache)]) == 0
+    for name in ("records.bin", "blame.bin"):
+        assert ((caches[0] / name).read_bytes()
+                == (caches[1] / name).read_bytes())

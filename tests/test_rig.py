@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from busfactor import rig as rig_module
 from busfactor import (BlameSnapshot, DeveloperId, IdentityMap, RawAuthor,
                        RigConfig, RigResult, abandoned_file_fraction,
                        resolve_identities, rig_bus_factor, rig_repeat,
@@ -275,6 +276,33 @@ def test_repeat_exhaustive_runs_identical():
     idmap = identity_for(snap)
     runs = rig_repeat(snap, idmap, config(exhaustive=True), 4)
     assert len(set(runs)) == 1
+
+
+def test_repeat_exhaustive_searches_once(monkeypatch):
+    snap = snapshot({"f1": [A, B], "f2": [C], "f3": [C, C]})
+    idmap = identity_for(snap)
+    calls = []
+    search = rig_module.rig_bus_factor
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+    monkeypatch.setattr(rig_module, "rig_bus_factor", counted)
+    runs = rig_repeat(snap, idmap, config(exhaustive=True), 4)
+    assert len(calls) == 1
+    assert len(runs) == 4
+    assert runs == [search(snap, idmap, config(exhaustive=True))] * 4
+
+
+def test_sampler_matches_list_copy_draw():
+    population = 2000
+    for seed in range(40):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for g in (1, 2, 3, 7, 50, 1999, 2000):
+            got = rig_module._sample_indexes(ours, population, g)
+            assert got == oracles.sample_indexes(theirs, population, g)
+            assert len(set(got)) == g
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_summarize_runs():
