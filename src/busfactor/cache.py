@@ -78,11 +78,13 @@ def save_cache(records: Sequence[ChangeRecord],
         if blame is not None:
             digest = _write(root / _BLAME, _encode_blame(blame))
             lines.append(f"blame_sha256={digest}")
-        else:
-            (root / _BLAME).unlink(missing_ok=True)
         staged = root / (_MANIFEST + ".tmp")
         staged.write_text("\n".join(lines) + "\n", encoding="utf-8")
         os.replace(staged, root / _MANIFEST)
+        if blame is None:
+            # Only now: until the new manifest is in place, the old one
+            # may still list the blame file.
+            (root / _BLAME).unlink(missing_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot write cache at {root}: {exc}") from exc
 

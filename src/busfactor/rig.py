@@ -135,18 +135,12 @@ def _randbelow(rng: random.Random, n: int) -> int:
 
 
 def _sample_indexes(rng: random.Random, population: int, g: int) -> tuple[int, ...]:
-    """One uniform g-subset of range(population) via partial Fisher-Yates.
-
-    `moved` maps each slot a swap displaced to the index now in it; an
-    unlisted slot j still holds j, so a draw costs O(g), not O(population).
-    """
-    moved: dict[int, int] = {}
-    drawn = []
+    """One uniform g-subset of range(population) via partial Fisher-Yates."""
+    slots = list(range(population))
     for i in range(g):
         j = i + _randbelow(rng, population - i)
-        drawn.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    return tuple(drawn)
+        slots[i], slots[j] = slots[j], slots[i]
+    return tuple(slots[:g])
 
 
 def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,

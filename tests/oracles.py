@@ -279,24 +279,6 @@ def rig_reference(blame, dev_of, config):
     return None, None, evaluated, 0.0
 
 
-def sample_indexes(rng, population, g):
-    """One g-subset of range(population), drawn literally: copy the whole
-    range, then swap each of the first g slots with a getrandbits
-    rejection draw from the slots not yet fixed (partial Fisher-Yates)."""
-    def below(bound):
-        width = bound.bit_length()
-        while True:
-            value = rng.getrandbits(width)
-            if value < bound:
-                return value
-
-    slots = list(range(population))
-    for i in range(g):
-        j = i + below(population - i)
-        slots[i], slots[j] = slots[j], slots[i]
-    return tuple(slots[:g])
-
-
 # --- identity resolution, brute force ---------------------------------------
 
 

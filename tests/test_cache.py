@@ -10,6 +10,7 @@ import pytest
 
 from busfactor import (BlameSnapshot, CacheManifest, ChangeRecord, CommitMeta,
                        RawAuthor, load_cache, save_cache)
+from busfactor import cache as cache_module
 from busfactor.cache import SCHEMA_VERSION
 from busfactor.errors import CorruptCache, IoFailure, SchemaMismatch
 
@@ -244,6 +245,28 @@ def test_data_file_from_another_save_is_refused(tmp_path):
         load_cache(first)
     with pytest.raises(CorruptCache, match="checksum"):
         load_cache(first, records=False)
+
+
+def test_interrupted_save_without_blame_keeps_old_save(tmp_path, monkeypatch):
+    # a re-save with no blame must not delete blame.bin while the old
+    # manifest still lists it
+    records = make_records(6)
+    target = tmp_path / "cache"
+    save_cache(records, make_blame(), manifest_for(records), target)
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+    monkeypatch.setattr(cache_module.os, "replace", interrupted)
+    with pytest.raises(IoFailure):
+        save_cache(records, None, manifest_for(records), target)
+    monkeypatch.undo()
+    got, blame, _ = load_cache(target)
+    assert got == records
+    assert blame == make_blame()
+
+    save_cache(records, None, manifest_for(records), target)
+    assert not (target / "blame.bin").exists()
+    assert load_cache(target)[1] is None
 
 
 def test_records_of_one_commit_share_its_meta(tmp_path):

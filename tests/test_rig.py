@@ -294,17 +294,6 @@ def test_repeat_exhaustive_searches_once(monkeypatch):
     assert runs == [search(snap, idmap, config(exhaustive=True))] * 4
 
 
-def test_sampler_matches_list_copy_draw():
-    population = 2000
-    for seed in range(40):
-        ours, theirs = random.Random(seed), random.Random(seed)
-        for g in (1, 2, 3, 7, 50, 1999, 2000):
-            got = rig_module._sample_indexes(ours, population, g)
-            assert got == oracles.sample_indexes(theirs, population, g)
-            assert len(set(got)) == g
-        assert ours.getstate() == theirs.getstate()
-
-
 def test_summarize_runs():
     def fake(bf):
         bf_set = frozenset({canonical(idmap, A)}) if bf else None
