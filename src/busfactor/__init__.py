@@ -6,50 +6,55 @@ thresholds) and a blame-based one (random developer removal until
 half the files are abandoned). Plus identity resolution, time
 windows, yearly trends and a cache so large repositories are mined
 once.
+
+Importing the package loads none of its modules: each exported name
+imports its module on first access (PEP 562), so a command pays only
+for the modules it runs.
 """
 __version__ = "0.1.0"
 
-from .records import RawAuthor, CommitMeta, ChangeRecord, BlameSnapshot
-from .metrics import (MetricKind, DataMetric, tokenize, locc,
-                      token_distance, contribution)
-from .identity import (DeveloperId, IdentityMap, resolve_identities,
-                       parse_alias_file, token_set_ratio,
-                       DEFAULT_SIMILARITY)
-from .cst import (CstMetricKind, WeightScheme, TimeWindow, CstConfig,
-                  ThresholdPair, KnowledgeTable, BusFactorResult,
-                  filter_records, shares_from_timeline, knowledge_per_file,
-                  aggregate_knowledge, compute_thresholds,
-                  classify_developers, cst_bus_factor, compare_error)
-from .rig import (RigConfig, RigResult, abandoned_file_fraction,
-                  rig_bus_factor, rig_repeat, summarize_runs)
-from .trend import TrendPoint, TrendSeries, yearly_trend
-from .gitrepo import (resolve_revision, repo_fingerprint, extract_history,
-                      extract_blame, compile_globs, path_matches,
-                      filter_snapshot)
-from .cache import CacheManifest, SCHEMA_VERSION, save_cache, load_cache
-from .report import (FORMATS, RunManifest, payload_cst, payload_ingest,
-                     payload_rig, payload_trend, redacted_label, render)
-from . import errors
+# Exported names by the submodule that defines them; "errors" exports
+# the submodule itself.
+_EXPORTS = {
+    "records": ("RawAuthor", "CommitMeta", "ChangeRecord", "BlameSnapshot"),
+    "metrics": ("MetricKind", "DataMetric", "tokenize", "locc",
+                "token_distance", "contribution"),
+    "identity": ("DeveloperId", "IdentityMap", "resolve_identities",
+                 "parse_alias_file", "token_set_ratio", "DEFAULT_SIMILARITY"),
+    "cst": ("CstMetricKind", "WeightScheme", "TimeWindow", "CstConfig",
+            "ThresholdPair", "KnowledgeTable", "BusFactorResult",
+            "filter_records", "shares_from_timeline", "knowledge_per_file",
+            "aggregate_knowledge", "compute_thresholds",
+            "classify_developers", "cst_bus_factor", "compare_error"),
+    "rig": ("RigConfig", "RigResult", "abandoned_file_fraction",
+            "rig_bus_factor", "rig_repeat", "summarize_runs"),
+    "trend": ("TrendPoint", "TrendSeries", "yearly_trend"),
+    "gitrepo": ("resolve_revision", "repo_fingerprint", "extract_history",
+                "extract_blame", "compile_globs", "path_matches",
+                "filter_snapshot"),
+    "cache": ("CacheManifest", "SCHEMA_VERSION", "save_cache", "load_cache"),
+    "report": ("RunManifest", "render", "FORMATS", "payload_cst",
+               "payload_ingest", "payload_rig", "payload_trend",
+               "redacted_label"),
+    "errors": ("errors",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [
-    "__version__",
-    "RawAuthor", "CommitMeta", "ChangeRecord", "BlameSnapshot",
-    "MetricKind", "DataMetric", "tokenize", "locc",
-    "token_distance", "contribution",
-    "DeveloperId", "IdentityMap", "resolve_identities", "parse_alias_file",
-    "token_set_ratio", "DEFAULT_SIMILARITY",
-    "CstMetricKind", "WeightScheme", "TimeWindow", "CstConfig",
-    "ThresholdPair", "KnowledgeTable", "BusFactorResult", "filter_records",
-    "shares_from_timeline", "knowledge_per_file", "aggregate_knowledge",
-    "compute_thresholds", "classify_developers", "cst_bus_factor",
-    "compare_error",
-    "RigConfig", "RigResult", "abandoned_file_fraction", "rig_bus_factor",
-    "rig_repeat", "summarize_runs",
-    "TrendPoint", "TrendSeries", "yearly_trend",
-    "resolve_revision", "repo_fingerprint", "extract_history",
-    "extract_blame", "compile_globs", "path_matches", "filter_snapshot",
-    "CacheManifest", "SCHEMA_VERSION", "save_cache", "load_cache",
-    "RunManifest", "render", "FORMATS", "payload_cst", "payload_ingest",
-    "payload_rig", "payload_trend", "redacted_label",
-    "errors",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

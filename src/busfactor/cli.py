@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
+import re
 import shlex
 import sys
 from collections import Counter
@@ -23,10 +23,12 @@ from .identity import (DEFAULT_SIMILARITY, parse_alias_file,
 from .metrics import DataMetric, MetricKind
 from .report import (FORMATS, RunManifest, payload_cst, payload_ingest,
                      payload_rig, payload_trend, render)
-from .rig import RigConfig, rig_repeat
 from .trend import yearly_trend
 
 _ENV_CACHE = "BUSFACTOR_CACHE_DIR"
+# What `rig --cache --rev` accepts besides HEAD: an abbreviated or full
+# hash, which must then prefix the cached commit's hash.
+_HASH_PREFIX = re.compile(r"[0-9a-f]{4,64}")
 
 
 # --- argument casting ----------------------------------------------------
@@ -58,6 +60,7 @@ _PERCENT = _number(int, "must lie in 0..100",
 # --- config file ---------------------------------------------------------
 
 def _config_bool(raw: str) -> bool:
+    import configparser
     states = configparser.ConfigParser.BOOLEAN_STATES
     key = raw.strip().lower()
     if key not in states:
@@ -89,6 +92,7 @@ def _apply_config(parser: argparse.ArgumentParser, path: str,
     subparsers build their own namespace, so defaults on the top-level
     parser would be overwritten.
     """
+    import configparser
     reader = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:
@@ -234,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         "rig", help="bus factor by simulated developer departure",
         allow_abbrev=False)
     _add_common(rig, "rig")
-    rig.add_argument("--rev", metavar="REV",
-                     help="revision to blame (default HEAD)")
+    rig.add_argument("--rev", metavar="REV", default="HEAD",
+                     help="revision to blame (default %(default)s)")
     rig.add_argument("--samples", type=_COUNT, default=1000,
                      help="random subsets per group size (default %(default)s)")
     rig.add_argument("--max-g", type=_COUNT, default=200,
@@ -426,19 +430,20 @@ def _cmd_cst(parser, args, argv, started) -> int:
 
 
 def _cmd_rig(parser, args, argv, started) -> int:
+    from .rig import RigConfig, rig_repeat
     repo, cache = _resolve_source(parser, args)
     if repo:
-        blame = extract_blame(repo, args.rev or "HEAD", path_filter=args.dir)
+        blame = extract_blame(repo, args.rev, path_filter=args.dir)
         fingerprint = repo_fingerprint(repo, blame.revision)
     else:
         _, blame, cache_manifest = load_cache(cache, records=False)
         if blame is None:
             raise EmptySnapshot("cache holds no blame data; re-run ingest")
         # ingest snapshots HEAD, so HEAD names the cached commit.
-        wanted = args.rev or "HEAD"
-        if wanted != "HEAD" and not blame.revision.startswith(wanted):
+        if args.rev != "HEAD" and not (_HASH_PREFIX.fullmatch(args.rev)
+                                       and blame.revision.startswith(args.rev)):
             raise UnknownRevision(
-                f"cache holds blame for {blame.revision}, not {wanted}; "
+                f"cache holds blame for {blame.revision}, not {args.rev}; "
                 "other revisions need --repo")
         fingerprint = cache_manifest.repo_fingerprint
     blame = filter_snapshot(blame, scope=args.dir,

@@ -10,12 +10,9 @@ from __future__ import annotations
 import ast
 import os
 import re
-import subprocess
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyRepository,
@@ -27,6 +24,9 @@ from .errors import (
 )
 from .metrics import token_distance, tokenize
 from .records import BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor
+
+if TYPE_CHECKING:
+    import subprocess
 
 _FIELD_SEP = "\x01"
 _COMMIT_MARK = "\x00"
@@ -42,6 +42,7 @@ def _spawn(repo_path: str, args: Sequence[str], stderr) -> subprocess.Popen:
     The only place that spawns git: a missing binary (OSError) becomes
     GitInvocationFailure like any failed command.
     """
+    import subprocess
     cmd = ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args]
     try:
         return subprocess.Popen(
@@ -53,6 +54,7 @@ def _spawn(repo_path: str, args: Sequence[str], stderr) -> subprocess.Popen:
 
 def _git(repo_path: str, *args: str, ok_codes: Sequence[int] = (0,)) -> str:
     """Run one git command and return stdout, raising on failure."""
+    import subprocess
     proc = _spawn(repo_path, args, subprocess.PIPE)
     stdout, stderr = proc.communicate()
     if proc.returncode not in ok_codes:
@@ -67,6 +69,7 @@ def _git_stream(repo_path: str, *args: str) -> Iterator[str]:
     pipe drained only after stdout ends would block git as soon as its
     warnings filled the pipe.
     """
+    import tempfile
     with tempfile.TemporaryFile() as stderr:
         proc = _spawn(repo_path, args, stderr)
         try:
@@ -337,6 +340,7 @@ def extract_blame(repo_path: str, revision: str = "HEAD",
     changed it (plain blame, no copy/move detection). Raises
     NoTextFiles when the filter matches nothing blame-able.
     """
+    from concurrent.futures import ThreadPoolExecutor
     commit = _commit_of(repo_path, revision)
     scope = normalize_scope(path_filter)
     with _rejections_of(repo_path, revision):

@@ -12,7 +12,6 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from difflib import SequenceMatcher
 from typing import Iterable, Mapping
 
 from .errors import EmptyAuthorSet, UnknownAuthor
@@ -82,10 +81,6 @@ def _local_part(email: str) -> str:
     return email.split("@", 1)[0]
 
 
-def _ratio(a: str, b: str) -> float:
-    return SequenceMatcher(None, a, b).ratio()
-
-
 def _name_tokens(name: str) -> set[str]:
     return set(_NAME_TOKEN_RE.findall(normalize_name(name)))
 
@@ -99,6 +94,7 @@ def token_set_ratio(a: str, b: str) -> int:
     string, and the full strings against each other; the best of the
     three ratios wins. "smith, john" and "John Smith" score 100.
     """
+    import difflib
     tokens_a = _name_tokens(a)
     tokens_b = _name_tokens(b)
     if not tokens_a or not tokens_b:
@@ -106,8 +102,9 @@ def token_set_ratio(a: str, b: str) -> int:
     common = " ".join(sorted(tokens_a & tokens_b))
     full_a = (common + " " + " ".join(sorted(tokens_a - tokens_b))).strip()
     full_b = (common + " " + " ".join(sorted(tokens_b - tokens_a))).strip()
-    best = max(_ratio(common, full_a), _ratio(common, full_b),
-               _ratio(full_a, full_b))
+    best = max(difflib.SequenceMatcher(None, common, full_a).ratio(),
+               difflib.SequenceMatcher(None, common, full_b).ratio(),
+               difflib.SequenceMatcher(None, full_a, full_b).ratio())
     return int(round(100 * best))
 
 

@@ -8,19 +8,20 @@ descending knowledge then canonical email, shares at six decimals.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .cst import BusFactorResult, CstConfig
 from .errors import UnsupportedFormat
 from .identity import DeveloperId
-from .rig import RigConfig, RigResult, summarize_runs
 from .trend import TrendSeries
+
+if TYPE_CHECKING:
+    from .rig import RigConfig, RigResult
 
 FORMATS = ("json", "csv", "text")
 
@@ -109,6 +110,7 @@ def payload_cst(result: BusFactorResult, manifest: RunManifest,
 def payload_rig(results: Sequence[RigResult], config: RigConfig,
                 manifest: RunManifest, revision: str, file_count: int,
                 developer_count: int, redact: bool = False) -> dict:
+    from .rig import summarize_runs
     summary = summarize_runs(results)
     runs = []
     for i, result in enumerate(results):
@@ -198,6 +200,7 @@ def _csv_preamble(payload: dict) -> list[str]:
 
 
 def _csv_rows(rows, header) -> str:
+    import csv
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)

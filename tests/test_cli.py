@@ -173,12 +173,17 @@ def test_rig_from_cache_checks_records(two_dev_repo, tmp_path):
 
 
 def test_rig_cache_rev_mismatch(two_dev_repo, tmp_path):
+    # Besides HEAD, only 4 to 64 hex digits that prefix the cached hash
+    # name the cached commit; --repo rejects the same names.
+    head = two_dev_repo.head()
     cache = tmp_path / "cache"
     run_cli("ingest", "--repo", str(two_dev_repo.path),
             "--cache", str(cache))
-    proc = run_cli("rig", "--cache", str(cache), "--rev", "f" * 40)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("ERROR UnknownRevision:")
+    for rev in ("f" * 40, "", head[:1], head[:3], head[:4] + "x"):
+        for source in ("--cache", str(cache)), ("--repo", str(two_dev_repo.path)):
+            proc = run_cli("rig", *source, "--rev", rev)
+            assert proc.returncode == 1, (rev, source)
+            assert proc.stderr.startswith("ERROR UnknownRevision:")
 
 
 def _without_run_fields(doc: dict) -> dict:
@@ -193,10 +198,11 @@ def test_rig_cache_rev_head_names_cached_commit(two_dev_repo, tmp_path):
             "--cache", str(cache))
     args = ("rig", "--cache", str(cache), "--exhaustive", "--format", "json")
     plain = run_cli(*args)
-    head = run_cli(*args, "--rev", "HEAD")
-    assert plain.returncode == head.returncode == 0, head.stderr
-    assert _without_run_fields(json.loads(head.stdout)) == \
-        _without_run_fields(json.loads(plain.stdout))
+    for rev in ("HEAD", two_dev_repo.head()[:4], two_dev_repo.head()):
+        head = run_cli(*args, "--rev", rev)
+        assert plain.returncode == head.returncode == 0, head.stderr
+        assert _without_run_fields(json.loads(head.stdout)) == \
+            _without_run_fields(json.loads(plain.stdout))
     proc = run_cli(*args, "--rev", "main")
     assert proc.returncode == 1
     assert proc.stderr.startswith("ERROR UnknownRevision:")

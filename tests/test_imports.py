@@ -1,0 +1,74 @@
+"""What importing the package costs: modules loaded, and lazy exports.
+
+Each command should load only the modules it runs, so the checks below
+run a fresh interpreter and compare the modules an import leaves loaded
+with those a bare interpreter already has in the same environment.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import busfactor
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Modules that only some commands need, each imported where it is used.
+DEFERRED = {"subprocess", "concurrent.futures", "logging", "configparser",
+            "difflib", "csv", "tempfile", "busfactor.rig"}
+
+
+def _modules_after(statement: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    code = f"{statement}\nimport sys\nprint(*sys.modules, sep='\\n')"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    return set(out.split())
+
+
+@pytest.fixture(scope="module")
+def bare() -> set[str]:
+    return _modules_after("pass")
+
+
+def test_import_package_loads_no_submodule(bare):
+    loaded = _modules_after("import busfactor") - bare
+    assert loaded == {"busfactor"}
+
+
+def test_import_cli_loads_no_deferred_module(bare):
+    loaded = _modules_after("import busfactor.cli") - bare
+    assert "busfactor.cli" in loaded
+    assert not loaded & DEFERRED
+
+
+def test_every_export_resolves():
+    for name in busfactor.__all__:
+        assert getattr(busfactor, name) is not None, name
+    namespace: dict = {}
+    exec("from busfactor import *", namespace)
+    assert set(busfactor.__all__) <= set(namespace)
+    assert namespace["rig_bus_factor"] is busfactor.rig.rig_bus_factor
+    assert namespace["errors"] is sys.modules["busfactor.errors"]
+    assert len(busfactor.__all__) == len(set(busfactor.__all__))
+
+
+def test_dir_lists_every_export():
+    assert set(busfactor.__all__) <= set(dir(busfactor))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nosuch"):
+        busfactor.nosuch
+    assert not hasattr(busfactor, "nosuch")
+
+
+def test_submodules_still_import_by_name():
+    from busfactor import rig, trend
+    assert rig is sys.modules["busfactor.rig"]
+    assert trend is sys.modules["busfactor.trend"]
+    assert rig.rig_repeat is busfactor.rig_repeat

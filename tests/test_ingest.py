@@ -385,7 +385,7 @@ def test_git_stream_survives_large_stderr(monkeypatch):
     def popen(cmd, **kwargs):
         procs.append(real_popen([sys.executable, "-c", script], **kwargs))
         return procs[-1]
-    monkeypatch.setattr(gitrepo.subprocess, "Popen", popen)
+    monkeypatch.setattr(subprocess, "Popen", popen)
 
     lines = []
     worker = threading.Thread(
@@ -418,7 +418,7 @@ def test_git_spawns_per_command(repo_factory, tmp_path, monkeypatch):
     def popen(cmd, **kwargs):
         spawns.append(cmd)
         return real_popen(cmd, **kwargs)
-    monkeypatch.setattr(gitrepo.subprocess, "Popen", popen)
+    monkeypatch.setattr(subprocess, "Popen", popen)
 
     def count(*argv):
         spawns.clear()
