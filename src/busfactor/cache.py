@@ -14,8 +14,11 @@ Schema 3 documents:
   it changed, and loading builds one CommitMeta per commit, shared by
   its records as extract_history shares them.
 - `blame.bin`: {"revision": ..., "authors": [[name, email], ...],
-  "files": {path: [[author index, run length], ...]}}, one author table
-  for the whole snapshot and each file's runs in line order.
+  "files": {path: [[author index, lines], ...]}}, one author table for
+  the whole snapshot and per file one pair per owner, sorted by author,
+  so equal snapshots give equal bytes. A pair may repeat an author of
+  its file, and repeated pairs add: a cache written when the pairs were
+  runs of lines in line order loads to the same counts.
 
 Each document is read and parsed whole. That costs little: the CLI
 holds every record as objects anyway, and a record takes about 100
@@ -28,7 +31,6 @@ per record. A cache of any schema but 3 raises SchemaMismatch;
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -200,8 +202,8 @@ def _decode_records(document: dict) -> list[ChangeRecord]:
 def _encode_blame(blame: BlameSnapshot) -> dict:
     authors: dict[RawAuthor, int] = {}
     files = {
-        path: [[authors.setdefault(author, len(authors)), len(list(run))]
-               for author, run in itertools.groupby(blame.files[path])]
+        path: [[authors.setdefault(author, len(authors)), lines]
+               for author, lines in sorted(blame.files[path].items())]
         for path in sorted(blame.files)}
     return {
         "revision": blame.revision,
@@ -212,8 +214,9 @@ def _encode_blame(blame: BlameSnapshot) -> dict:
 
 def _decode_blame(document: dict) -> BlameSnapshot:
     authors = [RawAuthor(name, email) for name, email in document["authors"]]
-    files = {path: tuple(itertools.chain.from_iterable(
-                 itertools.repeat(authors[index], length)
-                 for index, length in runs))
-             for path, runs in document["files"].items()}
+    files: dict[str, dict[RawAuthor, int]] = {}
+    for path, pairs in document["files"].items():
+        owners = files[path] = {}
+        for index, lines in pairs:
+            owners[authors[index]] = owners.get(authors[index], 0) + lines
     return BlameSnapshot(revision=document["revision"], files=files)

@@ -312,15 +312,16 @@ _AUTHOR_RE = re.compile(r"^author (.*)$")
 _MAIL_RE = re.compile(r"^author-mail <(.*)>$")
 
 
-def _blame_file(repo_path: str, revision: str, path: str) -> list[RawAuthor]:
-    """Line attributions for one file, in line order."""
-    lines: list[RawAuthor] = []
+def _blame_file(repo_path: str, revision: str, path: str,
+                ) -> dict[RawAuthor, int]:
+    """Lines owned per author in one file."""
+    counts: dict[tuple[str, str], int] = {}
     name = ""
     email = ""
     for line in _git(repo_path, "blame", "--line-porcelain", revision,
                      "--", path).splitlines():
         if line.startswith("\t"):
-            lines.append(RawAuthor(name=name, email=email))
+            counts[name, email] = counts.get((name, email), 0) + 1
             continue
         m = _AUTHOR_RE.match(line)
         if m:
@@ -329,16 +330,18 @@ def _blame_file(repo_path: str, revision: str, path: str) -> list[RawAuthor]:
         m = _MAIL_RE.match(line)
         if m:
             email = m.group(1)
-    return lines
+    return {RawAuthor(name=name, email=email): n
+            for (name, email), n in counts.items()}
 
 
 def extract_blame(repo_path: str, revision: str = "HEAD",
                   path_filter: str | None = None) -> BlameSnapshot:
     """Blame every text file at a revision.
 
-    Each line is attributed to the raw author of the commit that last
-    changed it (plain blame, no copy/move detection). Raises
-    NoTextFiles when the filter matches nothing blame-able.
+    Returns, per file, the number of lines each raw author owns: a
+    line belongs to the author of the commit that last changed it
+    (plain blame, no copy/move detection). Raises NoTextFiles when the
+    filter matches nothing blame-able.
     """
     from concurrent.futures import ThreadPoolExecutor
     commit = _commit_of(repo_path, revision)
@@ -351,8 +354,8 @@ def extract_blame(repo_path: str, revision: str = "HEAD",
         with ThreadPoolExecutor(max_workers=_BLAME_WORKERS) as pool:
             attributions = list(pool.map(
                 lambda p: _blame_file(repo_path, commit, p), paths))
-    files = {path: tuple(lines)
-             for path, lines in zip(paths, attributions) if lines}
+    files = {path: owners
+             for path, owners in zip(paths, attributions) if owners}
     if not files:
         raise NoTextFiles(f"no blame-able lines at revision {revision}")
     return BlameSnapshot(revision=commit, files=files)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Mapping, Sequence
+from typing import Mapping
 
 
 @dataclass(frozen=True, order=True)
@@ -80,18 +80,26 @@ class ChangeRecord:
 
 @dataclass(frozen=True)
 class BlameSnapshot:
-    """Per-line attribution of every text file at one revision.
+    """Line ownership of every text file at one revision.
 
-    `files` maps a repo-relative path to the ordered list of authors,
-    one per line; the list length equals the file's line count at
-    `revision`. Files with zero lines are not listed.
+    `files` maps a repo-relative path to the number of its lines each
+    author owns; the counts of a file sum to its line count at
+    `revision`, and each is at least 1. Files with zero lines are not
+    listed.
     """
     revision: str
-    files: Mapping[str, Sequence[RawAuthor]]
+    files: Mapping[str, Mapping[RawAuthor, int]]
+
+    def __post_init__(self):
+        for path, owners in self.files.items():
+            for author, lines in owners.items():
+                if lines < 1:
+                    raise ValueError(f"{path!r}: {author} owns {lines} "
+                                     "lines; a count must be at least 1")
 
     def authors(self) -> set[RawAuthor]:
         """Every author attributed at least one line."""
         seen: set[RawAuthor] = set()
-        for lines in self.files.values():
-            seen.update(lines)
+        for owners in self.files.values():
+            seen.update(owners)
         return seen

@@ -87,16 +87,17 @@ class _Departures:
         owned: dict[DeveloperId, list[tuple[int, int]]] = {}
         self.need: list[int] = []
         for file, path in enumerate(sorted(blame.files)):
-            lines = blame.files[path]
-            if not lines:
+            owners = blame.files[path]
+            if not owners:
                 raise EmptySnapshot(f"blame snapshot lists {path!r} "
                                     "with no lines")
             counts: Counter[DeveloperId] = Counter()
-            for author, n in Counter(lines).items():
+            for author, n in owners.items():
                 counts[identity.canonical(author)] += n
             for dev, n in counts.items():
                 owned.setdefault(dev, []).append((file, n))
-            self.need.append(_lines_needed(len(lines), line_threshold))
+            self.need.append(_lines_needed(sum(owners.values()),
+                                           line_threshold))
         self.population = sorted(owned, key=DeveloperId.sort_key)
         self.owned = [owned[dev] for dev in self.population]
 

@@ -190,6 +190,18 @@ def bus_factor(records, dev_of, cst_metric: str, data_metric: str,
 
 # --- departure-based bus factor, exact arithmetic ---------------------------
 
+def per_file_counts(blame, dev_of):
+    """(line total, Counter of lines per developer) for each file, in
+    path order."""
+    per_file = []
+    for _, owners in sorted(blame.files.items()):
+        counts = Counter()
+        for author, n in owners.items():
+            counts[dev_of(author)] += n
+        per_file.append((sum(owners.values()), counts))
+    return per_file
+
+
 def rig_min_g(blame, dev_of, line_fraction=Fraction(9, 10),
               file_fraction=Fraction(1, 2), max_g=None):
     """Exact minimum departing-group size by full enumeration.
@@ -197,11 +209,9 @@ def rig_min_g(blame, dev_of, line_fraction=Fraction(9, 10),
     Returns (g, feasible sets at g) or (None, []) when nothing within
     max_g abandons enough files.
     """
-    per_file = []
+    per_file = per_file_counts(blame, dev_of)
     devs = set()
-    for lines in blame.files.values():
-        counts = Counter(dev_of(a) for a in lines)
-        per_file.append((len(lines), counts))
+    for _, counts in per_file:
         devs.update(counts)
     ordered = sorted(devs, key=lambda d: (d.canonical_email, d.canonical_name))
     total_files = len(per_file)
@@ -240,8 +250,7 @@ def rig_reference(blame, dev_of, config):
     walks every g-subset in lexicographic order. Returns (bus factor,
     departed set, subsets evaluated, abandoned fraction at return).
     """
-    per_file = [(len(lines), Counter(dev_of(a) for a in lines))
-                for _, lines in sorted(blame.files.items())]
+    per_file = per_file_counts(blame, dev_of)
     devs = set()
     for _, counts in per_file:
         devs.update(counts)

@@ -14,7 +14,7 @@ import random
 import subprocess
 import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
@@ -210,21 +210,21 @@ def _rig_snapshot(rng: random.Random, dev_count: int, file_count: int):
         owner = rng.choice(pool)
         lines = [owner if rng.random() < 0.8 else rng.choice(pool)
                  for _ in range(rng.randint(1, 12))]
-        files[f"f{i:02d}.txt"] = tuple(lines)
+        files[f"f{i:02d}.txt"] = Counter(lines)
     return BlameSnapshot(revision="b" * 40, files=files)
 
 
 def _rig_fixtures():
     d = _RIG_DEVS
     fixed = [
-        BlameSnapshot(revision="b" * 40, files={"f": (d[0], d[0], d[0])}),
+        BlameSnapshot(revision="b" * 40, files={"f": {d[0]: 3}}),
         BlameSnapshot(revision="b" * 40, files={
-            "a": (d[0], d[0], d[0]), "b": (d[0], d[1])}),
+            "a": {d[0]: 3}, "b": {d[0]: 1, d[1]: 1}}),
         BlameSnapshot(revision="b" * 40, files={
-            "a": (d[0],), "b": (d[1],), "c": (d[2],)}),
+            "a": {d[0]: 1}, "b": {d[1]: 1}, "c": {d[2]: 1}}),
         BlameSnapshot(revision="b" * 40, files={
-            "a": (d[0], d[0], d[1]), "b": (d[1],), "c": (d[2], d[2], d[2]),
-            "d": (d[3], d[0]), "e": (d[3], d[3])}),
+            "a": {d[0]: 2, d[1]: 1}, "b": {d[1]: 1}, "c": {d[2]: 3},
+            "d": {d[3]: 1, d[0]: 1}, "e": {d[3]: 2}}),
     ]
     rng = random.Random(1729)
     generated = [_rig_snapshot(rng, 5, 7), _rig_snapshot(rng, 6, 9),
@@ -234,15 +234,16 @@ def _rig_fixtures():
 
 def _identity_of(snapshot: BlameSnapshot):
     return resolve_identities(
-        {a for lines in snapshot.files.values() for a in lines})
+        {a for owners in snapshot.files.values() for a in owners})
 
 
 def _exact_fraction(snapshot, identity, departed) -> Fraction:
     """Certificate check with rational arithmetic, no package math."""
     abandoned = 0
-    for lines in snapshot.files.values():
-        gone = sum(1 for a in lines if identity.canonical(a) in departed)
-        if Fraction(gone, len(lines)) >= Fraction(9, 10):
+    for owners in snapshot.files.values():
+        gone = sum(n for a, n in owners.items()
+                   if identity.canonical(a) in departed)
+        if Fraction(gone, sum(owners.values())) >= Fraction(9, 10):
             abandoned += 1
     return Fraction(abandoned, len(snapshot.files))
 

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import random
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -42,8 +44,8 @@ def make_blame():
     a = RawAuthor("Dev 0", "dev0@x.test")
     b = RawAuthor("Dev 1", "dev1@x.test")
     return BlameSnapshot(revision="f" * 40, files={
-        "dir0/file0.py": (a, a, b),
-        "dir1/file1.py": (b,),
+        "dir0/file0.py": {a: 2, b: 1},
+        "dir1/file1.py": {b: 1},
     })
 
 
@@ -283,8 +285,9 @@ def test_records_of_one_commit_share_its_meta(tmp_path):
 def test_same_inputs_save_identical_bytes(tmp_path):
     records = make_records(50)
     blame = make_blame()
-    reordered = BlameSnapshot(revision=blame.revision,
-                              files=dict(reversed(list(blame.files.items()))))
+    reordered = BlameSnapshot(revision=blame.revision, files={
+        path: dict(reversed(list(owners.items())))
+        for path, owners in reversed(list(blame.files.items()))})
     save_cache(records, blame, manifest_for(records), tmp_path / "one")
     save_cache(records, reordered, manifest_for(records), tmp_path / "two")
     for name in ("records.bin", "blame.bin"):
@@ -295,13 +298,38 @@ def test_same_inputs_save_identical_bytes(tmp_path):
 def test_blame_runs_roundtrip_exactly(tmp_path):
     a, b, c = (RawAuthor(f"Dev {i}", f"dev{i}@x.test") for i in range(3))
     blame = BlameSnapshot(revision="c" * 40, files={
-        "alternating.py": (a, b) * 50 + (c,),
-        "one-line.py": (c,),
-        "also-one.py": (a,),
-        "long-runs.py": (b,) * 5000 + (a,) * 3 + (b,) * 7000,
-        "mixed.py": (a, a, b, c, c, c, a, b, b),
+        "shared.py": {a: 50, b: 50, c: 1},
+        "one-line.py": {c: 1},
+        "also-one.py": {a: 1},
+        "long.py": {b: 12000, a: 3},
+        "mixed.py": {a: 3, b: 3, c: 3},
     })
     records = make_records(1)
     _, got, _ = roundtrip(tmp_path, records, blame)
     assert got == blame
-    assert all(isinstance(lines, tuple) for lines in got.files.values())
+
+
+def test_blame_pairs_of_one_author_add(tmp_path):
+    # a schema-3 blame.bin may hold runs in line order, so an author can
+    # come back within a file; loading sums that author's pairs
+    root = tmp_path / "cache"
+    root.mkdir()
+    documents = {
+        "records": {"commits": [], "records": []},
+        "blame": {"revision": "d" * 40,
+                  "authors": [["Dev 0", "dev0@x.test"],
+                              ["Dev 1", "dev1@x.test"]],
+                  "files": {"a.py": [[0, 2], [1, 1], [0, 4], [1, 2]],
+                            "b.py": [[1, 3]]}},
+    }
+    lines = ["schema_version=3", "repo_fingerprint=/tmp/x@" + "a" * 40,
+             "created_at=2021-06-01T00:00:00+00:00", "record_count=0"]
+    for name, document in documents.items():
+        data = json.dumps(document, separators=(",", ":")).encode("utf-8")
+        (root / f"{name}.bin").write_bytes(data)
+        lines.append(f"{name}_sha256={hashlib.sha256(data).hexdigest()}")
+    (root / "manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    a, b = (RawAuthor(f"Dev {i}", f"dev{i}@x.test") for i in range(2))
+    _, blame, _ = load_cache(root)
+    assert blame == BlameSnapshot(revision="d" * 40, files={
+        "a.py": {a: 6, b: 3}, "b.py": {b: 3}})

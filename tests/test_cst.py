@@ -301,7 +301,7 @@ def test_scope_spellings_normalize(scope):
     records = [record(A, path="src/a.py"), record(B, path="docs/r.md", seq=1)]
     kept = filter_records(records, scope=scope)
     snap = BlameSnapshot(revision="e" * 40,
-                         files={"src/a.py": (A,), "docs/r.md": (B,)})
+                         files={"src/a.py": {A: 1}, "docs/r.md": {B: 1}})
     narrowed = filter_snapshot(snap, scope=scope)
     if "src" in scope:
         assert [r.path for r in kept] == ["src/a.py"]

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -184,7 +185,7 @@ def test_single_author_owns_every_line(repo_factory):
     repo.write("solo.txt", "a\nb\nc\n")
     repo.commit(ADA)
     snap = extract_blame(repo.path)
-    assert snap.files["solo.txt"] == tuple([RawAuthor(*ADA)] * 3)
+    assert snap.files["solo.txt"] == {RawAuthor(*ADA): 3}
 
 
 def test_blame_matches_porcelain_oracle(repo_factory):
@@ -194,10 +195,9 @@ def test_blame_matches_porcelain_oracle(repo_factory):
     repo.write("five.txt", "l1\nl2\nrewritten\nl4\nl5\n")
     repo.commit(BERT)
     snap = extract_blame(repo.path)
-    ours = [(a.name, a.email) for a in snap.files["five.txt"]]
-    assert ours == raw_blame(repo.path, repo.head(), "five.txt")
-    assert [n for n, _ in ours] == ["Ada Core", "Ada Core", "Bert Low",
-                                    "Ada Core", "Ada Core"]
+    ours = {(a.name, a.email): n for a, n in snap.files["five.txt"].items()}
+    assert ours == Counter(raw_blame(repo.path, repo.head(), "five.txt"))
+    assert ours == {ADA: 4, BERT: 1}
 
 
 def test_blame_at_past_revision(repo_factory):
@@ -208,7 +208,7 @@ def test_blame_at_past_revision(repo_factory):
     repo.commit(BERT)
     snap = extract_blame(repo.path, revision=first)
     assert snap.revision == first
-    assert snap.files["f.txt"] == (RawAuthor(*ADA),)
+    assert snap.files["f.txt"] == {RawAuthor(*ADA): 1}
 
 
 def test_blame_path_filter_and_no_text_files(repo_factory):
@@ -252,8 +252,8 @@ def test_quoted_paths_through_history_blame_and_ingest(repo_factory,
     blame = extract_blame(repo.path)
     assert set(blame.files) == set(QUOTED_NAMES)
     for name in QUOTED_NAMES:
-        assert ([(a.name, a.email) for a in blame.files[name]]
-                == raw_blame(repo.path, "HEAD", name))
+        assert ({(a.name, a.email): n for a, n in blame.files[name].items()}
+                == Counter(raw_blame(repo.path, "HEAD", name)))
 
     cache = tmp_path / "cache"
     assert main(["ingest", "--repo", str(repo.path),
@@ -288,9 +288,9 @@ def test_rejected_full_hash_is_unknown_revision(two_dev_repo, tmp_path,
 
 def test_line_counts_match_worktree(two_dev_repo):
     snap = extract_blame(two_dev_repo.path)
-    for path, lines in snap.files.items():
+    for path, owners in snap.files.items():
         text = (two_dev_repo.path / path).read_text(encoding="utf-8")
-        assert len(lines) == len(text.splitlines())
+        assert sum(owners.values()) == len(text.splitlines())
 
 
 # --- globs and filtering ------------------------------------------------
@@ -363,9 +363,9 @@ def test_filter_records_empty_globs_keep_everything():
 
 def test_filter_snapshot_scope_and_excludes():
     snap = BlameSnapshot(revision="e" * 40, files={
-        "src/a.py": [RawAuthor("A", "a@x")],
-        "src/gen/out.py": [RawAuthor("A", "a@x")],
-        "docs/r.md": [RawAuthor("B", "b@x")],
+        "src/a.py": {RawAuthor("A", "a@x"): 1},
+        "src/gen/out.py": {RawAuthor("A", "a@x"): 1},
+        "docs/r.md": {RawAuthor("B", "b@x"): 1},
     })
     narrowed = filter_snapshot(snap, scope="src",
                                exclude_globs=["src/gen/**"])

@@ -25,7 +25,7 @@ D = RawAuthor("Dmitri Fen", "dmitri@fixture.test")
 
 def snapshot(files):
     return BlameSnapshot(revision="e" * 40, files={
-        path: tuple(lines) for path, lines in files.items()})
+        path: Counter(lines) for path, lines in files.items()})
 
 
 def identity_for(snap):
@@ -132,12 +132,20 @@ def test_fraction_rejects_threshold_outside_unit_interval(threshold):
 
 def test_zero_line_file_is_named_not_divided_by():
     snap = BlameSnapshot(revision="e" * 40,
-                         files={"full.txt": (A, B), "empty.txt": ()})
+                         files={"full.txt": {A: 1, B: 1}, "empty.txt": {}})
     idmap = resolve_identities({A, B})
     with pytest.raises(EmptySnapshot, match="empty.txt"):
         abandoned_file_fraction(snap, idmap, frozenset())
     with pytest.raises(EmptySnapshot, match="empty.txt"):
         rig_bus_factor(snap, idmap, config())
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_non_positive_line_count_is_rejected(count):
+    with pytest.raises(ValueError, match=r"'thin.txt'.*Bert Low"):
+        BlameSnapshot(revision="e" * 40,
+                      files={"full.txt": {A: 2},
+                             "thin.txt": {A: 1, B: count}})
 
 
 def test_fraction_rejects_empty_snapshot():
@@ -490,7 +498,6 @@ def test_matches_reference_loop(snap, line, file, exhaustive, seed, samples,
 def test_fraction_matches_reference(snap, line, gone):
     idmap = one_per_author(snap)
     departed = {DeveloperId(a.name, a.email, frozenset({a})) for a in gone}
-    per_file = [(len(lines), Counter(idmap.canonical(a) for a in lines))
-                for lines in snap.files.values()]
+    per_file = oracles.per_file_counts(snap, idmap.canonical)
     assert abandoned_file_fraction(snap, idmap, departed, line) == (
         oracles.abandoned_fraction(per_file, departed, line))
