@@ -1,32 +1,31 @@
 """On-disk persistence for ingested history and blame data.
 
-A cache is a directory of three files. `records.bin` and `blame.bin`
-each hold one compact UTF-8 JSON document. `manifest` holds key=value
-lines, among them the SHA-256 of each data file, and is written last,
-through a temporary file and os.replace. A truncated or corrupt data
-file, or one that an interrupted re-ingest left beside another save's
-manifest, fails its digest and raises CorruptCache.
+A cache is a directory holding one file, `cache.json`. Its first line
+is `busfactor-cache 4 <SHA-256 of the rest>`; the rest is one compact
+UTF-8 JSON document. save_cache writes `cache.json.tmp` and moves it
+into place with os.replace, so a reader finds the previous save or the
+new one, whole. A truncated or corrupt file fails the digest and raises
+CorruptCache.
 
-Schema 3 documents:
-- `records.bin`: {"commits": [[hash, name, email, epoch, merge, sequence],
-  ...], "records": [[commit index, path, lines added, lines deleted,
-  cos distance], ...]}. Each commit is stored once however many files
-  it changed, and loading builds one CommitMeta per commit, shared by
-  its records as extract_history shares them.
-- `blame.bin`: {"revision": ..., "authors": [[name, email], ...],
-  "files": {path: [[author index, lines], ...]}}, one author table for
-  the whole snapshot and per file one pair per owner, sorted by author,
-  so equal snapshots give equal bytes. A pair may repeat an author of
-  its file, and repeated pairs add: a cache written when the pairs were
-  runs of lines in line order loads to the same counts.
+Schema 4 document: {"fingerprint": ..., "record_count": ...,
+"commits": [[hash, name, email, epoch, merge, sequence], ...],
+"records": [[commit index, path, lines added, lines deleted,
+cos distance], ...], "blame": null or {"revision": ...,
+"authors": [[name, email], ...], "files": {path: [[author index,
+lines], ...]}}}.
+- Each commit is stored once however many files it changed, and
+  loading builds one CommitMeta per commit, shared by its records as
+  extract_history shares them.
+- Blame has one author table for the whole snapshot and per file one
+  pair per owner, sorted by author, so equal snapshots give equal bytes.
 
-Each document is read and parsed whole. That costs little: the CLI
-holds every record as objects anyway, and a record takes about 100
-bytes of document.
+The document is read and parsed whole. That costs little: the CLI holds
+every record as objects anyway, and a record takes about 100 bytes.
 
-Schema 1 stored token bags and schema 2 one length-prefixed JSON frame
-per record. A cache of any schema but 3 raises SchemaMismatch;
-`busfactor ingest` rebuilds it.
+Schema 1 stored token bags, schema 2 one length-prefixed JSON frame per
+record, and schema 3 a `manifest` file beside two data files. A cache
+of any schema but 4 raises SchemaMismatch; `busfactor ingest` rebuilds
+it.
 """
 from __future__ import annotations
 
@@ -41,52 +40,43 @@ from typing import Sequence
 from .errors import CorruptCache, IoFailure, SchemaMismatch
 from .records import BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
-_MANIFEST = "manifest"
-_RECORDS = "records.bin"
-_BLAME = "blame.bin"
+_FILE = "cache.json"
+_MAGIC = b"busfactor-cache"
+_REINGEST = "re-run `busfactor ingest`"
 
 
 @dataclass(frozen=True)
 class CacheManifest:
     repo_fingerprint: str
-    created_at: datetime
     record_count: int
-    schema_version: int = SCHEMA_VERSION
-
-    def __post_init__(self):
-        if self.created_at.tzinfo is None:
-            object.__setattr__(self, "created_at",
-                               self.created_at.replace(tzinfo=timezone.utc))
 
 
 def save_cache(records: Sequence[ChangeRecord],
                blame: BlameSnapshot | None,
                manifest: CacheManifest,
                cache_path: str | Path) -> None:
-    """Write records, optional blame snapshot and manifest under cache_path."""
+    """Write records, an optional blame snapshot and the manifest as
+    `cache.json` under cache_path, replacing any earlier save whole."""
     root = Path(cache_path)
-    lines = [
-        f"schema_version={manifest.schema_version}",
-        f"repo_fingerprint={manifest.repo_fingerprint}",
-        f"created_at={manifest.created_at.astimezone(timezone.utc).isoformat()}",
-        f"record_count={manifest.record_count}",
-    ]
+    document = {
+        "fingerprint": manifest.repo_fingerprint,
+        "record_count": manifest.record_count,
+        **_encode_records(records),
+        "blame": None if blame is None else _encode_blame(blame),
+    }
+    body = json.dumps(document, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
+    header = b"%s %d %s\n" % (_MAGIC, SCHEMA_VERSION,
+                              hashlib.sha256(body).hexdigest().encode())
+    staged = root / (_FILE + ".tmp")
     try:
         root.mkdir(parents=True, exist_ok=True)
-        digest = _write(root / _RECORDS, _encode_records(records))
-        lines.append(f"records_sha256={digest}")
-        if blame is not None:
-            digest = _write(root / _BLAME, _encode_blame(blame))
-            lines.append(f"blame_sha256={digest}")
-        staged = root / (_MANIFEST + ".tmp")
-        staged.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        os.replace(staged, root / _MANIFEST)
-        if blame is None:
-            # Only now: until the new manifest is in place, the old one
-            # may still list the blame file.
-            (root / _BLAME).unlink(missing_ok=True)
+        with open(staged, "wb") as fh:
+            fh.write(header)
+            fh.write(body)
+        os.replace(staged, root / _FILE)
     except OSError as exc:
         raise IoFailure(f"cannot write cache at {root}: {exc}") from exc
 
@@ -95,84 +85,45 @@ def load_cache(cache_path: str | Path, *, records: bool = True,
                ) -> tuple[list[ChangeRecord], BlameSnapshot | None, CacheManifest]:
     """Read a cache directory back; the inverse of save_cache.
 
-    With `records=False` the records document is still checked (digest
-    and count) but no record is built, and an empty list comes back.
+    With `records=False` the records are still checked (digest and
+    count) but none is built, and an empty list comes back.
     """
     root = Path(cache_path)
-    fields = _read_manifest(root / _MANIFEST)
     try:
-        version = int(fields["schema_version"])
-    except (KeyError, ValueError) as exc:
-        raise CorruptCache(f"manifest lacks a schema_version: {root}") from exc
-    if version != SCHEMA_VERSION:
-        raise SchemaMismatch(
-            f"cache schema {version} != supported {SCHEMA_VERSION}; "
-            f"re-run `busfactor ingest`")
-    try:
-        manifest = CacheManifest(
-            repo_fingerprint=fields["repo_fingerprint"],
-            created_at=datetime.fromisoformat(fields["created_at"]),
-            record_count=int(fields["record_count"]),
-            schema_version=version,
-        )
-        records_digest = fields["records_sha256"]
-    except (KeyError, ValueError) as exc:
-        raise CorruptCache(f"manifest field missing or malformed: {exc}") from exc
+        with open(root / _FILE, "rb") as fh:
+            header = fh.readline()
+            body = fh.read()
+    except FileNotFoundError as exc:
+        if (root / "manifest").exists():
+            raise SchemaMismatch(f"cache at {root} predates schema "
+                                 f"{SCHEMA_VERSION}; {_REINGEST}") from None
+        raise IoFailure(f"no cache at {root}") from exc
+    except OSError as exc:
+        raise IoFailure(f"cannot read cache at {root}: {exc}") from exc
 
-    document = _read(root / _RECORDS, records_digest)
-    blame_document = None
-    if "blame_sha256" in fields:
-        blame_document = _read(root / _BLAME, fields["blame_sha256"])
+    fields = header.split()
+    if len(fields) != 3 or fields[0] != _MAGIC or not fields[1].isdigit():
+        raise CorruptCache(f"malformed cache header: {header[:80]!r}")
+    if int(fields[1]) != SCHEMA_VERSION:
+        raise SchemaMismatch(f"cache schema {int(fields[1])} != supported "
+                             f"{SCHEMA_VERSION}; {_REINGEST}")
+    if hashlib.sha256(body).hexdigest().encode() != fields[2]:
+        raise CorruptCache(f"checksum mismatch in {root / _FILE}")
     try:
+        document = json.loads(body)
+        manifest = CacheManifest(repo_fingerprint=document["fingerprint"],
+                                 record_count=document["record_count"])
         found = len(document["records"])
         decoded = _decode_records(document) if records else []
-        blame = None if blame_document is None else _decode_blame(blame_document)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        blame = (None if document["blame"] is None
+                 else _decode_blame(document["blame"]))
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise CorruptCache(f"malformed cache document: {exc!r}") from exc
     if found != manifest.record_count:
         raise CorruptCache(
             f"manifest promises {manifest.record_count} records, "
             f"found {found}")
     return decoded, blame, manifest
-
-
-def _read_manifest(path: Path) -> dict[str, str]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise IoFailure(f"no cache manifest at {path}") from exc
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    fields = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CorruptCache(f"manifest line without '=': {line!r}")
-        fields[key] = value
-    return fields
-
-
-def _write(path: Path, document) -> str:
-    """Write a document as compact JSON; returns its SHA-256 in hex."""
-    data = json.dumps(document, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
-
-
-def _read(path: Path, digest: str):
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if hashlib.sha256(data).hexdigest() != digest:
-        raise CorruptCache(f"checksum mismatch in {path.name}")
-    try:
-        return json.loads(data)
-    except ValueError as exc:
-        raise CorruptCache(f"undecodable {path.name}: {exc}") from exc
 
 
 def _encode_records(records: Sequence[ChangeRecord]) -> dict:
@@ -214,9 +165,6 @@ def _encode_blame(blame: BlameSnapshot) -> dict:
 
 def _decode_blame(document: dict) -> BlameSnapshot:
     authors = [RawAuthor(name, email) for name, email in document["authors"]]
-    files: dict[str, dict[RawAuthor, int]] = {}
-    for path, pairs in document["files"].items():
-        owners = files[path] = {}
-        for index, lines in pairs:
-            owners[authors[index]] = owners.get(authors[index], 0) + lines
-    return BlameSnapshot(revision=document["revision"], files=files)
+    return BlameSnapshot(revision=document["revision"], files={
+        path: {authors[index]: lines for index, lines in pairs}
+        for path, pairs in document["files"].items()})

@@ -401,7 +401,6 @@ def _cmd_ingest(parser, args, argv, started) -> int:
     fingerprint = repo_fingerprint(repo, commit)
     save_cache(records, blame,
                CacheManifest(repo_fingerprint=fingerprint,
-                             created_at=started,
                              record_count=len(records)),
                cache)
     stats = {

@@ -8,6 +8,7 @@ are available for tokenization.
 from __future__ import annotations
 
 import ast
+import io
 import os
 import re
 from contextlib import contextmanager
@@ -37,17 +38,17 @@ _BLAME_WORKERS = min(8, os.cpu_count() or 1)
 
 
 def _spawn(repo_path: str, args: Sequence[str], stderr) -> subprocess.Popen:
-    """Start one git command with stdout piped as text.
+    """Start one git command with stdout piped as bytes.
 
     The only place that spawns git: a missing binary (OSError) becomes
-    GitInvocationFailure like any failed command.
+    GitInvocationFailure like any failed command. Callers decode, and
+    split lines at "\n" only: a lone "\r" or a form feed is part of a
+    line in git's output.
     """
     import subprocess
     cmd = ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args]
     try:
-        return subprocess.Popen(
-            cmd, stdout=subprocess.PIPE, stderr=stderr,
-            text=True, encoding="utf-8", errors="replace")
+        return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=stderr)
     except OSError as exc:
         raise GitInvocationFailure(" ".join(cmd), -1, str(exc)) from None
 
@@ -58,8 +59,9 @@ def _git(repo_path: str, *args: str, ok_codes: Sequence[int] = (0,)) -> str:
     proc = _spawn(repo_path, args, subprocess.PIPE)
     stdout, stderr = proc.communicate()
     if proc.returncode not in ok_codes:
-        raise GitInvocationFailure(" ".join(args), proc.returncode, stderr)
-    return stdout
+        raise GitInvocationFailure(" ".join(args), proc.returncode,
+                                   stderr.decode("utf-8", errors="replace"))
+    return stdout.decode("utf-8", errors="replace")
 
 
 def _git_stream(repo_path: str, *args: str) -> Iterator[str]:
@@ -72,11 +74,13 @@ def _git_stream(repo_path: str, *args: str) -> Iterator[str]:
     import tempfile
     with tempfile.TemporaryFile() as stderr:
         proc = _spawn(repo_path, args, stderr)
+        stdout = io.TextIOWrapper(proc.stdout, encoding="utf-8",
+                                  errors="replace", newline="\n")
         try:
-            for line in proc.stdout:
+            for line in stdout:
                 yield line.rstrip("\n")
         finally:
-            proc.stdout.close()
+            stdout.close()
             returncode = proc.wait()
             if returncode != 0:
                 stderr.seek(0)
@@ -281,17 +285,24 @@ def _parse_log(lines: Iterable[str]) -> Iterator[ChangeRecord]:
 
 _TEXT_BLOB_MODES = ("100644", "100755")
 
+# The empty tree's id in the SHA-1 and the SHA-256 object format, keyed
+# by hash length; git knows it without the object being stored.
+_EMPTY_TREE = {
+    40: "4b825dc642cb6eb9a060e54bf8d69288fbee4904",
+    64: "6ef19b41225c5369f1c104d45d8d85efa9b057b53b14b4b9b939dd74decc5321",
+}
 
-def _list_text_files(repo_path: str, revision: str, scope: str) -> list[str]:
-    """Non-empty regular text files at a revision, within a scope.
+
+def _list_text_files(repo_path: str, commit: str, scope: str) -> list[str]:
+    """Non-empty regular text files at a commit (a full hash), within a
+    scope.
 
     One diff against the empty tree gives each file's mode (raw entries,
     ":<old mode> <new mode> ...", then the path) and its line count
     (numstat entries, "-" for binary files).
     """
-    empty_tree = _git(repo_path, "hash-object", "-t", "tree", os.devnull).strip()
-    args = ["diff", "--raw", "--numstat", "-z", "--no-renames", empty_tree,
-            revision]
+    args = ["diff", "--raw", "--numstat", "-z", "--no-renames",
+            _EMPTY_TREE[len(commit)], commit]
     if scope:
         args += ["--", f":(literal){scope}"]  # a prefix, as in `in_scope`
     modes: dict[str, str] = {}
@@ -319,7 +330,7 @@ def _blame_file(repo_path: str, revision: str, path: str,
     name = ""
     email = ""
     for line in _git(repo_path, "blame", "--line-porcelain", revision,
-                     "--", path).splitlines():
+                     "--", path).split("\n"):
         if line.startswith("\t"):
             counts[name, email] = counts.get((name, email), 0) + 1
             continue

@@ -185,10 +185,11 @@ def resolve_identities(authors: Iterable[RawAuthor],
                        aliases: Mapping[str, str] | None = None) -> IdentityMap:
     """Partition raw authors into developer identities.
 
-    `weights` (change-record counts) picks each group's canonical
-    representative: the heaviest member, ties broken lexicographically
-    by email then name. `aliases` maps raw emails to canonical emails
-    and forces those merges ahead of the fuzzy rules.
+    `weights` (change-record counts for cst and trend, blamed line
+    counts for rig) picks each group's canonical representative: the
+    heaviest member, ties broken lexicographically by email then name.
+    `aliases` maps raw emails to canonical emails and forces those
+    merges ahead of the fuzzy rules.
     """
     author_list = sorted(set(authors))
     if not author_list:

@@ -49,16 +49,20 @@ def make_blame():
     })
 
 
-def manifest_for(records):
+def manifest_for(records, count=None):
     return CacheManifest(repo_fingerprint="/tmp/x@" + "a" * 40,
-                         created_at=datetime(2021, 6, 1, tzinfo=timezone.utc),
-                         record_count=len(records))
+                         record_count=len(records) if count is None else count)
+
+
+def saved(tmp_path, records, blame=None, count=None) -> Path:
+    """The cache.json of one save."""
+    target = tmp_path / "cache"
+    save_cache(records, blame, manifest_for(records, count), target)
+    return target / "cache.json"
 
 
 def roundtrip(tmp_path, records, blame):
-    target = tmp_path / "cache"
-    save_cache(records, blame, manifest_for(records), target)
-    return load_cache(target)
+    return load_cache(saved(tmp_path, records, blame).parent)
 
 
 def test_roundtrip_small(tmp_path):
@@ -67,9 +71,8 @@ def test_roundtrip_small(tmp_path):
     got_records, got_blame, got_manifest = roundtrip(tmp_path, records, blame)
     assert got_records == records
     assert got_blame == blame
-    assert got_manifest.record_count == 12
-    assert got_manifest.schema_version == SCHEMA_VERSION
-    assert got_manifest.repo_fingerprint == "/tmp/x@" + "a" * 40
+    assert got_manifest == manifest_for(records)
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["cache.json"]
 
 
 def test_roundtrip_large_corpus(tmp_path):
@@ -87,33 +90,53 @@ def test_roundtrip_preserves_timestamps_exactly(tmp_path):
         assert after.commit.author_timestamp.tzinfo is not None
 
 
+def with_header(cache_file: Path, header: bytes) -> None:
+    _, body = cache_file.read_bytes().split(b"\n", 1)
+    cache_file.write_bytes(header + b"\n" + body)
+
+
+def test_header_names_schema_and_digest(tmp_path):
+    cache_file = saved(tmp_path, make_records(2))
+    header, body = cache_file.read_bytes().split(b"\n", 1)
+    assert SCHEMA_VERSION == 4
+    assert header == b"busfactor-cache 4 " + \
+        hashlib.sha256(body).hexdigest().encode()
+    assert json.loads(body)["record_count"] == 2
+
+
 def test_schema_mismatch_detected(tmp_path):
-    target = tmp_path / "cache"
-    save_cache(make_records(2), None, manifest_for(make_records(2)), target)
-    manifest_file = target / "manifest"
-    text = manifest_file.read_text(encoding="utf-8")
-    manifest_file.write_text(
-        text.replace(f"schema_version={SCHEMA_VERSION}",
-                     f"schema_version={SCHEMA_VERSION + 1}"),
-        encoding="utf-8")
-    with pytest.raises(SchemaMismatch):
-        load_cache(target)
+    cache_file = saved(tmp_path, make_records(2))
+    digest = cache_file.read_bytes().split(b"\n", 1)[0].split()[2]
+    with_header(cache_file, b"busfactor-cache 5 " + digest)
+    with pytest.raises(SchemaMismatch, match="re-run `busfactor ingest`"):
+        load_cache(cache_file.parent)
+
+
+@pytest.mark.parametrize("header", [
+    b"busfactor-cash 4 " + b"0" * 64,  # wrong magic
+    b"busfactor-cache 4 " + b"0" * 64,  # wrong digest
+    b"busfactor-cache four " + b"0" * 64,
+    b"busfactor-cache 4",
+    b"",
+])
+def test_malformed_header_is_corrupt(tmp_path, header):
+    cache_file = saved(tmp_path, make_records(2))
+    with_header(cache_file, header)
+    with pytest.raises(CorruptCache):
+        load_cache(cache_file.parent)
 
 
 def test_schema_1_cache_asks_for_reingest(tmp_path):
-    # schema 1 stored token bags, schema 2 one frame per record; schema 3
-    # stores one document per data file
-    assert SCHEMA_VERSION == 3
-    target = tmp_path / "cache"
-    save_cache(make_records(2), None, manifest_for(make_records(2)), target)
-    manifest_file = target / "manifest"
-    text = manifest_file.read_text(encoding="utf-8")
-    for old_version in (1, 2):
-        manifest_file.write_text(
-            text.replace("schema_version=3", f"schema_version={old_version}"),
-            encoding="utf-8")
+    # schema 1 stored token bags, schema 2 one frame per record, schema 3
+    # one document per data file; each kept a key=value manifest
+    root = tmp_path / "cache"
+    root.mkdir()
+    (root / "records.bin").write_bytes(b"{}")
+    for version in (1, 2, 3):
+        (root / "manifest").write_text(
+            f"schema_version={version}\nrecord_count=0\n", encoding="utf-8")
         with pytest.raises(SchemaMismatch, match="re-run `busfactor ingest`"):
-            load_cache(target)
+            load_cache(root)
 
 
 def test_blame_only_load_skips_records(tmp_path):
@@ -129,70 +152,61 @@ def test_blame_only_load_skips_records(tmp_path):
 
 def test_blame_only_load_still_checks_records(tmp_path):
     records = make_records(20)
-    target = tmp_path / "cache"
-    save_cache(records, make_blame(), manifest_for(records), target)
-    manifest_file = target / "manifest"
-    manifest_file.write_text(
-        manifest_file.read_text(encoding="utf-8").replace(
-            "record_count=20", "record_count=21"), encoding="utf-8")
+    cache_file = saved(tmp_path, records, make_blame(), count=21)
     with pytest.raises(CorruptCache, match="promises 21 records"):
-        load_cache(target, records=False)
+        load_cache(cache_file.parent, records=False)
 
-    save_cache(records, make_blame(), manifest_for(records), target)
-    data_file = target / "records.bin"
-    blob = bytearray(data_file.read_bytes())
-    blob[len(blob) // 3] ^= 0xFF
-    data_file.write_bytes(bytes(blob))
+    cache_file = saved(tmp_path, records, make_blame())
+    blob = bytearray(cache_file.read_bytes())
+    blob[len(blob) // 3] ^= 0xFF  # inside the records table
+    cache_file.write_bytes(bytes(blob))
     with pytest.raises(CorruptCache, match="checksum"):
-        load_cache(target, records=False)
+        load_cache(cache_file.parent, records=False)
 
 
 def test_truncated_records_detected(tmp_path):
-    records = make_records(20)
-    target = tmp_path / "cache"
-    save_cache(records, None, manifest_for(records), target)
-    data_file = target / "records.bin"
-    blob = data_file.read_bytes()
-    data_file.write_bytes(blob[: len(blob) // 2])
+    cache_file = saved(tmp_path, make_records(20))
+    blob = cache_file.read_bytes()
+    cache_file.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CorruptCache):
-        load_cache(target)
+        load_cache(cache_file.parent)
 
 
 def test_flipped_byte_fails_checksum(tmp_path):
-    records = make_records(20)
-    target = tmp_path / "cache"
-    save_cache(records, None, manifest_for(records), target)
-    data_file = target / "records.bin"
-    blob = bytearray(data_file.read_bytes())
+    cache_file = saved(tmp_path, make_records(20))
+    blob = bytearray(cache_file.read_bytes())
     blob[len(blob) // 3] ^= 0xFF
-    data_file.write_bytes(bytes(blob))
-    with pytest.raises(CorruptCache):
-        load_cache(target)
+    cache_file.write_bytes(bytes(blob))
+    with pytest.raises(CorruptCache, match="checksum"):
+        load_cache(cache_file.parent)
 
 
 def test_corrupt_blame_detected(tmp_path):
-    records = make_records(4)
-    target = tmp_path / "cache"
-    save_cache(records, make_blame(), manifest_for(records), target)
-    blame_file = target / "blame.bin"
-    blob = bytearray(blame_file.read_bytes())
-    blob[-1] ^= 0x01
-    blame_file.write_bytes(bytes(blob))
-    with pytest.raises(CorruptCache):
-        load_cache(target)
+    cache_file = saved(tmp_path, make_records(4), make_blame())
+    blob = bytearray(cache_file.read_bytes())
+    blob[-2] ^= 0x01  # inside the blame table, the document's last part
+    cache_file.write_bytes(bytes(blob))
+    with pytest.raises(CorruptCache, match="checksum"):
+        load_cache(cache_file.parent)
+
+
+def test_malformed_document_is_corrupt(tmp_path):
+    cache_file = saved(tmp_path, make_records(2))
+    document = json.loads(cache_file.read_bytes().split(b"\n", 1)[1])
+    document["blame"] = {"revision": "f" * 40, "authors": [], "files": []}
+    for body in (b"[1, 2]", b"{\"records\": []}", b"not json",
+                 json.dumps(document).encode()):
+        cache_file.write_bytes(b"busfactor-cache 4 "
+                               + hashlib.sha256(body).hexdigest().encode()
+                               + b"\n" + body)
+        with pytest.raises(CorruptCache, match="malformed cache document"):
+            load_cache(cache_file.parent)
 
 
 def test_record_count_mismatch_detected(tmp_path):
-    records = make_records(5)
-    target = tmp_path / "cache"
-    save_cache(records, None, manifest_for(records), target)
-    manifest_file = target / "manifest"
-    text = manifest_file.read_text(encoding="utf-8")
-    manifest_file.write_text(text.replace("record_count=5",
-                                          "record_count=6"),
-                             encoding="utf-8")
-    with pytest.raises(CorruptCache):
-        load_cache(target)
+    cache_file = saved(tmp_path, make_records(5), count=6)
+    with pytest.raises(CorruptCache, match="promises 6 records, found 5"):
+        load_cache(cache_file.parent)
 
 
 def test_missing_cache_raises_io_failure(tmp_path):
@@ -201,12 +215,10 @@ def test_missing_cache_raises_io_failure(tmp_path):
 
 
 def test_missing_data_file_raises(tmp_path):
-    records = make_records(2)
-    target = tmp_path / "cache"
-    save_cache(records, None, manifest_for(records), target)
-    (target / "records.bin").unlink()
-    with pytest.raises((IoFailure, CorruptCache)):
-        load_cache(target)
+    cache_file = saved(tmp_path, make_records(2))
+    cache_file.unlink()
+    with pytest.raises(IoFailure):
+        load_cache(cache_file.parent)
 
 
 def test_save_overwrites_previous_cache(tmp_path):
@@ -234,24 +246,9 @@ def test_unicode_survives_roundtrip(tmp_path):
     assert got == records
 
 
-def test_data_file_from_another_save_is_refused(tmp_path):
-    # an interrupted re-ingest can leave a new records.bin beside the old
-    # manifest; equal record counts must not let the mix load
-    first, second = tmp_path / "first", tmp_path / "second"
-    save_cache(make_records(6, seed=1), make_blame(),
-               manifest_for(make_records(6, seed=1)), first)
-    save_cache(make_records(6, seed=2), make_blame(),
-               manifest_for(make_records(6, seed=2)), second)
-    (first / "records.bin").write_bytes((second / "records.bin").read_bytes())
-    with pytest.raises(CorruptCache, match="checksum"):
-        load_cache(first)
-    with pytest.raises(CorruptCache, match="checksum"):
-        load_cache(first, records=False)
-
-
 def test_interrupted_save_without_blame_keeps_old_save(tmp_path, monkeypatch):
-    # a re-save with no blame must not delete blame.bin while the old
-    # manifest still lists it
+    # a re-save that fails before its file replaces the old one leaves
+    # the old save whole, blame included
     records = make_records(6)
     target = tmp_path / "cache"
     save_cache(records, make_blame(), manifest_for(records), target)
@@ -259,16 +256,17 @@ def test_interrupted_save_without_blame_keeps_old_save(tmp_path, monkeypatch):
     def interrupted(src, dst):
         raise OSError("interrupted")
     monkeypatch.setattr(cache_module.os, "replace", interrupted)
+    other = make_records(3, seed=2)
     with pytest.raises(IoFailure):
-        save_cache(records, None, manifest_for(records), target)
+        save_cache(other, None, manifest_for(other), target)
     monkeypatch.undo()
     got, blame, _ = load_cache(target)
     assert got == records
     assert blame == make_blame()
 
     save_cache(records, None, manifest_for(records), target)
-    assert not (target / "blame.bin").exists()
     assert load_cache(target)[1] is None
+    assert [p.name for p in target.iterdir()] == ["cache.json"]
 
 
 def test_records_of_one_commit_share_its_meta(tmp_path):
@@ -290,9 +288,8 @@ def test_same_inputs_save_identical_bytes(tmp_path):
         for path, owners in reversed(list(blame.files.items()))})
     save_cache(records, blame, manifest_for(records), tmp_path / "one")
     save_cache(records, reordered, manifest_for(records), tmp_path / "two")
-    for name in ("records.bin", "blame.bin"):
-        assert ((tmp_path / "one" / name).read_bytes()
-                == (tmp_path / "two" / name).read_bytes())
+    assert ((tmp_path / "one" / "cache.json").read_bytes()
+            == (tmp_path / "two" / "cache.json").read_bytes())
 
 
 def test_blame_runs_roundtrip_exactly(tmp_path):
@@ -307,29 +304,3 @@ def test_blame_runs_roundtrip_exactly(tmp_path):
     records = make_records(1)
     _, got, _ = roundtrip(tmp_path, records, blame)
     assert got == blame
-
-
-def test_blame_pairs_of_one_author_add(tmp_path):
-    # a schema-3 blame.bin may hold runs in line order, so an author can
-    # come back within a file; loading sums that author's pairs
-    root = tmp_path / "cache"
-    root.mkdir()
-    documents = {
-        "records": {"commits": [], "records": []},
-        "blame": {"revision": "d" * 40,
-                  "authors": [["Dev 0", "dev0@x.test"],
-                              ["Dev 1", "dev1@x.test"]],
-                  "files": {"a.py": [[0, 2], [1, 1], [0, 4], [1, 2]],
-                            "b.py": [[1, 3]]}},
-    }
-    lines = ["schema_version=3", "repo_fingerprint=/tmp/x@" + "a" * 40,
-             "created_at=2021-06-01T00:00:00+00:00", "record_count=0"]
-    for name, document in documents.items():
-        data = json.dumps(document, separators=(",", ":")).encode("utf-8")
-        (root / f"{name}.bin").write_bytes(data)
-        lines.append(f"{name}_sha256={hashlib.sha256(data).hexdigest()}")
-    (root / "manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    a, b = (RawAuthor(f"Dev {i}", f"dev{i}@x.test") for i in range(2))
-    _, blame, _ = load_cache(root)
-    assert blame == BlameSnapshot(revision="d" * 40, files={
-        "a.py": {a: 6, b: 3}, "b.py": {b: 3}})

@@ -163,10 +163,10 @@ def test_rig_from_cache_checks_records(two_dev_repo, tmp_path):
     cache = tmp_path / "cache"
     assert run_cli("ingest", "--repo", str(two_dev_repo.path),
                    "--cache", str(cache)).returncode == 0
-    data_file = cache / "records.bin"
-    blob = bytearray(data_file.read_bytes())
-    blob[len(blob) // 2] ^= 0x01
-    data_file.write_bytes(bytes(blob))
+    cache_file = cache / "cache.json"
+    blob = bytearray(cache_file.read_bytes())
+    blob[blob.index(b'"records":[') + 12] ^= 0x01  # in the first record
+    cache_file.write_bytes(bytes(blob))
     proc = run_cli("rig", "--cache", str(cache), "--exhaustive")
     assert proc.returncode == 1
     assert proc.stderr.startswith("ERROR CorruptCache:")
