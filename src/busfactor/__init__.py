@@ -32,7 +32,7 @@ _EXPORTS = {
     "gitrepo": ("resolve_revision", "repo_fingerprint", "extract_history",
                 "extract_blame", "compile_globs", "path_matches",
                 "filter_snapshot"),
-    "cache": ("CacheManifest", "SCHEMA_VERSION", "save_cache", "load_cache"),
+    "cache": ("SCHEMA_VERSION", "save_cache", "load_cache"),
     "report": ("RunManifest", "render", "FORMATS", "payload_cst",
                "payload_ingest", "payload_rig", "payload_trend",
                "redacted_label"),

@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -47,22 +46,17 @@ _MAGIC = b"busfactor-cache"
 _REINGEST = "re-run `busfactor ingest`"
 
 
-@dataclass(frozen=True)
-class CacheManifest:
-    repo_fingerprint: str
-    record_count: int
-
-
 def save_cache(records: Sequence[ChangeRecord],
                blame: BlameSnapshot | None,
-               manifest: CacheManifest,
+               fingerprint: str,
                cache_path: str | Path) -> None:
-    """Write records, an optional blame snapshot and the manifest as
-    `cache.json` under cache_path, replacing any earlier save whole."""
+    """Write records, an optional blame snapshot, the repository
+    fingerprint and the record count as `cache.json` under cache_path,
+    replacing any earlier save whole."""
     root = Path(cache_path)
     document = {
-        "fingerprint": manifest.repo_fingerprint,
-        "record_count": manifest.record_count,
+        "fingerprint": fingerprint,
+        "record_count": len(records),
         **_encode_records(records),
         "blame": None if blame is None else _encode_blame(blame),
     }
@@ -82,8 +76,9 @@ def save_cache(records: Sequence[ChangeRecord],
 
 
 def load_cache(cache_path: str | Path, *, records: bool = True,
-               ) -> tuple[list[ChangeRecord], BlameSnapshot | None, CacheManifest]:
-    """Read a cache directory back; the inverse of save_cache.
+               ) -> tuple[list[ChangeRecord], BlameSnapshot | None, str]:
+    """Read a cache directory back as (records, blame, fingerprint);
+    the inverse of save_cache.
 
     With `records=False` the records are still checked (digest and
     count) but none is built, and an empty list comes back.
@@ -111,19 +106,18 @@ def load_cache(cache_path: str | Path, *, records: bool = True,
         raise CorruptCache(f"checksum mismatch in {root / _FILE}")
     try:
         document = json.loads(body)
-        manifest = CacheManifest(repo_fingerprint=document["fingerprint"],
-                                 record_count=document["record_count"])
+        fingerprint = document["fingerprint"]
+        promised = document["record_count"]
         found = len(document["records"])
         decoded = _decode_records(document) if records else []
         blame = (None if document["blame"] is None
                  else _decode_blame(document["blame"]))
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise CorruptCache(f"malformed cache document: {exc!r}") from exc
-    if found != manifest.record_count:
-        raise CorruptCache(
-            f"manifest promises {manifest.record_count} records, "
-            f"found {found}")
-    return decoded, blame, manifest
+    if found != promised:
+        raise CorruptCache(f"cache promises {promised} records, "
+                           f"found {found}")
+    return decoded, blame, fingerprint
 
 
 def _encode_records(records: Sequence[ChangeRecord]) -> dict:

@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .cache import CacheManifest, load_cache, save_cache
+from .cache import load_cache, save_cache
 from .cst import (CstConfig, CstMetricKind, TimeWindow, WeightScheme,
                   compare_error, cst_bus_factor)
 from .errors import (BusFactorError, EmptySnapshot, IoFailure, NoTextFiles,
@@ -55,6 +55,8 @@ _FRACTION = _number(float, "must lie in (0, 1]",
                     lambda value: 0.0 < value <= 1.0)
 _PERCENT = _number(int, "must lie in 0..100",
                    lambda value: 0 <= value <= 100)
+_YEAR = _number(int, "must lie in 1..9999",
+                lambda value: 1 <= value <= 9999)
 
 
 # --- config file ---------------------------------------------------------
@@ -134,16 +136,14 @@ def _config_value(action: argparse.Action, raw: str):
 
 # --- parser --------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, name: str,
-                source: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, name: str) -> None:
     sub.add_argument("--config", metavar="FILE",
                      help=f"config file with [{name}] key=value defaults")
-    if source:
-        sub.add_argument("--repo", metavar="PATH",
-                         help="path to a local git clone")
-        sub.add_argument("--cache", metavar="PATH",
-                         help=f"cache directory from `busfactor ingest` "
-                              f"(default: ${_ENV_CACHE})")
+    sub.add_argument("--repo", metavar="PATH",
+                     help="path to a local git clone")
+    sub.add_argument("--cache", metavar="PATH",
+                     help=f"cache directory from `busfactor ingest` "
+                          f"(default: ${_ENV_CACHE})")
 
 
 def _add_identity_flags(sub: argparse.ArgumentParser) -> None:
@@ -266,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     trend = commands.add_parser(
         "trend", help="per-year bus factor series", allow_abbrev=False)
     _add_common(trend, "trend")
-    trend.add_argument("--from-year", type=_COUNT, default=None,
+    trend.add_argument("--from-year", type=_YEAR, default=None,
                        metavar="YYYY", help="first year of the series")
-    trend.add_argument("--to-year", type=_COUNT, default=None,
+    trend.add_argument("--to-year", type=_YEAR, default=None,
                        metavar="YYYY", help="last year of the series")
     trend.add_argument("--cumulative", action="store_true",
                        help="each point covers all history through its year")
@@ -355,8 +355,7 @@ def _cst_inputs(parser, args, time_range: TimeWindow | None = None):
         records = list(extract_history(repo, commit))
         fingerprint = repo_fingerprint(repo, commit)
     else:
-        records, _, manifest = load_cache(cache)
-        fingerprint = manifest.repo_fingerprint
+        records, _, fingerprint = load_cache(cache)
     identity = _identity_for(parser, args,
                              Counter(r.author for r in records))
     return config, records, identity, fingerprint
@@ -399,10 +398,7 @@ def _cmd_ingest(parser, args, argv, started) -> int:
     except NoTextFiles:
         blame = None
     fingerprint = repo_fingerprint(repo, commit)
-    save_cache(records, blame,
-               CacheManifest(repo_fingerprint=fingerprint,
-                             record_count=len(records)),
-               cache)
+    save_cache(records, blame, fingerprint, cache)
     stats = {
         "cache_path": str(cache),
         "records": len(records),
@@ -435,7 +431,7 @@ def _cmd_rig(parser, args, argv, started) -> int:
         blame = extract_blame(repo, args.rev, path_filter=args.dir)
         fingerprint = repo_fingerprint(repo, blame.revision)
     else:
-        _, blame, cache_manifest = load_cache(cache, records=False)
+        _, blame, fingerprint = load_cache(cache, records=False)
         if blame is None:
             raise EmptySnapshot("cache holds no blame data; re-run ingest")
         # ingest snapshots HEAD, so HEAD names the cached commit.
@@ -444,7 +440,6 @@ def _cmd_rig(parser, args, argv, started) -> int:
             raise UnknownRevision(
                 f"cache holds blame for {blame.revision}, not {args.rev}; "
                 "other revisions need --repo")
-        fingerprint = cache_manifest.repo_fingerprint
     blame = filter_snapshot(blame, scope=args.dir,
                             exclude_globs=tuple(args.exclude or ()))
     if not blame.files:

@@ -4,7 +4,7 @@ classified against the 1/N primary and 1/2N secondary thresholds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property
@@ -73,10 +73,10 @@ class TimeWindow:
                           tzinfo=timezone.utc)
         if self.end_year is not None:
             year, month = self.end_year, (self.end_month or 12)
-            if month == 12:
-                hi = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
-            else:
+            if month < 12:
                 hi = datetime(year, month + 1, 1, tzinfo=timezone.utc)
+            elif year != 9999:  # no datetime lies beyond 9999-12
+                hi = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
         return lo, hi
 
     def contains(self, instant: datetime) -> bool:
@@ -129,24 +129,33 @@ class KnowledgeTable:
     """Aggregated developer knowledge for one artifact.
 
     Shares of all developers with positive contribution sum to 1
-    whenever any contribution exists; developer_count is the number of
-    such developers in scope (used as N for the thresholds).
+    whenever any contribution exists.
     """
-    scope: str
     shares: dict[DeveloperId, float]
     file_count: int
-    developer_count: int
 
 
 @dataclass(frozen=True)
 class BusFactorResult:
-    bus_factor: int
+    """Primary and secondary developers under `config`; the counts and
+    thresholds are derived from them and from `knowledge`."""
     primary_devs: tuple[DeveloperId, ...]
     secondary_devs: tuple[DeveloperId, ...]
     config: CstConfig
-    thresholds: ThresholdPair
-    developer_count: int
-    knowledge: KnowledgeTable = field(repr=False, default=None)
+    knowledge: KnowledgeTable
+
+    @property
+    def bus_factor(self) -> int:
+        return len(self.primary_devs) + len(self.secondary_devs)
+
+    @property
+    def developer_count(self) -> int:
+        """N: developers with positive knowledge in scope."""
+        return len(self.knowledge.shares)
+
+    @property
+    def thresholds(self) -> ThresholdPair:
+        return compute_thresholds(self.developer_count)
 
 
 def filter_records(records: Iterable[ChangeRecord],
@@ -248,7 +257,7 @@ def knowledge_per_file(records: Iterable[ChangeRecord],
 
 
 def aggregate_knowledge(per_file: dict[str, dict[DeveloperId, float]],
-                        scope: str = "") -> KnowledgeTable:
+                        ) -> KnowledgeTable:
     """Mean of per-file shares over all files carrying contribution."""
     if not per_file:
         raise EmptyScope("no files with contribution to aggregate")
@@ -258,12 +267,7 @@ def aggregate_knowledge(per_file: dict[str, dict[DeveloperId, float]],
         for dev, share in shares.items():
             totals[dev] = totals.get(dev, 0.0) + share
     aggregated = {dev: total / file_count for dev, total in totals.items()}
-    return KnowledgeTable(
-        scope=scope,
-        shares=aggregated,
-        file_count=file_count,
-        developer_count=len(aggregated),
-    )
+    return KnowledgeTable(shares=aggregated, file_count=file_count)
 
 
 def compute_thresholds(developer_count: int) -> ThresholdPair:
@@ -299,18 +303,11 @@ def cst_bus_factor(records: Iterable[ChangeRecord], identity: IdentityMap,
                                   config.data_metric, config.weight_scheme)
     if not per_file:
         raise ZeroDevelopers("no positive contributions in scope")
-    table = aggregate_knowledge(per_file, scope=config.scope or "")
-    thresholds = compute_thresholds(table.developer_count)
-    primary, secondary = classify_developers(table, thresholds)
-    return BusFactorResult(
-        bus_factor=len(primary) + len(secondary),
-        primary_devs=primary,
-        secondary_devs=secondary,
-        config=config,
-        thresholds=thresholds,
-        developer_count=table.developer_count,
-        knowledge=table,
-    )
+    table = aggregate_knowledge(per_file)
+    primary, secondary = classify_developers(
+        table, compute_thresholds(len(table.shares)))
+    return BusFactorResult(primary_devs=primary, secondary_devs=secondary,
+                           config=config, knowledge=table)
 
 
 def compare_error(bus_factor: int, reference: int) -> int:

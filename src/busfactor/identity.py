@@ -165,17 +165,22 @@ class _UnionFind:
 
 
 def parse_alias_file(path: str) -> dict[str, str]:
-    """Read `raw_email -> canonical_email` lines; '#' starts a comment."""
+    """Read `raw_email -> canonical_email` lines; '#' starts a comment.
+
+    Both sides must be non-empty: an empty raw email would merge every
+    author without an email into one developer.
+    """
     aliases: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for raw_line in fh:
             line = raw_line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "->" not in line:
+            raw, arrow, canonical = line.partition("->")
+            raw, canonical = normalize_email(raw), normalize_email(canonical)
+            if not (arrow and raw and canonical):
                 raise ValueError(f"malformed alias line: {raw_line.rstrip()}")
-            raw, canonical = (part.strip() for part in line.split("->", 1))
-            aliases[normalize_email(raw)] = normalize_email(canonical)
+            aliases[raw] = canonical
     return aliases
 
 
@@ -200,52 +205,34 @@ def resolve_identities(authors: Iterable[RawAuthor],
 
     uf = _UnionFind(author_list)
 
-    # Forced alias merges: everything mapping to one canonical email
-    # lands in one group, whether or not that email itself appears.
-    if aliases:
-        target_groups: dict[str, list[RawAuthor]] = {}
-        for author in author_list:
-            email = normalize_email(author.email)
-            target = aliases.get(email, email)
-            if target:
-                target_groups.setdefault(target, []).append(author)
-        for group in target_groups.values():
-            for other in group[1:]:
-                uf.union(group[0], other)
-
-    by_email: dict[str, list[RawAuthor]] = {}
-    by_local: dict[str, list[RawAuthor]] = {}
-    by_name: dict[str, list[RawAuthor]] = {}
+    # Union each author with the first author seen under each key it
+    # has: its email after aliasing (an alias target joins everything
+    # mapped to it, whether or not that email itself appears), its
+    # email's local part, and its normalized name.
+    aliases = aliases or {}
+    if not all(raw and canonical for raw, canonical in aliases.items()):
+        raise ValueError("alias emails must be non-empty")
+    first: dict[tuple[str, str], RawAuthor] = {}
     for author in author_list:
         email = normalize_email(author.email)
-        if email:
-            by_email.setdefault(email, []).append(author)
-            local = _local_part(email)
-            if len(local) >= _MIN_LOCAL_PART:
-                by_local.setdefault(local, []).append(author)
-        name = normalize_name(author.name)
-        if name:
-            by_name.setdefault(name, []).append(author)
-
-    for group in by_email.values():
-        for other in group[1:]:
-            uf.union(group[0], other)
-    for group in by_local.values():
-        for other in group[1:]:
-            uf.union(group[0], other)
+        local = _local_part(email)
+        keys = [("email", aliases.get(email, email)),
+                ("local", local if len(local) >= _MIN_LOCAL_PART else ""),
+                ("name", normalize_name(author.name))]
+        for kind, value in keys:
+            if value:
+                uf.union(first.setdefault((kind, value), author), author)
 
     # Fuzzy name matching over distinct normalized names. Pairs whose
     # _NameShape bound rules out a merge are never scored.
-    shapes = [_NameShape(name) for name in sorted(by_name)]
+    names = sorted(value for kind, value in first if kind == "name")
+    shapes = [_NameShape(name) for name in names]
     for i, a in enumerate(shapes):
         for b in shapes[i + 1:]:
             if a.cannot_merge(b, similarity_threshold):
                 continue
             if token_set_ratio(a.name, b.name) >= similarity_threshold:
-                uf.union(by_name[a.name][0], by_name[b.name][0])
-    for group in by_name.values():
-        for other in group[1:]:
-            uf.union(group[0], other)
+                uf.union(first["name", a.name], first["name", b.name])
 
     entries: dict[RawAuthor, DeveloperId] = {}
     for members in uf.groups().values():

@@ -85,15 +85,16 @@ def payload_cst(result: BusFactorResult, manifest: RunManifest,
     table = result.knowledge
     ranked = sorted(table.shares.items(),
                     key=lambda kv: (-kv[1], kv[0].sort_key()))
+    thresholds = result.thresholds
     return {
         "kind": "cst",
         "bus_factor": result.bus_factor,
         "developer_count": result.developer_count,
         "file_count": table.file_count,
-        "scope": table.scope or ".",
+        "scope": result.config.scope or ".",
         "thresholds": {
-            "primary": _share(result.thresholds.primary_ratio),
-            "secondary": _share(result.thresholds.secondary_ratio),
+            "primary": _share(thresholds.primary_ratio),
+            "secondary": _share(thresholds.secondary_ratio),
         },
         "config": _config_payload(result.config),
         "primary_developers": [_dev_entry(d, s, redact)
@@ -150,7 +151,7 @@ def payload_rig(results: Sequence[RigResult], config: RigConfig,
 def payload_trend(series: TrendSeries, manifest: RunManifest) -> dict:
     return {
         "kind": "trend",
-        "scope": series.scope or ".",
+        "scope": series.config.scope or ".",
         "config": _config_payload(series.config),
         "points": [{
             "year": p.year,
@@ -212,15 +213,13 @@ def _render_csv(payload: dict) -> str:
     kind = payload["kind"]
     head = "\n".join(_csv_preamble(payload)) + "\n"
     if kind == "cst":
-        primary = {e["email"] or e["name"]
-                   for e in payload["primary_developers"]}
-        secondary = {e["email"] or e["name"]
-                     for e in payload["secondary_developers"]}
+        # Both developer lists are prefixes of the ranked table.
+        primary = len(payload["primary_developers"])
+        secondary = primary + len(payload["secondary_developers"])
         rows = []
         for rank, entry in enumerate(payload["knowledge_table"], start=1):
-            key = entry["email"] or entry["name"]
-            role = ("primary" if key in primary
-                    else "secondary" if key in secondary else "other")
+            role = ("primary" if rank <= primary
+                    else "secondary" if rank <= secondary else "other")
             rows.append([rank, role, entry["name"], entry["email"],
                          f"{entry['knowledge']:.6f}"])
         head += f"# bus_factor: {payload['bus_factor']}\n"

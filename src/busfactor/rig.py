@@ -41,16 +41,16 @@ class RigConfig:
 
 @dataclass(frozen=True)
 class RigResult:
-    """Outcome of one run; bus_factor and bf_set are both None when no
-    subset up to max_group_size abandoned enough files."""
-    bus_factor: int | None
+    """Outcome of one run; bf_set is None when no subset up to
+    max_group_size abandoned enough files."""
     bf_set: frozenset[DeveloperId] | None
     samples_evaluated: int
     abandoned_fraction_at_return: float
 
-    def __post_init__(self):
-        if (self.bus_factor is None) != (self.bf_set is None):
-            raise ValueError("bus_factor and bf_set must be None together")
+    @property
+    def bus_factor(self) -> int | None:
+        """Size of the departing group, None when none was found."""
+        return None if self.bf_set is None else len(self.bf_set)
 
 
 def _lines_needed(total: int, line_threshold: float) -> int:
@@ -169,13 +169,11 @@ def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
             fraction = index.fraction(indexes)
             if fraction >= config.file_abandon_fraction:
                 return RigResult(
-                    bus_factor=g,
                     bf_set=frozenset(index.population[i] for i in indexes),
                     samples_evaluated=evaluated,
                     abandoned_fraction_at_return=fraction,
                 )
-    return RigResult(bus_factor=None, bf_set=None,
-                     samples_evaluated=evaluated,
+    return RigResult(bf_set=None, samples_evaluated=evaluated,
                      abandoned_fraction_at_return=0.0)
 
 

@@ -12,31 +12,32 @@ from .records import ChangeRecord
 
 @dataclass(frozen=True)
 class TrendPoint:
-    """One year's bus factor, active developer count and BF share.
+    """One year's bus factor and active developer count.
 
     Years without any in-scope activity are emitted as inactive
-    zero points so a series never has gaps.
+    (0, 0) points so a series never has gaps.
     """
     year: int
     bus_factor: int
     total_developers: int
-    bf_percentage: float
-    active: bool = True
 
     def __post_init__(self):
         if self.bus_factor > self.total_developers:
             raise ValueError("bus factor cannot exceed developer count")
-        expected = (100.0 * self.bus_factor / self.total_developers
-                    if self.total_developers else 0.0)
-        if abs(self.bf_percentage - expected) > 1e-9:
-            raise ValueError(
-                f"bf_percentage {self.bf_percentage} inconsistent "
-                f"with {self.bus_factor}/{self.total_developers}")
+
+    @property
+    def bf_percentage(self) -> float:
+        if not self.total_developers:
+            return 0.0
+        return 100.0 * self.bus_factor / self.total_developers
+
+    @property
+    def active(self) -> bool:
+        return self.total_developers > 0
 
 
 @dataclass(frozen=True)
 class TrendSeries:
-    scope: str
     config: CstConfig
     points: tuple[TrendPoint, ...]
 
@@ -62,17 +63,9 @@ def yearly_trend(records: Iterable[ChangeRecord], identity: IdentityMap,
         try:
             result = cst_bus_factor(pool, identity, config)
         except (EmptyScope, ZeroDevelopers):
-            points.append(TrendPoint(year, 0, 0, 0.0, active=False))
+            points.append(TrendPoint(year, 0, 0))
             continue
-        total = result.developer_count
-        points.append(TrendPoint(
-            year=year,
-            bus_factor=result.bus_factor,
-            total_developers=total,
-            bf_percentage=100.0 * result.bus_factor / total,
-        ))
-    return TrendSeries(
-        scope=base_config.scope or "",
-        config=replace(base_config, time_range=None),
-        points=tuple(points),
-    )
+        points.append(TrendPoint(year, result.bus_factor,
+                                 result.developer_count))
+    return TrendSeries(config=replace(base_config, time_range=None),
+                       points=tuple(points))

@@ -22,9 +22,14 @@ from fractions import Fraction
 # --- raw git parsing -------------------------------------------------------
 
 def git_lines(repo, *args) -> list[str]:
+    """Git's stdout split at "\n" only: a lone "\r", a form feed or
+    U+2028 inside a line stays in that line."""
     proc = subprocess.run(["git", "-C", str(repo), *args],
-                          capture_output=True, text=True, check=True)
-    return proc.stdout.splitlines()
+                          capture_output=True, check=True)
+    lines = proc.stdout.decode("utf-8", errors="replace").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def numstat_totals(repo, include_merges=False) -> dict[str, tuple[int, int]]:

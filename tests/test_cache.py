@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from busfactor import (BlameSnapshot, CacheManifest, ChangeRecord, CommitMeta,
-                       RawAuthor, load_cache, save_cache)
+from busfactor import (BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor,
+                       load_cache, save_cache)
 from busfactor import cache as cache_module
 from busfactor.cache import SCHEMA_VERSION
 from busfactor.errors import CorruptCache, IoFailure, SchemaMismatch
@@ -49,16 +49,27 @@ def make_blame():
     })
 
 
-def manifest_for(records, count=None):
-    return CacheManifest(repo_fingerprint="/tmp/x@" + "a" * 40,
-                         record_count=len(records) if count is None else count)
+FINGERPRINT = "/tmp/x@" + "a" * 40
 
 
-def saved(tmp_path, records, blame=None, count=None) -> Path:
+def saved(tmp_path, records, blame=None) -> Path:
     """The cache.json of one save."""
     target = tmp_path / "cache"
-    save_cache(records, blame, manifest_for(records, count), target)
+    save_cache(records, blame, FINGERPRINT, target)
     return target / "cache.json"
+
+
+def with_body(cache_file: Path, body: bytes) -> None:
+    """Replace the document, under a header whose digest matches it."""
+    cache_file.write_bytes(b"busfactor-cache 4 "
+                           + hashlib.sha256(body).hexdigest().encode()
+                           + b"\n" + body)
+
+
+def with_record_count(cache_file: Path, count: int) -> None:
+    document = json.loads(cache_file.read_bytes().split(b"\n", 1)[1])
+    document["record_count"] = count
+    with_body(cache_file, json.dumps(document).encode())
 
 
 def roundtrip(tmp_path, records, blame):
@@ -68,10 +79,11 @@ def roundtrip(tmp_path, records, blame):
 def test_roundtrip_small(tmp_path):
     records = make_records(12)
     blame = make_blame()
-    got_records, got_blame, got_manifest = roundtrip(tmp_path, records, blame)
+    got_records, got_blame, got_fingerprint = roundtrip(tmp_path, records,
+                                                        blame)
     assert got_records == records
     assert got_blame == blame
-    assert got_manifest == manifest_for(records)
+    assert got_fingerprint == FINGERPRINT
     assert [p.name for p in (tmp_path / "cache").iterdir()] == ["cache.json"]
 
 
@@ -142,17 +154,17 @@ def test_schema_1_cache_asks_for_reingest(tmp_path):
 def test_blame_only_load_skips_records(tmp_path):
     records = make_records(5)
     target = tmp_path / "cache"
-    manifest = manifest_for(records)
-    save_cache(records, make_blame(), manifest, target)
-    loaded, blame, loaded_manifest = load_cache(target, records=False)
+    save_cache(records, make_blame(), FINGERPRINT, target)
+    loaded, blame, fingerprint = load_cache(target, records=False)
     assert loaded == []
     assert blame == make_blame()
-    assert loaded_manifest == manifest
+    assert fingerprint == FINGERPRINT
 
 
 def test_blame_only_load_still_checks_records(tmp_path):
     records = make_records(20)
-    cache_file = saved(tmp_path, records, make_blame(), count=21)
+    cache_file = saved(tmp_path, records, make_blame())
+    with_record_count(cache_file, 21)
     with pytest.raises(CorruptCache, match="promises 21 records"):
         load_cache(cache_file.parent, records=False)
 
@@ -196,15 +208,14 @@ def test_malformed_document_is_corrupt(tmp_path):
     document["blame"] = {"revision": "f" * 40, "authors": [], "files": []}
     for body in (b"[1, 2]", b"{\"records\": []}", b"not json",
                  json.dumps(document).encode()):
-        cache_file.write_bytes(b"busfactor-cache 4 "
-                               + hashlib.sha256(body).hexdigest().encode()
-                               + b"\n" + body)
+        with_body(cache_file, body)
         with pytest.raises(CorruptCache, match="malformed cache document"):
             load_cache(cache_file.parent)
 
 
 def test_record_count_mismatch_detected(tmp_path):
-    cache_file = saved(tmp_path, make_records(5), count=6)
+    cache_file = saved(tmp_path, make_records(5))
+    with_record_count(cache_file, 6)
     with pytest.raises(CorruptCache, match="promises 6 records, found 5"):
         load_cache(cache_file.parent)
 
@@ -224,13 +235,13 @@ def test_missing_data_file_raises(tmp_path):
 def test_save_overwrites_previous_cache(tmp_path):
     target = tmp_path / "cache"
     first = make_records(8, seed=1)
-    save_cache(first, make_blame(), manifest_for(first), target)
+    save_cache(first, make_blame(), FINGERPRINT, target)
     second = make_records(3, seed=2)
-    save_cache(second, None, manifest_for(second), target)
-    got_records, got_blame, got_manifest = load_cache(target)
+    save_cache(second, None, "/tmp/x@" + "b" * 40, target)
+    got_records, got_blame, got_fingerprint = load_cache(target)
     assert got_records == second
     assert got_blame is None
-    assert got_manifest.record_count == 3
+    assert got_fingerprint == "/tmp/x@" + "b" * 40
 
 
 def test_unicode_survives_roundtrip(tmp_path):
@@ -251,20 +262,20 @@ def test_interrupted_save_without_blame_keeps_old_save(tmp_path, monkeypatch):
     # the old save whole, blame included
     records = make_records(6)
     target = tmp_path / "cache"
-    save_cache(records, make_blame(), manifest_for(records), target)
+    save_cache(records, make_blame(), FINGERPRINT, target)
 
     def interrupted(src, dst):
         raise OSError("interrupted")
     monkeypatch.setattr(cache_module.os, "replace", interrupted)
     other = make_records(3, seed=2)
     with pytest.raises(IoFailure):
-        save_cache(other, None, manifest_for(other), target)
+        save_cache(other, None, FINGERPRINT, target)
     monkeypatch.undo()
     got, blame, _ = load_cache(target)
     assert got == records
     assert blame == make_blame()
 
-    save_cache(records, None, manifest_for(records), target)
+    save_cache(records, None, FINGERPRINT, target)
     assert load_cache(target)[1] is None
     assert [p.name for p in target.iterdir()] == ["cache.json"]
 
@@ -286,8 +297,8 @@ def test_same_inputs_save_identical_bytes(tmp_path):
     reordered = BlameSnapshot(revision=blame.revision, files={
         path: dict(reversed(list(owners.items())))
         for path, owners in reversed(list(blame.files.items()))})
-    save_cache(records, blame, manifest_for(records), tmp_path / "one")
-    save_cache(records, reordered, manifest_for(records), tmp_path / "two")
+    save_cache(records, blame, FINGERPRINT, tmp_path / "one")
+    save_cache(records, reordered, FINGERPRINT, tmp_path / "two")
     assert ((tmp_path / "one" / "cache.json").read_bytes()
             == (tmp_path / "two" / "cache.json").read_bytes())
 

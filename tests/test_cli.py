@@ -245,6 +245,33 @@ def test_trend_has_no_window_flags(two_dev_repo):
     assert "unrecognized arguments: --from 1990" in proc.stderr
 
 
+def test_trend_at_the_last_datetime_year(two_dev_repo):
+    proc = run_cli("trend", "--repo", str(two_dev_repo.path),
+                   "--from-year", "9999", "--to-year", "9999")
+    assert proc.returncode == 0, proc.stderr
+    assert "9999: (no activity)" in proc.stdout
+
+
+@pytest.mark.parametrize("years", [("10000", "10000"), ("9999", "10000"),
+                                   ("0", "2021")])
+def test_trend_years_outside_datetime_are_usage_errors(two_dev_repo, years):
+    proc = run_cli("trend", "--repo", str(two_dev_repo.path),
+                   "--from-year", years[0], "--to-year", years[1])
+    assert proc.returncode == 2
+    assert "must lie in 1..9999" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cst_window_may_end_in_9999(two_dev_repo):
+    proc = run_cli("cst", "--repo", str(two_dev_repo.path),
+                   "--metric", "commits", "--cst-metric", "mul-equal",
+                   "--to", "9999", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["config"]["time_range"] == "*..9999"
+    assert doc["bus_factor"] == 2
+
+
 def test_compare_prints_bare_difference():
     proc = run_cli("compare", "--bf", "12", "--reference", "17")
     assert proc.returncode == 0
@@ -274,6 +301,16 @@ def test_alias_file_merges_identities(repo_factory, tmp_path):
     doc = json.loads(merged.stdout)
     assert doc["developer_count"] == 1
     assert doc["bus_factor"] == 1
+
+
+def test_alias_line_with_empty_side_is_usage_error(two_dev_repo, tmp_path):
+    aliases = tmp_path / "aliases.txt"
+    aliases.write_text(" -> x@y\n", encoding="utf-8")
+    proc = run_cli("cst", "--repo", str(two_dev_repo.path), "--metric",
+                   "commits", "--cst-metric", "mul-equal", "--alias-file",
+                   str(aliases))
+    assert proc.returncode == 2
+    assert "malformed alias line" in proc.stderr
 
 
 def test_config_file_supplies_defaults(two_dev_repo, tmp_path):

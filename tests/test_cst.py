@@ -165,11 +165,11 @@ def test_aggregate_means_over_files():
     table = aggregate_knowledge({
         "f1": {DEV_A: 0.75, DEV_B: 0.25},
         "f2": {DEV_A: 0.5, DEV_B: 0.5},
-    }, scope="")
+    })
     assert table.shares[DEV_A] == pytest.approx(0.625)
     assert table.shares[DEV_B] == pytest.approx(0.375)
     assert table.file_count == 2
-    assert table.developer_count == 2
+    assert len(table.shares) == 2
 
 
 def test_aggregate_single_file_is_identity():
@@ -201,17 +201,15 @@ def test_thresholds_reject_zero_developers():
 
 
 def test_classification_example_three_devs():
-    table = KnowledgeTable(scope="", shares={DEV_A: 0.70, DEV_B: 0.25,
-                                             DEV_C: 0.05},
-                           file_count=1, developer_count=3)
+    table = KnowledgeTable(shares={DEV_A: 0.70, DEV_B: 0.25, DEV_C: 0.05},
+                           file_count=1)
     primary, secondary = classify_developers(table, compute_thresholds(3))
     assert [d.canonical_name for d in primary] == ["Ada Core"]
     assert [d.canonical_name for d in secondary] == ["Bert Low"]
 
 
 def test_boundary_equality_counts_as_primary():
-    table = KnowledgeTable(scope="", shares={DEV_A: 0.5, DEV_B: 0.5},
-                           file_count=1, developer_count=2)
+    table = KnowledgeTable(shares={DEV_A: 0.5, DEV_B: 0.5}, file_count=1)
     primary, secondary = classify_developers(table, compute_thresholds(2))
     assert len(primary) == 2 and not secondary
 

@@ -143,6 +143,23 @@ def test_alias_file_rejects_garbage(tmp_path):
         parse_alias_file(bad)
 
 
+@pytest.mark.parametrize("line", [" -> x@y", "a@x -> ", "->"])
+def test_alias_file_rejects_empty_side(tmp_path, line):
+    # an empty raw side would merge every author without an email
+    bad = tmp_path / "bad"
+    bad.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed alias line"):
+        parse_alias_file(bad)
+
+
+def test_empty_alias_email_rejected():
+    ann, zed = RawAuthor("Ann Lee", ""), RawAuthor("Zed Quo", "")
+    assert len(resolve(ann, zed)) == 2
+    for aliases in ({"": "x@y"}, {"a@x": ""}):
+        with pytest.raises(ValueError, match="non-empty"):
+            resolve(ann, zed, aliases=aliases)
+
+
 def test_no_author_in_two_identities():
     authors = [
         RawAuthor("Ada Core", "ada@one.com"),

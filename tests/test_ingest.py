@@ -312,6 +312,9 @@ def test_blame_splits_lines_at_newline_only(repo_factory):
     snap = extract_blame(repo.path)
     assert {name: sum(owners.values()) for name, owners in snap.files.items()} \
         == {name: text.count("\n") for name, text in texts.items()}
+    for name in texts:
+        assert ({(a.name, a.email): n for a, n in snap.files[name].items()}
+                == Counter(raw_blame(repo.path, "HEAD", name)))
 
 
 def test_blame_in_sha256_repository(tmp_path):
@@ -334,7 +337,7 @@ def test_line_counts_match_worktree(two_dev_repo):
     snap = extract_blame(two_dev_repo.path)
     for path, owners in snap.files.items():
         text = (two_dev_repo.path / path).read_text(encoding="utf-8")
-        assert sum(owners.values()) == len(text.splitlines())
+        assert sum(owners.values()) == text.count("\n")
 
 
 # --- globs and filtering ------------------------------------------------
@@ -493,10 +496,10 @@ def test_ingest_reads_one_commit_while_head_moves(repo_factory, tmp_path,
     cache = tmp_path / "cache"
     assert main(["ingest", "--repo", str(repo.path),
                  "--cache", str(cache)]) == 0
-    records, blame, manifest = load_cache(cache)
+    records, blame, fingerprint = load_cache(cache)
     assert {r.commit.hash for r in records} == {first}
     assert blame.revision == first
-    assert manifest.repo_fingerprint.endswith("@" + first)
+    assert fingerprint.endswith("@" + first)
 
 
 def test_ingest_twice_writes_identical_data_files(repo_factory, tmp_path):

@@ -9,12 +9,13 @@ from datetime import datetime, timezone
 
 import pytest
 
-from busfactor import (BusFactorResult, CstConfig, CstMetricKind, DataMetric,
-                       DeveloperId, MetricKind, RawAuthor, RigConfig,
-                       RigResult, RunManifest, TrendPoint, TrendSeries,
-                       payload_cst, payload_rig, payload_trend,
-                       redacted_label, render)
-from busfactor.cst import KnowledgeTable, ThresholdPair
+from busfactor import (BusFactorResult, ChangeRecord, CommitMeta, CstConfig,
+                       CstMetricKind, DataMetric, DeveloperId, MetricKind,
+                       RawAuthor, RigConfig, RigResult, RunManifest,
+                       TrendPoint, TrendSeries, cst_bus_factor, payload_cst,
+                       payload_rig, payload_trend, redacted_label, render,
+                       resolve_identities)
+from busfactor.cst import KnowledgeTable
 from busfactor.errors import UnsupportedFormat
 
 A = RawAuthor("Ada Core", "ada@fixture.test")
@@ -34,28 +35,23 @@ MANIFEST = RunManifest(
 def cst_result():
     config = CstConfig(cst_metric=CstMetricKind.MUL_CHANGES_EQUAL,
                        data_metric=DataMetric(MetricKind.COMMITS))
-    table = KnowledgeTable(scope="", shares={DEV_A: 0.75, DEV_B: 0.25},
-                           file_count=1, developer_count=2)
-    return BusFactorResult(bus_factor=2, primary_devs=(DEV_A,),
-                           secondary_devs=(DEV_B,),
-                           thresholds=ThresholdPair(0.5, 0.25),
-                           developer_count=2, config=config,
-                           knowledge=table)
+    table = KnowledgeTable(shares={DEV_A: 0.75, DEV_B: 0.25}, file_count=1)
+    return BusFactorResult(primary_devs=(DEV_A,), secondary_devs=(DEV_B,),
+                           config=config, knowledge=table)
 
 
 def rig_results():
-    return [RigResult(bus_factor=1, bf_set=frozenset({DEV_A}),
-                      samples_evaluated=3,
+    return [RigResult(bf_set=frozenset({DEV_A}), samples_evaluated=3,
                       abandoned_fraction_at_return=0.5)]
 
 
 def trend_series():
     config = CstConfig(cst_metric=CstMetricKind.MUL_CHANGES_EQUAL,
                        data_metric=DataMetric(MetricKind.COMMITS))
-    return TrendSeries(scope="", config=config, points=(
-        TrendPoint(2021, 1, 1, 100.0),
-        TrendPoint(2022, 2, 2, 100.0),
-        TrendPoint(2023, 0, 0, 0.0, active=False),
+    return TrendSeries(config=config, points=(
+        TrendPoint(2021, 1, 1),
+        TrendPoint(2022, 2, 2),
+        TrendPoint(2023, 0, 0),
     ))
 
 
@@ -93,17 +89,34 @@ def test_cst_json_shape():
 
 
 def test_devs_ordered_by_share_then_email():
-    table = KnowledgeTable(scope="",
-                           shares={DEV_B: 0.5, DEV_A: 0.5},
-                           file_count=1, developer_count=2)
-    result = BusFactorResult(bus_factor=2, primary_devs=(DEV_A, DEV_B),
-                             secondary_devs=(),
-                             thresholds=ThresholdPair(0.5, 0.25),
-                             developer_count=2,
+    table = KnowledgeTable(shares={DEV_B: 0.5, DEV_A: 0.5}, file_count=1)
+    result = BusFactorResult(primary_devs=(DEV_A, DEV_B), secondary_devs=(),
                              config=cst_result().config, knowledge=table)
     doc = json.loads(render(payload_cst(result, MANIFEST), "json"))
     emails = [d["email"] for d in doc["knowledge_table"]]
     assert emails == ["ada@fixture.test", "bert@fixture.test"]
+
+
+def test_csv_roles_follow_rank_not_name_or_email():
+    # "bob <>" and "Someone <bob>" are two developers whose CSV key,
+    # email or else name, is the same "bob"; only the first is primary
+    bob, carl, someone = (RawAuthor("bob", ""), RawAuthor("Carl", "carl@x"),
+                          RawAuthor("Someone", "bob"))
+    authors = [bob] * 90 + [carl] * 7 + [someone] * 3
+    records = [ChangeRecord(CommitMeta(f"{i:040x}", author,
+                                       datetime(2021, 1, 1,
+                                                tzinfo=timezone.utc),
+                                       sequence=i),
+                            "f.txt", 1, 0, 1.0)
+               for i, author in enumerate(authors)]
+    result = cst_bus_factor(records, resolve_identities(set(authors)),
+                            cst_result().config)
+    blob = render(payload_cst(result, MANIFEST), "csv").decode("utf-8")
+    rows = csv.DictReader(l for l in blob.splitlines()
+                          if not l.startswith("#"))
+    assert [(row["name"], row["email"], row["role"]) for row in rows] == [
+        ("bob", "", "primary"), ("Carl", "carl@x", "other"),
+        ("Someone", "bob", "other")]
 
 
 def test_trend_csv_header_and_rows():
@@ -167,7 +180,7 @@ def test_rig_payload_headline_and_runs():
 
 
 def test_rig_null_run_renders():
-    results = [RigResult(bus_factor=None, bf_set=None, samples_evaluated=9,
+    results = [RigResult(bf_set=None, samples_evaluated=9,
                          abandoned_fraction_at_return=0.0)]
     payload = payload_rig(results, RigConfig(), MANIFEST, revision="d" * 40,
                           file_count=1, developer_count=4)
@@ -192,12 +205,8 @@ def test_unknown_kind_rejected_in_tabular_formats():
 
 
 def test_share_rounding_is_six_places():
-    table = KnowledgeTable(scope="", shares={DEV_A: 2 / 3, DEV_B: 1 / 3},
-                           file_count=1, developer_count=2)
-    result = BusFactorResult(bus_factor=1, primary_devs=(DEV_A,),
-                             secondary_devs=(),
-                             thresholds=ThresholdPair(0.5, 0.25),
-                             developer_count=2,
+    table = KnowledgeTable(shares={DEV_A: 2 / 3, DEV_B: 1 / 3}, file_count=1)
+    result = BusFactorResult(primary_devs=(DEV_A,), secondary_devs=(),
                              config=cst_result().config, knowledge=table)
     doc = json.loads(render(payload_cst(result, MANIFEST), "json"))
     assert doc["knowledge_table"][0]["knowledge"] == 0.666667

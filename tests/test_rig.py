@@ -302,15 +302,19 @@ def test_repeat_exhaustive_searches_once(monkeypatch):
     assert runs == [search(snap, idmap, config(exhaustive=True))] * 4
 
 
-def test_summarize_runs():
-    def fake(bf):
-        bf_set = frozenset({canonical(idmap, A)}) if bf else None
-        return RigResult(bus_factor=bf, bf_set=bf_set,
-                         samples_evaluated=1,
-                         abandoned_fraction_at_return=0.6 if bf else 0.0)
+def fake_result(idmap, bf):
+    """A result whose departing group is the first bf developers."""
+    bf_set = None if bf is None else frozenset(idmap.developers()[:bf])
+    return RigResult(bf_set=bf_set, samples_evaluated=1,
+                     abandoned_fraction_at_return=0.0 if bf is None else 0.6)
 
-    snap = snapshot({"a": [A]})
-    idmap = identity_for(snap)
+
+def test_summarize_runs():
+    idmap = identity_for(snapshot({"a": [A, B, C, D]}))
+
+    def fake(bf):
+        return fake_result(idmap, bf)
+
     summary = summarize_runs([fake(2), fake(3), fake(2), fake(4)])
     assert summary == {"min": 2, "max": 4, "mode": 2}
     assert summarize_runs([fake(None)]) == {"min": None, "max": None,
@@ -318,14 +322,8 @@ def test_summarize_runs():
 
 
 def test_summary_mode_tie_takes_smallest():
-    def fake(bf):
-        return RigResult(bus_factor=bf,
-                         bf_set=frozenset({canonical(idmap, A)}),
-                         samples_evaluated=1, abandoned_fraction_at_return=1.0)
-
-    snap = snapshot({"a": [A]})
-    idmap = identity_for(snap)
-    summary = summarize_runs([fake(3), fake(2), fake(3), fake(2)])
+    idmap = identity_for(snapshot({"a": [A, B, C]}))
+    summary = summarize_runs([fake_result(idmap, bf) for bf in (3, 2, 3, 2)])
     assert summary["mode"] == 2
 
 
@@ -341,12 +339,6 @@ def test_summary_mode_tie_takes_smallest():
 def test_rig_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         config(**kwargs)
-
-
-def test_rig_result_rejects_half_null():
-    with pytest.raises(ValueError):
-        RigResult(bus_factor=2, bf_set=None, samples_evaluated=1,
-                  abandoned_fraction_at_return=0.5)
 
 
 def test_rig_rejects_empty_snapshot():

@@ -111,7 +111,7 @@ def test_scope_restriction_applies_per_year():
                record(B, 2021, 3, 1, path="docs/b.md")]
     series = yearly_trend(records, identity_for(records),
                           config(scope="src"), 2021, 2021)
-    assert series.scope == "src"
+    assert series.config.scope == "src"
     assert series.points[0].total_developers == 1
 
 
@@ -128,11 +128,7 @@ def test_series_config_has_no_residual_window():
 
 def test_point_validation():
     with pytest.raises(ValueError):
-        TrendPoint(year=2021, bus_factor=3, total_developers=2,
-                   bf_percentage=150.0)
-    with pytest.raises(ValueError):
-        TrendPoint(year=2021, bus_factor=1, total_developers=2,
-                   bf_percentage=99.0)
-    point = TrendPoint(year=2021, bus_factor=1, total_developers=3,
-                       bf_percentage=100 / 3)
+        TrendPoint(year=2021, bus_factor=3, total_developers=2)
+    point = TrendPoint(year=2021, bus_factor=1, total_developers=3)
     assert point.active
+    assert point.bf_percentage == 100.0 * 1 / 3
