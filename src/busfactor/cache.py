@@ -135,12 +135,14 @@ def _encode_records(records: Sequence[ChangeRecord]) -> dict:
 
 def _decode_records(document: dict) -> list[ChangeRecord]:
     commits = [
-        CommitMeta(hash=hash_, author=RawAuthor(name, email),
-                   author_timestamp=datetime.fromtimestamp(epoch,
-                                                           tz=timezone.utc),
-                   is_merge=bool(merge), sequence=sequence)
+        CommitMeta(hash_, RawAuthor(name, email),
+                   datetime.fromtimestamp(epoch, tz=timezone.utc),
+                   bool(merge), sequence)
         for hash_, name, email, epoch, merge, sequence in document["commits"]]
-    return [ChangeRecord(commits[index], path, added, deleted, cos)
+    # ChangeRecord has no checks to run, and each row holds its five
+    # fields in order, so records skip the checked constructor.
+    make = ChangeRecord._make
+    return [make((commits[index], path, added, deleted, cos))
             for index, path, added, deleted, cos in document["records"]]
 
 

@@ -4,17 +4,16 @@ classified against the 1/N primary and 1/2N secondary thresholds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import EmptyScope, ZeroDevelopers
 from .gitrepo import compile_globs, in_scope, normalize_scope, path_matches
 from .identity import DeveloperId, IdentityMap
 from .metrics import DataMetric, MetricKind, contribution
-from .records import ChangeRecord
+from .records import ChangeRecord, Value
 
 
 class CstMetricKind(Enum):
@@ -34,25 +33,40 @@ _RUN_METRICS = (CstMetricKind.NON_CONSECUTIVE,
                 CstMetricKind.WEIGHTED_NON_CONSECUTIVE)
 
 
-@dataclass(frozen=True)
-class TimeWindow:
+class TimeWindow(Value):
     """An inclusive year or year-month range, on UTC author dates.
 
-    Either bound may be None (unbounded). Months are 1-12; a bound
-    with month=None spans the whole year.
+    Either bound may be None (unbounded). Years are 1-9999 and months
+    1-12; a bound with month=None spans the whole year.
     """
     start_year: int | None = None
     start_month: int | None = None
     end_year: int | None = None
     end_month: int | None = None
 
-    def __post_init__(self):
+    def _checked(self):
+        for year in (self.start_year, self.end_year):
+            if year is not None and not 1 <= year <= 9999:
+                raise ValueError(f"year out of range: {year}")
         for month in (self.start_month, self.end_month):
             if month is not None and not 1 <= month <= 12:
                 raise ValueError(f"month out of range: {month}")
-        lo, hi = self._bounds
+        lo = hi = None
+        if self.start_year is not None:
+            lo = datetime(self.start_year, self.start_month or 1, 1,
+                          tzinfo=timezone.utc)
+        if self.end_year is not None:
+            year, month = self.end_year, (self.end_month or 12)
+            if month < 12:
+                hi = datetime(year, month + 1, 1, tzinfo=timezone.utc)
+            elif year != 9999:  # no datetime lies beyond 9999-12
+                hi = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
         if lo and hi and lo >= hi:
             raise ValueError("time range start is after its end")
+        # Not a field: the bounds follow from the fields, so equality,
+        # hashing and repr leave them out.
+        object.__setattr__(self, "_bounds", (lo, hi))
+        return self
 
     @classmethod
     def parse(cls, start: str | None, end: str | None) -> "TimeWindow":
@@ -64,20 +78,6 @@ class TimeWindow:
     @classmethod
     def year(cls, year: int) -> "TimeWindow":
         return cls(start_year=year, end_year=year)
-
-    @cached_property
-    def _bounds(self) -> tuple[datetime | None, datetime | None]:
-        lo = hi = None
-        if self.start_year is not None:
-            lo = datetime(self.start_year, self.start_month or 1, 1,
-                          tzinfo=timezone.utc)
-        if self.end_year is not None:
-            year, month = self.end_year, (self.end_month or 12)
-            if month < 12:
-                hi = datetime(year, month + 1, 1, tzinfo=timezone.utc)
-            elif year != 9999:  # no datetime lies beyond 9999-12
-                hi = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
-        return lo, hi
 
     def contains(self, instant: datetime) -> bool:
         lo, hi = self._bounds
@@ -95,19 +95,20 @@ class TimeWindow:
         return f"{fmt(self.start_year, self.start_month)}..{fmt(self.end_year, self.end_month)}"
 
 
+_PERIOD_RE = re.compile(r"([0-9]+)(?:-([0-9]+))?")
+
+
 def _parse_period(text: str | None) -> tuple[int | None, int | None]:
     if text is None or text == "":
         return None, None
-    parts = str(text).split("-")
-    if len(parts) == 1:
-        return int(parts[0]), None
-    if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
-    raise ValueError(f"expected YYYY or YYYY-MM, got {text!r}")
+    match = _PERIOD_RE.fullmatch(str(text))
+    if match is None:
+        raise ValueError(f"expected YYYY or YYYY-MM, got {text!r}")
+    year, month = match.groups()
+    return int(year), None if month is None else int(month)
 
 
-@dataclass(frozen=True)
-class CstConfig:
+class CstConfig(Value):
     """Everything that parameterizes one CST bus factor computation."""
     cst_metric: CstMetricKind = CstMetricKind.MUL_CHANGES_EQUAL
     data_metric: DataMetric = DataMetric(MetricKind.COMMITS)
@@ -117,15 +118,13 @@ class CstConfig:
     weight_scheme: WeightScheme = WeightScheme.LINEAR
 
 
-@dataclass(frozen=True)
-class ThresholdPair:
+class ThresholdPair(Value):
     """Primary/secondary knowledge cutoffs: 1/N and half of it."""
     primary_ratio: float
     secondary_ratio: float
 
 
-@dataclass(frozen=True)
-class KnowledgeTable:
+class KnowledgeTable(Value):
     """Aggregated developer knowledge for one artifact.
 
     Shares of all developers with positive contribution sum to 1
@@ -135,8 +134,7 @@ class KnowledgeTable:
     file_count: int
 
 
-@dataclass(frozen=True)
-class BusFactorResult:
+class BusFactorResult(Value):
     """Primary and secondary developers under `config`; the counts and
     thresholds are derived from them and from `knowledge`."""
     primary_devs: tuple[DeveloperId, ...]

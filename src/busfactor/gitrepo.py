@@ -7,7 +7,6 @@ are available for tokenization.
 """
 from __future__ import annotations
 
-import ast
 import io
 import os
 import re
@@ -147,13 +146,9 @@ def repo_fingerprint(repo_path: str, commit: str) -> str:
 
 def _parse_header(line: str, sequence: int) -> CommitMeta:
     hash_, name, email, epoch, parents = line[1:].split(_FIELD_SEP)
-    return CommitMeta(
-        hash=hash_,
-        author=RawAuthor(name=name, email=email),
-        author_timestamp=datetime.fromtimestamp(int(epoch), tz=timezone.utc),
-        is_merge=len(parents.split()) > 1,
-        sequence=sequence,
-    )
+    return CommitMeta(hash_, RawAuthor(name, email),
+                      datetime.fromtimestamp(int(epoch), tz=timezone.utc),
+                      len(parents.split()) > 1, sequence)
 
 
 class _FileDiff:
@@ -179,14 +174,10 @@ class _FileDiff:
             return None
         if not self.added and not self.deleted:
             return None  # mode-only or empty-file change
-        return ChangeRecord(
-            commit=commit,
-            path=self.path,
-            lines_added=len(self.added),
-            lines_deleted=len(self.deleted),
-            cos_distance=token_distance(tokenize(self.added),
-                                        tokenize(self.deleted)),
-        )
+        return ChangeRecord(commit, self.path, len(self.added),
+                            len(self.deleted),
+                            token_distance(tokenize(self.added),
+                                           tokenize(self.deleted)))
 
 
 def _strip_diff_path(header_line: str, prefix: str) -> str | None:
@@ -196,6 +187,7 @@ def _strip_diff_path(header_line: str, prefix: str) -> str | None:
     # ASCII characters, each in an escape that Python string literals share.
     value = header_line[4:].rstrip("\t")
     if value.startswith('"'):
+        import ast
         value = ast.literal_eval(value)
     if value == "/dev/null":
         return None

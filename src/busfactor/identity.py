@@ -11,19 +11,17 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import EmptyAuthorSet, UnknownAuthor
-from .records import RawAuthor
+from .records import RawAuthor, Value
 
 _MIN_LOCAL_PART = 3  # local-part rule needs at least this many chars
 _NAME_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 DEFAULT_SIMILARITY = 90
 
 
-@dataclass(frozen=True)
-class DeveloperId:
+class DeveloperId(Value):
     """One person: a canonical pair plus every raw spelling observed."""
     canonical_name: str
     canonical_email: str

@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, TYPE_CHECKING
+from typing import Iterable, Mapping
 
-if TYPE_CHECKING:
-    from .records import ChangeRecord
+from .records import ChangeRecord, Value
 
 # Alphanumeric runs; underscores and all punctuation are separators.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -22,8 +20,7 @@ class MetricKind(Enum):
     CHANGE_SIZE_COS = "cos"
 
 
-@dataclass(frozen=True)
-class DataMetric:
+class DataMetric(Value):
     """A contribution metric choice.
 
     cos_scale_by_locc applies only to CHANGE_SIZE_COS and multiplies
@@ -42,7 +39,7 @@ def tokenize(lines: Iterable[str]) -> dict[str, int]:
     return counts
 
 
-def locc(record: "ChangeRecord") -> int:
+def locc(record: ChangeRecord) -> int:
     """Lines of code changed: added plus deleted line counts."""
     return record.lines_added + record.lines_deleted
 
@@ -65,7 +62,7 @@ def token_distance(added: Mapping[str, int], deleted: Mapping[str, int]) -> floa
     return min(1.0, max(0.0, 1.0 - similarity))
 
 
-def contribution(record: "ChangeRecord", metric: DataMetric) -> float:
+def contribution(record: ChangeRecord, metric: DataMetric) -> float:
     """The scalar contribution of one change record under a metric."""
     if metric.kind is MetricKind.COMMITS:
         return 1.0

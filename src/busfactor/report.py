@@ -11,13 +11,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Sequence
 
 from .cst import BusFactorResult, CstConfig
 from .errors import UnsupportedFormat
 from .identity import DeveloperId
+from .records import Value
 from .trend import TrendSeries
 
 if TYPE_CHECKING:
@@ -26,8 +26,7 @@ if TYPE_CHECKING:
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Value):
     tool_version: str
     command_line: str
     repo_fingerprint: str

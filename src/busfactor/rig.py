@@ -12,15 +12,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import EmptySnapshot
 from .identity import DeveloperId, IdentityMap
-from .records import BlameSnapshot
+from .records import BlameSnapshot, Value
 
-@dataclass(frozen=True)
-class RigConfig:
+class RigConfig(Value):
     max_group_size: int = 200
     samples_per_size: int = 1000
     seed: int = 0
@@ -28,7 +26,7 @@ class RigConfig:
     file_abandon_fraction: float = 0.50
     exhaustive: bool = False
 
-    def __post_init__(self):
+    def _checked(self):
         if self.max_group_size < 1:
             raise ValueError("max_group_size must be >= 1")
         if self.samples_per_size < 1:
@@ -37,10 +35,10 @@ class RigConfig:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
+        return self
 
 
-@dataclass(frozen=True)
-class RigResult:
+class RigResult(Value):
     """Outcome of one run; bf_set is None when no subset up to
     max_group_size abandoned enough files."""
     bf_set: frozenset[DeveloperId] | None
@@ -188,7 +186,7 @@ def rig_repeat(blame: BlameSnapshot, identity: IdentityMap,
         raise ValueError("runs must be >= 1")
     if config.exhaustive:
         return [rig_bus_factor(blame, identity, config)] * runs
-    return [rig_bus_factor(blame, identity, replace(config, seed=config.seed + i))
+    return [rig_bus_factor(blame, identity, config.replace(seed=config.seed + i))
             for i in range(runs)]
 
 

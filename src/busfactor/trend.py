@@ -1,17 +1,15 @@
 """Year-over-year bus factor series for a project or directory."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .cst import CstConfig, TimeWindow, cst_bus_factor
 from .errors import EmptyScope, EmptySpan, ZeroDevelopers
 from .identity import IdentityMap
-from .records import ChangeRecord
+from .records import ChangeRecord, Value
 
 
-@dataclass(frozen=True)
-class TrendPoint:
+class TrendPoint(Value):
     """One year's bus factor and active developer count.
 
     Years without any in-scope activity are emitted as inactive
@@ -21,9 +19,10 @@ class TrendPoint:
     bus_factor: int
     total_developers: int
 
-    def __post_init__(self):
+    def _checked(self):
         if self.bus_factor > self.total_developers:
             raise ValueError("bus factor cannot exceed developer count")
+        return self
 
     @property
     def bf_percentage(self) -> float:
@@ -36,8 +35,7 @@ class TrendPoint:
         return self.total_developers > 0
 
 
-@dataclass(frozen=True)
-class TrendSeries:
+class TrendSeries(Value):
     config: CstConfig
     points: tuple[TrendPoint, ...]
 
@@ -59,7 +57,7 @@ def yearly_trend(records: Iterable[ChangeRecord], identity: IdentityMap,
     for year in range(first_year, last_year + 1):
         window = (TimeWindow(None, None, year, None) if cumulative
                   else TimeWindow.year(year))
-        config = replace(base_config, time_range=window)
+        config = base_config.replace(time_range=window)
         try:
             result = cst_bus_factor(pool, identity, config)
         except (EmptyScope, ZeroDevelopers):
@@ -67,5 +65,5 @@ def yearly_trend(records: Iterable[ChangeRecord], identity: IdentityMap,
             continue
         points.append(TrendPoint(year, result.bus_factor,
                                  result.developer_count))
-    return TrendSeries(config=replace(base_config, time_range=None),
+    return TrendSeries(config=base_config.replace(time_range=None),
                        points=tuple(points))

@@ -1,7 +1,6 @@
 """Cache round trips and corruption handling."""
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -282,7 +281,7 @@ def test_interrupted_save_without_blame_keeps_old_save(tmp_path, monkeypatch):
 
 def test_records_of_one_commit_share_its_meta(tmp_path):
     records = make_records(6)
-    spread = [dataclasses.replace(r, commit=records[i // 3].commit)
+    spread = [r.replace(commit=records[i // 3].commit)
               for i, r in enumerate(records)]
     got, _, _ = roundtrip(tmp_path, spread, None)
     assert got == spread

@@ -389,6 +389,22 @@ def test_time_window_flags(two_dev_repo):
     assert doc["bus_factor"] == 2
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--to", "0", "year out of range: 0"),
+    ("--to", "0-12", "year out of range: 0"),
+    ("--to", "10000", "year out of range: 10000"),
+    ("--from", "-1", "expected YYYY or YYYY-MM, got '-1'"),
+])
+def test_window_years_outside_1_to_9999_are_usage_errors(two_dev_repo, flag,
+                                                          value, message):
+    proc = run_cli("cst", "--repo", str(two_dev_repo.path),
+                   "--metric", "commits", "--cst-metric", "mul-equal",
+                   flag, value)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.rstrip().endswith(f"--from/--to: {message}")
+    assert "Traceback" not in proc.stderr
+
+
 def test_window_with_no_activity_errors(two_dev_repo):
     proc = run_cli("cst", "--repo", str(two_dev_repo.path),
                    "--metric", "commits", "--cst-metric", "mul-equal",

@@ -21,6 +21,10 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = {"subprocess", "concurrent.futures", "logging", "configparser",
             "difflib", "csv", "tempfile", "busfactor.rig"}
 
+# Modules no command needs: `dataclasses` and what it pulls in to
+# generate code. The package's values derive from records.Value instead.
+NEVER = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
 
 def _modules_after(statement: str) -> set[str]:
     env = dict(os.environ, PYTHONPATH=str(_SRC))
@@ -44,6 +48,13 @@ def test_import_cli_loads_no_deferred_module(bare):
     loaded = _modules_after("import busfactor.cli") - bare
     assert "busfactor.cli" in loaded
     assert not loaded & DEFERRED
+
+
+@pytest.mark.parametrize("module", ["busfactor.cli", "busfactor.rig"])
+def test_import_loads_no_code_generation_module(bare, module):
+    loaded = _modules_after(f"import {module}") - bare
+    assert module in loaded
+    assert not loaded & NEVER
 
 
 def test_every_export_resolves():

@@ -1,7 +1,6 @@
 """Removal-based bus factor: abandonment, sampling, exhaustive search."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from collections import Counter
