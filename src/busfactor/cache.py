@@ -15,7 +15,7 @@ cos distance], ...], "blame": null or {"revision": ...,
 lines], ...]}}}.
 - Each commit is stored once however many files it changed, and
   loading builds one CommitMeta per commit, shared by its records as
-  extract_history shares them.
+  extract_history shares them, and one RawAuthor per distinct author.
 - Blame has one author table for the whole snapshot and per file one
   pair per owner, sorted by author, so equal snapshots give equal bytes.
 
@@ -134,8 +134,11 @@ def _encode_records(records: Sequence[ChangeRecord]) -> dict:
 
 
 def _decode_records(document: dict) -> list[ChangeRecord]:
+    # One RawAuthor per distinct author, shared by all their commits.
+    authors = {(name, email): RawAuthor(name, email) for name, email in
+               {(row[1], row[2]) for row in document["commits"]}}
     commits = [
-        CommitMeta(hash_, RawAuthor(name, email),
+        CommitMeta(hash_, authors[name, email],
                    datetime.fromtimestamp(epoch, tz=timezone.utc),
                    bool(merge), sequence)
         for hash_, name, email, epoch, merge, sequence in document["commits"]]

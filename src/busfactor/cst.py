@@ -37,7 +37,8 @@ class TimeWindow(Value):
     """An inclusive year or year-month range, on UTC author dates.
 
     Either bound may be None (unbounded). Years are 1-9999 and months
-    1-12; a bound with month=None spans the whole year.
+    1-12; a bound with month=None spans the whole year, and a month
+    needs its year.
     """
     start_year: int | None = None
     start_month: int | None = None
@@ -48,8 +49,13 @@ class TimeWindow(Value):
         for year in (self.start_year, self.end_year):
             if year is not None and not 1 <= year <= 9999:
                 raise ValueError(f"year out of range: {year}")
-        for month in (self.start_month, self.end_month):
-            if month is not None and not 1 <= month <= 12:
+        for side, year, month in (("start", self.start_year, self.start_month),
+                                  ("end", self.end_year, self.end_month)):
+            if month is None:
+                continue
+            if year is None:
+                raise ValueError(f"{side} month {month} has no {side} year")
+            if not 1 <= month <= 12:
                 raise ValueError(f"month out of range: {month}")
         lo = hi = None
         if self.start_year is not None:

@@ -6,13 +6,21 @@ at which some drawn subset's departure abandons at least half of the
 files (a file counts as abandoned once 90% of its lines belonged to
 departed developers). An exhaustive mode enumerates every subset and
 therefore yields the exact minimum g.
+
+Ownership is indexed once per run. Each developer becomes one integer
+holding their line count of every file in a bit field of its own, so
+testing a g-subset costs g big-integer additions and one bit count.
+Before any test, a bound on the files any g-subset can abandon rules
+out the group sizes too small to win; their subsets are counted, not
+tested.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptySnapshot
 from .identity import DeveloperId, IdentityMap
@@ -51,28 +59,55 @@ class RigResult(Value):
         return None if self.bf_set is None else len(self.bf_set)
 
 
-def _lines_needed(total: int, line_threshold: float) -> int:
-    """Fewest departed lines n for which n / total >= line_threshold.
+def _lines_needed(total: int, threshold: float) -> int:
+    """Fewest n of total (lines of a file, or files) for which
+    n / total >= threshold.
 
     The float quotient is monotone in n, so `gone >= need` is exactly
-    the test `gone / total >= line_threshold`; with the threshold in
-    (0, 1], need lies in [1, total].
+    the test `gone / total >= threshold`; with the threshold in (0, 1],
+    need lies in [1, total].
     """
-    need = int(line_threshold * total)
-    while need / total < line_threshold:
+    need = int(threshold * total)
+    while need / total < threshold:
         need += 1
-    while (need - 1) / total >= line_threshold:
+    while (need - 1) / total >= threshold:
         need -= 1
     return need
+
+
+def _pack(fields: list[tuple[int, int]]) -> int:
+    """Sum of value << shift over (shift, value) pairs in rising shift
+    order.
+
+    Adding each term to one total costs the total's size per term.
+    Merging adjacent pairs level by level touches each bit once per
+    level instead, so long lists are merged down to a few terms first.
+    """
+    while len(fields) > 8:
+        merged = [(s, v + (w << (t - s)))
+                  for (s, v), (t, w) in zip(fields[::2], fields[1::2])]
+        if len(fields) % 2:
+            merged.append(fields[-1])
+        fields = merged
+    total = 0
+    for shift, value in fields:
+        total += value << shift
+    return total
 
 
 class _Departures:
     """A snapshot indexed for departure tests.
 
-    `population` lists the developers owning lines, in sort_key order;
-    `owned[i]` holds (file, line count) for each file developer i owns
-    lines of, and `need[file]` the lines whose departure abandons it.
-    A departure then walks only the files its own developers touch.
+    `population` lists the developers owning lines, in sort_key order,
+    and `need[f]` the lines of file f (in path order) whose departure
+    abandons it. Each file gets a bit field of width
+    w_f = total_f.bit_length() plus one guard bit above it; `packed[i]`
+    holds developer i's line count of each file in that file's field.
+    `bias` holds 2**w_f - need[f] in each field and `top` every guard
+    bit. A group's lines of f sum to at most total_f < 2**w_f, and need
+    lies in [1, total_f], so in bias + the group's packed values a field
+    reaches its guard bit exactly when the group holds need[f] lines of
+    f, and never carries into the next field.
     """
 
     def __init__(self, blame: BlameSnapshot, identity: IdentityMap,
@@ -82,33 +117,70 @@ class _Departures:
                              f"got {line_threshold}")
         if not blame.files:
             raise EmptySnapshot("blame snapshot lists no files")
-        owned: dict[DeveloperId, list[tuple[int, int]]] = {}
+        canonical = identity.canonical
+        fields: dict[DeveloperId, list[tuple[int, int]]] = {}
+        bias: list[tuple[int, int]] = []
+        top: list[tuple[int, int]] = []
         self.need: list[int] = []
-        for file, path in enumerate(sorted(blame.files)):
+        shift = 0
+        # g -> owners of each file whose g largest owners first hold
+        # its need
+        self._killable_from: dict[int, list[list[DeveloperId]]] = {}
+        for path in sorted(blame.files):
             owners = blame.files[path]
             if not owners:
                 raise EmptySnapshot(f"blame snapshot lists {path!r} "
                                     "with no lines")
-            counts: Counter[DeveloperId] = Counter()
+            counts: dict[DeveloperId, int] = {}
             for author, n in owners.items():
-                counts[identity.canonical(author)] += n
+                dev = canonical(author)
+                counts[dev] = counts.get(dev, 0) + n
             for dev, n in counts.items():
-                owned.setdefault(dev, []).append((file, n))
-            self.need.append(_lines_needed(sum(owners.values()),
-                                           line_threshold))
-        self.population = sorted(owned, key=DeveloperId.sort_key)
-        self.owned = [owned[dev] for dev in self.population]
+                fields.setdefault(dev, []).append((shift, n))
+            total = sum(owners.values())
+            need = _lines_needed(total, line_threshold)
+            width = total.bit_length()
+            self.need.append(need)
+            bias.append((shift, (1 << width) - need))
+            top.append((shift, 1 << width))
+            shift += width + 1
+            level = 1
+            for held in itertools.accumulate(sorted(counts.values(),
+                                                    reverse=True)):
+                if held >= need:
+                    break
+                level += 1
+            self._killable_from.setdefault(level, []).append(list(counts))
+        self.population = sorted(fields, key=DeveloperId.sort_key)
+        self.packed = [_pack(fields[dev]) for dev in self.population]
+        self.bias = _pack(bias)
+        self.top = _pack(top)
 
-    def fraction(self, departed: Iterable[int]) -> float:
-        """Share of files abandoned when the developers at these
-        distinct population positions leave."""
-        gone: dict[int, int] = {}
-        for i in departed:
-            for file, n in self.owned[i]:
-                gone[file] = gone.get(file, 0) + n
-        need = self.need
-        abandoned = sum(1 for file, n in gone.items() if n >= need[file])
-        return abandoned / len(need)
+    def abandoned(self, departed: Iterable[int]) -> int:
+        """Files abandoned when the developers at these distinct
+        population positions leave."""
+        packed = self.packed
+        return (sum(map(packed.__getitem__, departed), self.bias)
+                & self.top).bit_count()
+
+    def level_bounds(self) -> Iterator[int]:
+        """For g = 1, 2, ...: an upper bound on the files that the
+        departure of any g developers abandons.
+
+        g developers abandon only files killable at g, whose g largest
+        owners hold their need, and only those they own lines of. So
+        they abandon at most the lesser of the number of killable files
+        and the sum of the g largest per-developer counts of killable
+        files.
+        """
+        killable = 0
+        per_developer: Counter[DeveloperId] = Counter()
+        for g in itertools.count(1):
+            for owners in self._killable_from.get(g, ()):
+                killable += 1
+                per_developer.update(owners)
+            yield min(killable, sum(sorted(per_developer.values(),
+                                           reverse=True)[:g]))
 
 
 def abandoned_file_fraction(blame: BlameSnapshot, identity: IdentityMap,
@@ -119,8 +191,9 @@ def abandoned_file_fraction(blame: BlameSnapshot, identity: IdentityMap,
     lie in (0, 1], as in RigConfig."""
     index = _Departures(blame, identity, line_abandon_fraction)
     position = {dev: i for i, dev in enumerate(index.population)}
-    return index.fraction({position[dev] for dev in departed
-                           if dev in position})
+    abandoned = index.abandoned({position[dev] for dev in departed
+                                 if dev in position})
+    return abandoned / len(index.need)
 
 
 def _randbelow(rng: random.Random, n: int) -> int:
@@ -149,14 +222,36 @@ def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
     Sampled mode draws samples_per_size subsets per group size;
     exhaustive mode checks every subset in lexicographic order and is
     exact. Group size is capped at the developer population.
+
+    The subsets of a group size that the level bound rules out count as
+    evaluated without being tested. Sampled mode still draws them when
+    a later size is tested, so that size draws the subsets it would
+    have drawn without the bound.
     """
     index = _Departures(blame, identity, config.line_abandon_fraction)
     population = len(index.population)
     cap = min(config.max_group_size, population)
+    files = len(index.need)
+    # abandoned / files >= file_abandon_fraction exactly when
+    # abandoned >= wins_at
+    wins_at = _lines_needed(files, config.file_abandon_fraction)
+    # no group smaller than first can win
+    bounds = zip(range(1, cap + 1), index.level_bounds())
+    first = next((g for g, most in bounds if most >= wins_at), cap + 1)
 
     rng = random.Random(config.seed)
     evaluated = 0
     for g in range(1, cap + 1):
+        if g < first:
+            if config.exhaustive:
+                evaluated += math.comb(population, g)
+                continue
+            if first <= cap:  # a later size draws from where these end
+                for _ in range(config.samples_per_size):
+                    for i in range(g):
+                        _randbelow(rng, population - i)
+            evaluated += config.samples_per_size
+            continue
         if config.exhaustive:
             candidates = itertools.combinations(range(population), g)
         else:
@@ -164,12 +259,12 @@ def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
                           for _ in range(config.samples_per_size))
         for indexes in candidates:
             evaluated += 1
-            fraction = index.fraction(indexes)
-            if fraction >= config.file_abandon_fraction:
+            abandoned = index.abandoned(indexes)
+            if abandoned >= wins_at:
                 return RigResult(
                     bf_set=frozenset(index.population[i] for i in indexes),
                     samples_evaluated=evaluated,
-                    abandoned_fraction_at_return=fraction,
+                    abandoned_fraction_at_return=abandoned / files,
                 )
     return RigResult(bf_set=None, samples_evaluated=evaluated,
                      abandoned_fraction_at_return=0.0)

@@ -235,15 +235,30 @@ def rig_min_g(blame, dev_of, line_fraction=Fraction(9, 10),
     return None, []
 
 
-def abandoned_fraction(per_file, gone, line_fraction) -> float:
-    """Share of files whose departed lines reach line_fraction, in the
-    engine's float arithmetic; per_file holds (line total, Counter)."""
+def abandoned_files(per_file, gone, line_fraction) -> int:
+    """Files whose departed lines reach line_fraction, in the engine's
+    float arithmetic; per_file holds (line total, Counter)."""
     abandoned = 0
     for total, counts in per_file:
         lost = sum(n for dev, n in counts.items() if dev in gone)
         if lost / total >= line_fraction:
             abandoned += 1
-    return abandoned / len(per_file)
+    return abandoned
+
+
+def abandoned_fraction(per_file, gone, line_fraction) -> float:
+    """Share of files whose departed lines reach line_fraction."""
+    return abandoned_files(per_file, gone, line_fraction) / len(per_file)
+
+
+def most_abandoned(per_file, g, line_fraction) -> int:
+    """Most files that any g of the owning developers abandon, by
+    enumerating every g-subset."""
+    devs = set()
+    for _, counts in per_file:
+        devs.update(counts)
+    return max(abandoned_files(per_file, set(combo), line_fraction)
+               for combo in itertools.combinations(devs, g))
 
 
 def rig_reference(blame, dev_of, config):

@@ -290,6 +290,17 @@ def test_records_of_one_commit_share_its_meta(tmp_path):
     assert got[2].commit is not got[3].commit
 
 
+def test_records_of_one_author_share_their_author(tmp_path):
+    records = make_records(60)
+    got, _, _ = roundtrip(tmp_path, records, None)
+    assert got == records
+    shared = {}
+    for r in got:
+        assert shared.setdefault(r.commit.author, r.commit.author) is (
+            r.commit.author)
+    assert len(shared) == 5
+
+
 def test_same_inputs_save_identical_bytes(tmp_path):
     records = make_records(50)
     blame = make_blame()

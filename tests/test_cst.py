@@ -286,6 +286,18 @@ def test_time_window_rejects_inverted_range():
         TimeWindow(start_year=2021, start_month=13)
 
 
+@pytest.mark.parametrize("kwargs, side", [
+    (dict(start_month=5), "start"),
+    (dict(end_month=2), "end"),
+    (dict(start_month=5, end_month=2), "start"),
+    (dict(start_year=2020, end_month=2), "end"),
+    (dict(start_month=5, end_year=2021, end_month=2), "start"),
+])
+def test_time_window_month_needs_its_year(kwargs, side):
+    with pytest.raises(ValueError, match=f"^{side} month .* no {side} year$"):
+        TimeWindow(**kwargs)
+
+
 def test_scope_and_exclude_filters():
     records = [record(A, path="src/a.py"),
                record(A, path="src/gen/x.py", seq=1),

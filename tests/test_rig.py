@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -492,3 +493,65 @@ def test_fraction_matches_reference(snap, line, gone):
     per_file = oracles.per_file_counts(snap, idmap.canonical)
     assert abandoned_file_fraction(snap, idmap, departed, line) == (
         oracles.abandoned_fraction(per_file, departed, line))
+
+
+# --- the level bound ----------------------------------------------------------
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(snap=_SNAPSHOTS, line=_FRACTIONS)
+def test_level_bound_never_below_true_most(snap, line):
+    idmap = one_per_author(snap)
+    index = rig_module._Departures(snap, idmap, line)
+    per_file = oracles.per_file_counts(snap, idmap.canonical)
+    sizes = range(1, len(index.population) + 1)
+    for g, bound in zip(sizes, index.level_bounds()):
+        assert bound >= oracles.most_abandoned(per_file, g, line)
+
+
+def sixty_developers():
+    """400 files, each with 4 random owners of 5-50 lines out of 60
+    developers: no group of 5 or fewer can abandon half of them."""
+    rng = random.Random(1)
+    people = [RawAuthor(f"Dev {i:02d}", f"dev{i:02d}@fixture.test")
+              for i in range(60)]
+    return BlameSnapshot(revision="e" * 40, files={
+        f"src/f{i:03d}.py": {a: rng.randint(5, 50)
+                             for a in rng.sample(people, 4)}
+        for i in range(400)})
+
+
+def test_sizes_the_bound_rules_out_count_without_a_test():
+    snap = sixty_developers()
+    idmap = one_per_author(snap)
+    index = rig_module._Departures(snap, idmap, 0.9)
+    assert max(itertools.islice(index.level_bounds(), 5)) < 200
+    result = rig_bus_factor(snap, idmap,
+                            RigConfig(exhaustive=True, max_group_size=5))
+    assert result == RigResult(
+        bf_set=None,
+        samples_evaluated=sum(math.comb(60, g) for g in range(1, 6)),
+        abandoned_fraction_at_return=0.0)
+
+
+def triples():
+    """Files owned in equal thirds, so a file is abandoned only when all
+    three of its owners leave: groups of 1 or 2 abandon nothing."""
+    p = PEOPLE[:8]
+    return snapshot({"f1": [p[0], p[1], p[2]] * 10,
+                     "f2": [p[0], p[1], p[2]] * 10,
+                     "f3": [p[3], p[4], p[5]] * 10,
+                     "f4": [p[5], p[6], p[7]] * 10})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sampling_after_skipped_sizes_draws_as_before(seed):
+    snap = triples()
+    idmap = one_per_author(snap)
+    index = rig_module._Departures(snap, idmap, 0.9)
+    assert list(itertools.islice(index.level_bounds(), 3)) == [0, 0, 4]
+    cfg = RigConfig(max_group_size=8, samples_per_size=6, seed=seed)
+    result = rig_bus_factor(snap, idmap, cfg)
+    assert result.bus_factor >= 3
+    assert (result.bus_factor, result.bf_set, result.samples_evaluated,
+            result.abandoned_fraction_at_return) == oracles.rig_reference(
+                snap, idmap.canonical, cfg)

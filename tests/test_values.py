@@ -196,6 +196,7 @@ def test_replace_changes_one_field():
     (RawAuthor("Ada", ""), {"name": ""}),
     (TimeWindow(2020, None, 2021, None), {"end_year": 2019}),
     (TimeWindow(2020, None, 2021, None), {"start_month": 13}),
+    (TimeWindow(2020, 5, 2021, None), {"start_year": None}),
 ])
 def test_replace_runs_the_checks_again(value, changes):
     with pytest.raises(ValueError):
