@@ -139,6 +139,11 @@ class KnowledgeTable(Value):
     shares: dict[DeveloperId, float]
     file_count: int
 
+    def ranked(self) -> list[tuple[DeveloperId, float]]:
+        """(developer, share) by descending share, ties by canonical email."""
+        return sorted(self.shares.items(),
+                      key=lambda item: (-item[1], item[0].sort_key()))
+
 
 class BusFactorResult(Value):
     """Primary and secondary developers under `config`; the counts and
@@ -154,7 +159,7 @@ class BusFactorResult(Value):
 
     @property
     def developer_count(self) -> int:
-        """N: developers with positive knowledge in scope."""
+        """N: developers with a positive contribution in scope."""
         return len(self.knowledge.shares)
 
     @property
@@ -286,8 +291,7 @@ def classify_developers(table: KnowledgeTable, thresholds: ThresholdPair,
                         ) -> tuple[tuple[DeveloperId, ...], tuple[DeveloperId, ...]]:
     """Split developers into primary and secondary sets, both ordered
     by descending knowledge (ties by canonical email)."""
-    ranked = sorted(table.shares.items(),
-                    key=lambda item: (-item[1], item[0].sort_key()))
+    ranked = table.ranked()
     primary = tuple(dev for dev, share in ranked
                     if share >= thresholds.primary_ratio)
     secondary = tuple(dev for dev, share in ranked

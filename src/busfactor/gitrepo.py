@@ -1,9 +1,11 @@
 """Extraction of commit history and blame data from a local git clone.
 
-All git access goes through the command-line client. History is read
-in one streaming `git log` pass with zero-context patches so that line
-counts match `git log --numstat` while the changed lines themselves
-are available for tokenization.
+All git access goes through the command-line client, and every git
+command runs through one runner, `_git`, which spawns it, decodes its
+stdout and checks its exit code. History is read in one streaming
+`git log` pass with zero-context patches so that line counts match
+`git log --numstat` while the changed lines themselves are available
+for tokenization.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import os
 import re
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyRepository,
@@ -25,9 +27,6 @@ from .errors import (
 from .metrics import token_distance, tokenize
 from .records import BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor
 
-if TYPE_CHECKING:
-    import subprocess
-
 _FIELD_SEP = "\x01"
 _COMMIT_MARK = "\x00"
 # Pretty format: NUL marker, then hash/name/email/author-epoch/parents.
@@ -36,56 +35,41 @@ _LOG_FORMAT = "%x00%H%x01%an%x01%ae%x01%at%x01%P"
 _BLAME_WORKERS = min(8, os.cpu_count() or 1)
 
 
-def _spawn(repo_path: str, args: Sequence[str], stderr) -> subprocess.Popen:
-    """Start one git command with stdout piped as bytes.
+def _git(repo_path: str, *args: str,
+         ok_codes: Sequence[int] = (0,)) -> Iterator[str]:
+    """Run one git command and yield its stdout lines, newlines stripped.
 
-    The only place that spawns git: a missing binary (OSError) becomes
-    GitInvocationFailure like any failed command. Callers decode, and
-    split lines at "\n" only: a lone "\r" or a form feed is part of a
-    line in git's output.
-    """
-    import subprocess
-    cmd = ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args]
-    try:
-        return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=stderr)
-    except OSError as exc:
-        raise GitInvocationFailure(" ".join(cmd), -1, str(exc)) from None
-
-
-def _git(repo_path: str, *args: str, ok_codes: Sequence[int] = (0,)) -> str:
-    """Run one git command and return stdout, raising on failure."""
-    import subprocess
-    proc = _spawn(repo_path, args, subprocess.PIPE)
-    stdout, stderr = proc.communicate()
-    if proc.returncode not in ok_codes:
-        raise GitInvocationFailure(" ".join(args), proc.returncode,
-                                   stderr.decode("utf-8", errors="replace"))
-    return stdout.decode("utf-8", errors="replace")
-
-
-def _git_stream(repo_path: str, *args: str) -> Iterator[str]:
-    """Stream stdout lines of one git command (newlines stripped).
+    The only place that spawns git and decodes its output. Lines are
+    split at "\n" only: a lone "\r" or a form feed is part of a line in
+    git's output. A missing binary, or an exit code outside ok_codes
+    once stdout has been read to the end, raises GitInvocationFailure;
+    a reader that stops early kills git and gets no error.
 
     stderr goes to a temporary file that is read once git has exited: a
     pipe drained only after stdout ends would block git as soon as its
     warnings filled the pipe.
     """
+    import subprocess
     import tempfile
+    cmd = ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args]
     with tempfile.TemporaryFile() as stderr:
-        proc = _spawn(repo_path, args, stderr)
-        stdout = io.TextIOWrapper(proc.stdout, encoding="utf-8",
-                                  errors="replace", newline="\n")
         try:
-            for line in stdout:
-                yield line.rstrip("\n")
-        finally:
-            stdout.close()
-            returncode = proc.wait()
-            if returncode != 0:
-                stderr.seek(0)
-                raise GitInvocationFailure(
-                    " ".join(args), returncode,
-                    stderr.read().decode("utf-8", errors="replace"))
+            proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=stderr)
+        except OSError as exc:
+            raise GitInvocationFailure(" ".join(cmd), -1, str(exc)) from None
+        with proc, io.TextIOWrapper(proc.stdout, encoding="utf-8",
+                                    errors="replace", newline="\n") as stdout:
+            try:
+                for line in stdout:
+                    yield line.rstrip("\n")
+            except GeneratorExit:
+                proc.kill()
+                raise
+        if proc.returncode not in ok_codes:
+            stderr.seek(0)
+            raise GitInvocationFailure(
+                " ".join(args), proc.returncode,
+                stderr.read().decode("utf-8", errors="replace"))
 
 
 def resolve_revision(repo_path: str, revision: str) -> str:
@@ -98,8 +82,8 @@ def resolve_revision(repo_path: str, revision: str) -> str:
     if not os.path.isdir(repo_path):
         raise NotARepository(f"not a directory: {repo_path}")
     try:
-        return _git(repo_path, "rev-parse", "--verify", "--quiet",
-                    f"{revision}^{{commit}}").strip()
+        return "\n".join(_git(repo_path, "rev-parse", "--verify", "--quiet",
+                               f"{revision}^{{commit}}")).strip()
     except GitInvocationFailure as exc:
         if exc.returncode == 128:
             raise NotARepository(f"no git repository at {repo_path}") from None
@@ -137,8 +121,8 @@ def _rejections_of(repo_path: str, revision: str):
 def repo_fingerprint(repo_path: str, commit: str) -> str:
     """Stable identifier for a working copy at a commit: origin URL or
     path, plus the commit hash (as `resolve_revision` gives it)."""
-    source = _git(repo_path, "config", "--get", "remote.origin.url",
-                  ok_codes=(0, 1)).strip()
+    source = "\n".join(_git(repo_path, "config", "--get", "remote.origin.url",
+                             ok_codes=(0, 1))).strip()
     return f"{source or os.path.abspath(repo_path)}@{commit}"
 
 
@@ -210,7 +194,7 @@ def extract_history(repo_path: str, revision: str = "HEAD",
             "--diff-merges=first-parent" if include_merges else "--no-merges",
             f"{commit}^{{commit}}", "--"]  # a tree's log would be empty
     with _rejections_of(repo_path, revision):
-        yield from _parse_log(_git_stream(repo_path, *args))
+        yield from _parse_log(_git(repo_path, *args))
 
 
 def _parse_log(lines: Iterable[str]) -> Iterator[ChangeRecord]:
@@ -299,7 +283,8 @@ def _list_text_files(repo_path: str, commit: str, scope: str) -> list[str]:
         args += ["--", f":(literal){scope}"]  # a prefix, as in `in_scope`
     modes: dict[str, str] = {}
     added: dict[str, str] = {}
-    fields = iter(_git(repo_path, *args).split("\0")[:-1])
+    # -z output: a path holding "\n" is whole again once lines are joined
+    fields = iter("\n".join(_git(repo_path, *args)).split("\0")[:-1])
     for field in fields:
         if field.startswith(":"):
             modes[next(fields)] = field.split(" ")[1]
@@ -311,10 +296,6 @@ def _list_text_files(repo_path: str, commit: str, scope: str) -> list[str]:
                   and added[path] != "-" and int(added[path]) > 0)
 
 
-_AUTHOR_RE = re.compile(r"^author (.*)$")
-_MAIL_RE = re.compile(r"^author-mail <(.*)>$")
-
-
 def _blame_file(repo_path: str, revision: str, path: str,
                 ) -> dict[RawAuthor, int]:
     """Lines owned per author in one file."""
@@ -322,17 +303,13 @@ def _blame_file(repo_path: str, revision: str, path: str,
     name = ""
     email = ""
     for line in _git(repo_path, "blame", "--line-porcelain", revision,
-                     "--", path).split("\n"):
+                     "--", path):
         if line.startswith("\t"):
             counts[name, email] = counts.get((name, email), 0) + 1
-            continue
-        m = _AUTHOR_RE.match(line)
-        if m:
-            name = m.group(1)
-            continue
-        m = _MAIL_RE.match(line)
-        if m:
-            email = m.group(1)
+        elif line.startswith("author "):
+            name = line[len("author "):]
+        elif line.startswith("author-mail <") and line.endswith(">"):
+            email = line[len("author-mail <"):-1]
     return {RawAuthor(name=name, email=email): n
             for (name, email), n in counts.items()}
 

@@ -82,8 +82,11 @@ def _config_payload(config: CstConfig) -> dict:
 def payload_cst(result: BusFactorResult, manifest: RunManifest,
                 redact: bool = False) -> dict:
     table = result.knowledge
-    ranked = sorted(table.shares.items(),
-                    key=lambda kv: (-kv[1], kv[0].sort_key()))
+    ranked = [_dev_entry(d, s, redact) for d, s in table.ranked()]
+    # classify_developers takes both lists from the same ranking: each
+    # is a slice of the table.
+    primary = len(result.primary_devs)
+    secondary = primary + len(result.secondary_devs)
     thresholds = result.thresholds
     return {
         "kind": "cst",
@@ -96,13 +99,9 @@ def payload_cst(result: BusFactorResult, manifest: RunManifest,
             "secondary": _share(thresholds.secondary_ratio),
         },
         "config": _config_payload(result.config),
-        "primary_developers": [_dev_entry(d, s, redact)
-                               for d, s in ranked
-                               if d in result.primary_devs],
-        "secondary_developers": [_dev_entry(d, s, redact)
-                                 for d, s in ranked
-                                 if d in result.secondary_devs],
-        "knowledge_table": [_dev_entry(d, s, redact) for d, s in ranked],
+        "primary_developers": ranked[:primary],
+        "secondary_developers": ranked[primary:secondary],
+        "knowledge_table": ranked,
         "manifest": _manifest_payload(manifest),
     }
 

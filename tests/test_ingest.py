@@ -16,8 +16,9 @@ from busfactor import (BlameSnapshot, RawAuthor, compile_globs,
                        tokenize)
 from busfactor import cli, gitrepo
 from busfactor.cli import main
-from busfactor.errors import (EmptyRepository, InvalidGlob, NoTextFiles,
-                              NotARepository, UnknownRevision)
+from busfactor.errors import (EmptyRepository, GitInvocationFailure,
+                              InvalidGlob, NoTextFiles, NotARepository,
+                              UnknownRevision)
 
 from tests.conftest import ADA, BERT, CLEO, RepoBuilder
 from tests.oracles import changed_lines, numstat_totals, raw_blame
@@ -436,7 +437,7 @@ def test_git_stream_survives_large_stderr(monkeypatch):
 
     lines = []
     worker = threading.Thread(
-        target=lambda: lines.extend(gitrepo._git_stream(".", "log")),
+        target=lambda: lines.extend(gitrepo._git(".", "log")),
         daemon=True)
     worker.start()
     worker.join(timeout=30)
@@ -447,6 +448,42 @@ def test_git_stream_survives_large_stderr(monkeypatch):
         worker.join(timeout=5)
     assert not hung, "git stream blocked on a full stderr pipe"
     assert lines == ["one", "two", "three"]
+
+
+def test_history_stopped_early_reaps_git_quietly(repo_factory, monkeypatch):
+    # Each file is more than a pipe holds, so git is still writing when
+    # the reader stops.
+    repo = repo_factory()
+    for name, author in (("a.txt", ADA), ("b.txt", BERT)):
+        line = f"{name}: a line long enough that 5,000 of them fill a pipe\n"
+        repo.write(name, line * 5000)
+        head = repo.commit(author)
+    real_popen = subprocess.Popen
+    procs = []
+
+    def popen(cmd, **kwargs):
+        procs.append(real_popen(cmd, **kwargs))
+        return procs[-1]
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+    records = extract_history(repo.path, head)
+    assert next(records).path == "a.txt"
+    records.close()
+    assert unraisable == []
+    assert [proc.returncode is not None for proc in procs] == [True]
+
+
+def test_blame_of_missing_path_carries_git_diagnostics(repo_factory):
+    repo = repo_factory()
+    repo.write("a.txt", "a\n")
+    head = repo.commit(ADA)
+    with pytest.raises(GitInvocationFailure) as caught:
+        gitrepo._blame_file(repo.path, head, "missing.txt")
+    assert caught.value.returncode == 128
+    assert "blame --line-porcelain" in str(caught.value)
+    assert "fatal: no such path" in str(caught.value)
 
 
 def test_git_spawns_per_command(repo_factory, tmp_path, monkeypatch):
