@@ -76,25 +76,19 @@ def _config_list(raw: str) -> list[str]:
     return [piece for piece in parts if piece]
 
 
-def _peek(argv: list[str], flag: str) -> str | None:
-    """Find a flag value without a full parse (for --config)."""
-    for i, token in enumerate(argv):
-        if token == flag and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith(flag + "="):
-            return token[len(flag) + 1:]
-    return None
+def _apply_config(parser: argparse.ArgumentParser,
+                  args: argparse.Namespace) -> None:
+    """Install the [command] section of args.config as defaults of that
+    subcommand's parser (subparsers build their own namespace), for
+    `main` to parse the command line again, where every flag wins.
 
-
-def _apply_config(parser: argparse.ArgumentParser, path: str,
-                  section: str | None) -> None:
-    """Feed config-file values in as parser defaults; real flags win.
-
-    Defaults are installed on the invoked subcommand's parser:
-    subparsers build their own namespace, so defaults on the top-level
-    parser would be overwritten.
+    A value that a flag would be combined with instead is left out:
+    --exclude would append to the config's list, and, where --repo and
+    --cache are alternative sources (all but ingest), either one next
+    to the config's other source would name two sources.
     """
     import configparser
+    path, section = args.config, args.command
     reader = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:
@@ -103,9 +97,9 @@ def _apply_config(parser: argparse.ArgumentParser, path: str,
         parser.error(f"--config: cannot read {path}: {exc}")
     except configparser.Error as exc:
         parser.error(f"--config: {exc}")
-    target = parser.commands.choices.get(section) if section else None
-    if target is None or section not in reader:
+    if section not in reader:
         return
+    target = parser.commands.choices[section]
     # A section's keys are its subcommand's long flags, minus the dashes.
     actions = {option[2:]: action for action in target._actions
                for option in action.option_strings
@@ -119,12 +113,17 @@ def _apply_config(parser: argparse.ArgumentParser, path: str,
         except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"--config: bad value for {key!r}: {exc}")
         defaults[actions[key].dest] = value
-    target.set_defaults(**defaults)
+    given = {dest for dest in ("exclude", "repo", "cache")
+             if getattr(args, dest, None) is not None}
+    if args.command != "ingest" and given & {"repo", "cache"}:
+        given |= {"repo", "cache"}
+    target.set_defaults(**{dest: value for dest, value in defaults.items()
+                           if dest not in given})
 
 
 def _config_value(action: argparse.Action, raw: str):
     """Cast a config string as the flag's own action would cast it."""
-    if isinstance(action, _AppendOverDefault):
+    if isinstance(action, argparse._AppendAction):
         return _config_list(raw)
     if action.nargs == 0:  # store_true
         return _config_bool(raw)
@@ -155,20 +154,10 @@ def _add_identity_flags(sub: argparse.ArgumentParser) -> None:
                           "(default %(default)s)")
 
 
-class _AppendOverDefault(argparse.Action):
-    """action="append", except that the first use replaces the default
-    (a config file's list) instead of extending it."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, self.dest)
-        items = [] if items is self.default else items
-        setattr(namespace, self.dest, [*items, values])
-
-
 def _add_scope_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dir", metavar="PREFIX",
                      help="restrict analysis to one directory subtree")
-    sub.add_argument("--exclude", action=_AppendOverDefault, metavar="GLOB",
+    sub.add_argument("--exclude", action="append", metavar="GLOB",
                      help="drop paths matching this glob (repeatable)")
 
 
@@ -427,8 +416,14 @@ def _cmd_cst(parser, args, argv, started) -> int:
 def _cmd_rig(parser, args, argv, started) -> int:
     from .rig import RigConfig, rig_repeat
     repo, cache = _resolve_source(parser, args)
+    nothing_in_scope = EmptySnapshot(
+        f"no blamed file under {args.dir or '.'!r} "
+        f"outside excludes {args.exclude or []}")
     if repo:
-        blame = extract_blame(repo, args.rev, path_filter=args.dir)
+        try:
+            blame = extract_blame(repo, args.rev, path_filter=args.dir)
+        except NoTextFiles:
+            raise nothing_in_scope from None
         fingerprint = repo_fingerprint(repo, blame.revision)
     else:
         _, blame, fingerprint = load_cache(cache, records=False)
@@ -443,8 +438,7 @@ def _cmd_rig(parser, args, argv, started) -> int:
     blame = filter_snapshot(blame, scope=args.dir,
                             exclude_globs=tuple(args.exclude or ()))
     if not blame.files:
-        raise EmptySnapshot(f"no blamed file under {args.dir or '.'!r} "
-                            f"outside excludes {args.exclude or []}")
+        raise nothing_in_scope
 
     weights = Counter()
     for lines in blame.files.values():
@@ -493,12 +487,11 @@ def _cmd_compare(parser, args, argv, started) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-    config_path = _peek(argv, "--config")
-    section = next((a for a in argv if not a.startswith("-")), None)
     try:
-        if config_path:
-            _apply_config(parser, config_path, section)
         args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
         started = datetime.now(timezone.utc)
         return args.func(parser, args, argv, started)
     except SystemExit as exc:

@@ -141,7 +141,6 @@ class _FileDiff:
     def __init__(self):
         self.old_path: str | None = None
         self.new_path: str | None = None
-        self.binary = False
         self.gitlink = False
         self.added: list[str] = []
         self.deleted: list[str] = []
@@ -154,10 +153,10 @@ class _FileDiff:
         return self.old_path
 
     def to_record(self, commit: CommitMeta) -> ChangeRecord | None:
-        if self.binary or self.gitlink or self.path is None:
+        if self.gitlink or self.path is None:
             return None
         if not self.added and not self.deleted:
-            return None  # mode-only or empty-file change
+            return None  # mode-only, empty-file or binary change
         return ChangeRecord(commit, self.path, len(self.added),
                             len(self.deleted),
                             token_distance(tokenize(self.added),
@@ -189,8 +188,11 @@ def extract_history(repo_path: str, revision: str = "HEAD",
     and submodule pointer bumps are skipped.
     """
     commit = _commit_of(repo_path, revision)
+    # Colour and path prefixes are pinned: `_parse_log` reads plain
+    # "a/" and "b/" paths whatever the user's diff.noprefix or color.ui.
     args = ["log", "--reverse", "--author-date-order", "--no-renames",
-            "-p", "-U0", f"--pretty=format:{_LOG_FORMAT}",
+            "-p", "-U0", "--no-color", "--src-prefix=a/", "--dst-prefix=b/",
+            f"--pretty=format:{_LOG_FORMAT}",
             "--diff-merges=first-parent" if include_merges else "--no-merges",
             f"{commit}^{{commit}}", "--"]  # a tree's log would be empty
     with _rejections_of(repo_path, revision):
@@ -245,8 +247,6 @@ def _parse_log(lines: Iterable[str]) -> Iterator[ChangeRecord]:
             current.old_path = _strip_diff_path(line, "a/")
         elif line.startswith("+++ "):
             current.new_path = _strip_diff_path(line, "b/")
-        elif line.startswith("Binary files ") or line.startswith("GIT binary patch"):
-            current.binary = True
         elif "160000" in line and re.match(
                 r"(index \S+ 160000|old mode 160000|new mode 160000"
                 r"|new file mode 160000|deleted file mode 160000)", line):

@@ -378,6 +378,52 @@ def test_config_value_validated_like_its_flag(two_dev_repo, tmp_path,
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("configured, given", [("repo", "cache"),
+                                               ("cache", "repo")])
+def test_command_line_source_replaces_config_source(two_dev_repo, tmp_path,
+                                                    configured, given):
+    paths = {"repo": str(two_dev_repo.path), "cache": str(tmp_path / "cache")}
+    assert run_cli("ingest", "--repo", paths["repo"],
+                   "--cache", paths["cache"]).returncode == 0
+    cfg = tmp_path / "bf.cfg"
+    cfg.write_text(f"[cst]\n{configured} = {tmp_path / 'nowhere'}\n"
+                   "metric = commits\ncst-metric = mul-equal\n"
+                   "format = json\n", encoding="utf-8")
+    alone = run_cli("cst", "--config", str(cfg))
+    assert alone.returncode == 1, alone.stderr  # the config's source is read
+    proc = run_cli("cst", "--config", str(cfg), f"--{given}", paths[given])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["bus_factor"] == 2
+
+
+@pytest.mark.parametrize("configured", ["repo", "cache"])
+def test_ingest_takes_repo_and_cache_from_both_sources(two_dev_repo, tmp_path,
+                                                       configured):
+    # ingest reads --repo and writes --cache: a flag for one of them
+    # leaves the config's other in place
+    paths = {"repo": str(two_dev_repo.path), "cache": str(tmp_path / "cache")}
+    given = "cache" if configured == "repo" else "repo"
+    cfg = tmp_path / "bf.cfg"
+    cfg.write_text(f"[ingest]\n{configured} = {paths[configured]}\n",
+                   encoding="utf-8")
+    proc = run_cli("ingest", "--config", str(cfg), f"--{given}",
+                   paths[given],
+                   env_extra={"BUSFACTOR_CACHE_DIR": str(tmp_path / "env")})
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cache").exists()
+    assert not (tmp_path / "env").exists()
+
+
+def test_help_after_config_shows_builtin_defaults(tmp_path):
+    cfg = tmp_path / "bf.cfg"
+    cfg.write_text("[rig]\nsamples = 7\n", encoding="utf-8")
+    proc = run_cli("rig", "--config", str(cfg), "--help")
+    assert proc.returncode == 0, proc.stderr
+    # the command line is parsed, and --help answered, before the config
+    assert ("random subsets per group size (default 1000)"
+            in " ".join(proc.stdout.split()))
+
+
 def test_time_window_flags(two_dev_repo):
     proc = run_cli("cst", "--repo", str(two_dev_repo.path),
                    "--metric", "commits", "--cst-metric", "mul-equal",
@@ -520,13 +566,14 @@ def test_rig_scope_spellings_match(repo_factory, tmp_path):
             assert _rig_report(*source, "--dir", spelling) == whole
 
 
+@pytest.mark.parametrize("source", ["repo", "cache"])
 @pytest.mark.parametrize("scope", [["--dir", "nosuch"], ["--exclude", "**"]])
 def test_rig_nothing_in_scope_is_empty_snapshot(two_dev_repo, tmp_path,
-                                                scope):
-    cache = tmp_path / "cache"
-    assert run_cli("ingest", "--repo", str(two_dev_repo.path),
-                   "--cache", str(cache)).returncode == 0
-    proc = run_cli("rig", "--cache", str(cache), *scope)
+                                                scope, source):
+    paths = {"repo": str(two_dev_repo.path), "cache": str(tmp_path / "cache")}
+    assert run_cli("ingest", "--repo", paths["repo"],
+                   "--cache", paths["cache"]).returncode == 0
+    proc = run_cli("rig", f"--{source}", paths[source], *scope)
     assert proc.returncode == 1
     assert proc.stderr.startswith("ERROR EmptySnapshot:")
     assert repr(scope[1]) in proc.stderr

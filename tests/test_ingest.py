@@ -64,6 +64,41 @@ def test_binary_files_skipped(repo_factory):
     assert list(extract_history(repo.path)) == []
 
 
+def test_submodule_pointer_bumps_skipped(repo_factory):
+    repo = repo_factory()
+    repo.write("f.txt", "a\n")
+    pointers = [repo.commit(ADA)]
+    repo.write("f.txt", "a\nb\n")
+    pointers.append(repo.commit(ADA))
+    for pointer in pointers:  # add the gitlink, then bump it
+        repo.git("update-index", "--add", "--cacheinfo",
+                 f"160000,{pointer},sub")
+        stamp = repo.next_date()
+        repo.git("commit", "-q", "--no-verify", "-m", "sub", env={
+            "GIT_AUTHOR_NAME": BERT[0], "GIT_AUTHOR_EMAIL": BERT[1],
+            "GIT_AUTHOR_DATE": stamp, "GIT_COMMITTER_NAME": BERT[0],
+            "GIT_COMMITTER_EMAIL": BERT[1], "GIT_COMMITTER_DATE": stamp})
+    assert "+Subproject commit" in repo.git("log", "-p", "-1", "--", "sub")
+    records = list(extract_history(repo.path))
+    assert [(r.path, r.author) for r in records] == [
+        ("f.txt", RawAuthor(*ADA))] * 2
+
+
+@pytest.mark.parametrize("key, value", [("diff.noprefix", "true"),
+                                        ("color.ui", "always")])
+def test_history_ignores_diff_config(repo_factory, key, value):
+    repo = repo_factory()
+    repo.write("b/x.txt", "one\n")
+    repo.write("y.txt", "two\n")
+    repo.commit(ADA)
+    repo.write("b/x.txt", "one\nthree\n")
+    repo.commit(BERT)
+    expected = list(extract_history(repo.path))
+    assert [r.path for r in expected] == ["b/x.txt", "y.txt", "b/x.txt"]
+    repo.git("config", key, value)
+    assert list(extract_history(repo.path)) == expected
+
+
 def test_modified_line_counts_once_each_way(repo_factory):
     repo = repo_factory()
     repo.write("f.txt", "alpha\nbeta\n")
