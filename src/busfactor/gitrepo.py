@@ -14,6 +14,7 @@ import os
 import re
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -135,46 +136,17 @@ def _parse_header(line: str, sequence: int) -> CommitMeta:
                       len(parents.split()) > 1, sequence)
 
 
-class _FileDiff:
-    """Accumulates one file section of a commit's patch."""
-
-    def __init__(self):
-        self.old_path: str | None = None
-        self.new_path: str | None = None
-        self.gitlink = False
-        self.added: list[str] = []
-        self.deleted: list[str] = []
-
-    @property
-    def path(self) -> str | None:
-        # Post-image path, unless the file was deleted.
-        if self.new_path is not None:
-            return self.new_path
-        return self.old_path
-
-    def to_record(self, commit: CommitMeta) -> ChangeRecord | None:
-        if self.gitlink or self.path is None:
-            return None
-        if not self.added and not self.deleted:
-            return None  # mode-only, empty-file or binary change
-        return ChangeRecord(commit, self.path, len(self.added),
-                            len(self.deleted),
-                            token_distance(tokenize(self.added),
-                                           tokenize(self.deleted)))
-
-
-def _strip_diff_path(header_line: str, prefix: str) -> str | None:
+def _strip_diff_path(header_line: str) -> str | None:
     # "--- a/path" / "+++ b/path" / "--- /dev/null"; git appends "\t" to
     # names holding a space. It C-quotes names holding '"', '\\' or a
     # control character; under core.quotepath=false it escapes only those
     # ASCII characters, each in an escape that Python string literals share.
+    # The "a/" or "b/" prefix is pinned by `extract_history`.
     value = header_line[4:].rstrip("\t")
     if value.startswith('"'):
         import ast
         value = ast.literal_eval(value)
-    if value == "/dev/null":
-        return None
-    return value[len(prefix):] if value.startswith(prefix) else value
+    return None if value == "/dev/null" else value[2:]
 
 
 def extract_history(repo_path: str, revision: str = "HEAD",
@@ -188,11 +160,12 @@ def extract_history(repo_path: str, revision: str = "HEAD",
     and submodule pointer bumps are skipped.
     """
     commit = _commit_of(repo_path, revision)
-    # Colour and path prefixes are pinned: `_parse_log` reads plain
-    # "a/" and "b/" paths whatever the user's diff.noprefix or color.ui.
+    # Colour, path prefixes and the diff algorithm are pinned: `_parse_log`
+    # reads plain "a/" and "b/" paths, and the changed lines are the same,
+    # whatever the user's diff.noprefix, color.ui or diff.algorithm.
     args = ["log", "--reverse", "--author-date-order", "--no-renames",
             "-p", "-U0", "--no-color", "--src-prefix=a/", "--dst-prefix=b/",
-            f"--pretty=format:{_LOG_FORMAT}",
+            "--diff-algorithm=myers", f"--pretty=format:{_LOG_FORMAT}",
             "--diff-merges=first-parent" if include_merges else "--no-merges",
             f"{commit}^{{commit}}", "--"]  # a tree's log would be empty
     with _rejections_of(repo_path, revision):
@@ -200,61 +173,53 @@ def extract_history(repo_path: str, revision: str = "HEAD",
 
 
 def _parse_log(lines: Iterable[str]) -> Iterator[ChangeRecord]:
-    """Change records from the lines of `git log -p -U0` in _LOG_FORMAT."""
+    """Change records from the lines of `git log -p -U0` in _LOG_FORMAT.
+
+    A file section runs from its "diff --git" line to the next one, the
+    next commit header or the end of the stream, and gives a record when
+    it changed lines of a file that is no submodule (gitlink).
+    """
     commit: CommitMeta | None = None
-    current: _FileDiff | None = None
-    in_hunks = False
     sequence = 0
-
-    def flush():
-        nonlocal current
-        record = current.to_record(commit) if current and commit else None
-        current = None
-        return record
-
-    for line in lines:
-        if line.startswith(_COMMIT_MARK):
-            record = flush()
-            if record:
-                yield record
-            commit = _parse_header(line, sequence)
-            sequence += 1
-            in_hunks = False
-            continue
-        if commit is None:
-            continue
-        if line.startswith("diff --git "):
-            record = flush()
-            if record:
-                yield record
-            current = _FileDiff()
-            in_hunks = False
-            continue
-        if current is None:
-            continue
-        if line.startswith("@@"):
-            in_hunks = True
-            continue
+    path: str | None = None  # post-image path, unless the file was deleted
+    added: list[str] = []
+    deleted: list[str] = []
+    gitlink = False
+    in_hunks = False
+    # The trailing "diff --git " ends the last section like any other.
+    for line in chain(lines, ["diff --git "]):
         if in_hunks:
-            # With -U0 hunk bodies hold only +/-/backslash lines.
+            # With -U0 a hunk holds only +/-/backslash lines, so content
+            # that looks like "--- x", "+++ y" or "@@" stays content.
             if line.startswith("+"):
-                current.added.append(line[1:])
-            elif line.startswith("-"):
-                current.deleted.append(line[1:])
-            continue
+                added.append(line[1:])
+                continue
+            if line.startswith("-"):
+                deleted.append(line[1:])
+                continue
+            if line.startswith(("@@", "\\")):
+                continue
+            in_hunks = False
+        if line.startswith(("diff --git ", _COMMIT_MARK)):
+            # A mode-only, empty-file or binary change has no changed lines.
+            if path is not None and not gitlink and (added or deleted):
+                yield ChangeRecord(commit, path, len(added), len(deleted),
+                                   token_distance(tokenize(added),
+                                                  tokenize(deleted)))
+            path, added, deleted, gitlink = None, [], [], False
+            if line.startswith(_COMMIT_MARK):
+                commit = _parse_header(line, sequence)
+                sequence += 1
+        elif line.startswith("@@"):
+            in_hunks = True
         # Preamble of a file section (between "diff --git" and first hunk).
-        if line.startswith("--- "):
-            current.old_path = _strip_diff_path(line, "a/")
+        elif line.startswith("--- "):
+            path = _strip_diff_path(line)
         elif line.startswith("+++ "):
-            current.new_path = _strip_diff_path(line, "b/")
-        elif "160000" in line and re.match(
-                r"(index \S+ 160000|old mode 160000|new mode 160000"
-                r"|new file mode 160000|deleted file mode 160000)", line):
-            current.gitlink = True
-
-    record = flush()
-    if record:
-        yield record
+            path = _strip_diff_path(line) or path
+        elif line.endswith(" 160000"):
+            # index, new/deleted file mode or old/new mode of a gitlink
+            gitlink = True
 
 
 # --- blame extraction ---
@@ -302,8 +267,9 @@ def _blame_file(repo_path: str, revision: str, path: str,
     counts: dict[tuple[str, str], int] = {}
     name = ""
     email = ""
-    for line in _git(repo_path, "blame", "--line-porcelain", revision,
-                     "--", path):
+    # An empty --ignore-revs-file clears the user's blame.ignoreRevsFile.
+    for line in _git(repo_path, "blame", "--line-porcelain",
+                     "--ignore-revs-file=", revision, "--", path):
         if line.startswith("\t"):
             counts[name, email] = counts.get((name, email), 0) + 1
         elif line.startswith("author "):

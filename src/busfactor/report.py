@@ -124,11 +124,9 @@ def payload_rig(results: Sequence[RigResult], config: RigConfig,
             "samples_evaluated": result.samples_evaluated,
             "bf_set": members,
         })
-    headline = (results[0].bus_factor if len(results) == 1
-                else summary["mode"])
     return {
         "kind": "rig",
-        "bus_factor": headline,
+        "bus_factor": summary["mode"],
         "revision": revision,
         "file_count": file_count,
         "developer_count": developer_count,

@@ -2,6 +2,8 @@
 
 Every commit carries explicit author/committer dates so histories are
 bit-reproducible; builders hand back commit hashes for later checks.
+Every git process the tests start reads no system or global git
+configuration and no inherited repository location.
 """
 from __future__ import annotations
 
@@ -20,6 +22,21 @@ DMITRI = ("Dmitri Usov", "dmitri@fixture.test")
 EDNA = ("Edna Holt", "edna@fixture.test")
 
 _BASE_DATE = "2021-01-01T00:00:00 +0000"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_git():
+    """Keep the developer's git configuration out of the results, and a
+    GIT_DIR or GIT_INDEX_FILE inherited from a git hook from sending the
+    fixtures' commits into another repository."""
+    local = subprocess.run(["git", "rev-parse", "--local-env-vars"],
+                           capture_output=True, text=True, check=True)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in local.stdout.split():
+            patch.delenv(name, raising=False)
+        patch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+        patch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+        yield
 
 
 class RepoBuilder:

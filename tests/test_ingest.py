@@ -64,6 +64,17 @@ def test_binary_files_skipped(repo_factory):
     assert list(extract_history(repo.path)) == []
 
 
+def _commit_index(repo, author):
+    """Commit the index as it stands: `RepoBuilder.commit` runs `git add
+    -A`, which drops a gitlink that has no directory in the worktree."""
+    name, email = author
+    stamp = repo.next_date()
+    repo.git("commit", "-q", "--no-verify", "-m", "index", env={
+        "GIT_AUTHOR_NAME": name, "GIT_AUTHOR_EMAIL": email,
+        "GIT_AUTHOR_DATE": stamp, "GIT_COMMITTER_NAME": name,
+        "GIT_COMMITTER_EMAIL": email, "GIT_COMMITTER_DATE": stamp})
+
+
 def test_submodule_pointer_bumps_skipped(repo_factory):
     repo = repo_factory()
     repo.write("f.txt", "a\n")
@@ -73,29 +84,56 @@ def test_submodule_pointer_bumps_skipped(repo_factory):
     for pointer in pointers:  # add the gitlink, then bump it
         repo.git("update-index", "--add", "--cacheinfo",
                  f"160000,{pointer},sub")
-        stamp = repo.next_date()
-        repo.git("commit", "-q", "--no-verify", "-m", "sub", env={
-            "GIT_AUTHOR_NAME": BERT[0], "GIT_AUTHOR_EMAIL": BERT[1],
-            "GIT_AUTHOR_DATE": stamp, "GIT_COMMITTER_NAME": BERT[0],
-            "GIT_COMMITTER_EMAIL": BERT[1], "GIT_COMMITTER_DATE": stamp})
+        _commit_index(repo, BERT)
     assert "+Subproject commit" in repo.git("log", "-p", "-1", "--", "sub")
     records = list(extract_history(repo.path))
     assert [(r.path, r.author) for r in records] == [
         ("f.txt", RawAuthor(*ADA))] * 2
 
 
+def test_patch_lines_that_look_like_headers(repo_factory):
+    repo = repo_factory()
+    # With -U0 these show as "--- a/x", "+++ b/y" and "+@@ q" in a hunk.
+    repo.write("h.txt", "-- a/x\nkeep\nold\n")
+    repo.write("nonl.txt", "a")
+    repo.write("x", "gone\n")
+    repo.write("sp 160000", "a regular file\n")
+    pointer = repo.commit(ADA)
+    repo.write("h.txt", "++ b/y\nkeep\n@@ q\n")
+    repo.write("nonl.txt", "a\nb")
+    repo.remove("x")
+    repo.git("add", "-A")
+    # x becomes a submodule in the same commit
+    repo.git("update-index", "--add", "--cacheinfo", f"160000,{pointer},x")
+    _commit_index(repo, BERT)
+    assert "+Subproject commit" in repo.git("log", "-p", "-1", "--", "x")
+    records = list(extract_history(repo.path))
+    assert [(r.path, r.lines_added, r.lines_deleted) for r in records] == [
+        ("h.txt", 3, 0), ("nonl.txt", 1, 0), ("sp 160000", 1, 0),
+        ("x", 1, 0), ("h.txt", 2, 2), ("nonl.txt", 2, 1), ("x", 0, 1)]
+    assert records[4].cos_distance == token_distance(
+        tokenize(["++ b/y", "@@ q"]), tokenize(["-- a/x", "old"]))
+
+
 @pytest.mark.parametrize("key, value", [("diff.noprefix", "true"),
-                                        ("color.ui", "always")])
+                                        ("color.ui", "always"),
+                                        ("diff.algorithm", "histogram")])
 def test_history_ignores_diff_config(repo_factory, key, value):
     repo = repo_factory()
     repo.write("b/x.txt", "one\n")
     repo.write("y.txt", "two\n")
+    repo.write("z.txt", "c\nb\nb\na\n")
     repo.commit(ADA)
     repo.write("b/x.txt", "one\nthree\n")
+    repo.write("z.txt", "b\nb\nb\nc\n")  # myers: 2 lines each way
     repo.commit(BERT)
     expected = list(extract_history(repo.path))
-    assert [r.path for r in expected] == ["b/x.txt", "y.txt", "b/x.txt"]
+    assert [(r.path, r.lines_added, r.lines_deleted) for r in expected] == [
+        ("b/x.txt", 1, 0), ("y.txt", 1, 0), ("z.txt", 4, 0),
+        ("b/x.txt", 1, 0), ("z.txt", 2, 2)]
+    patches = repo.git("log", "-p")
     repo.git("config", key, value)
+    assert repo.git("log", "-p") != patches  # the setting reaches git
     assert list(extract_history(repo.path)) == expected
 
 
@@ -235,6 +273,21 @@ def test_blame_matches_porcelain_oracle(repo_factory):
     ours = {(a.name, a.email): n for a, n in snap.files["five.txt"].items()}
     assert ours == Counter(raw_blame(repo.path, repo.head(), "five.txt"))
     assert ours == {ADA: 4, BERT: 1}
+
+
+def test_blame_ignores_ignore_revs_config(repo_factory, tmp_path):
+    repo = repo_factory()
+    repo.write("y.txt", "one\ntwo\n")
+    repo.commit(ADA)
+    repo.write("y.txt", "one\nTWO\n")
+    last = repo.commit(BERT)
+    expected = extract_blame(repo.path)
+    assert expected.files["y.txt"] == {RawAuthor(*ADA): 1, RawAuthor(*BERT): 1}
+    ignored = tmp_path / "ignore-revs"
+    ignored.write_text(last + "\n")
+    repo.git("config", "blame.ignoreRevsFile", str(ignored))
+    assert Counter(raw_blame(repo.path, last, "y.txt")) == {ADA: 2}
+    assert extract_blame(repo.path) == expected
 
 
 def test_blame_at_past_revision(repo_factory):
