@@ -16,8 +16,8 @@ from .cst import (CstConfig, CstMetricKind, TimeWindow, WeightScheme,
                   compare_error, cst_bus_factor)
 from .errors import (BusFactorError, EmptySnapshot, IoFailure, NoTextFiles,
                      UnknownRevision)
-from .gitrepo import (extract_blame, extract_history, filter_snapshot,
-                      repo_fingerprint, resolve_revision)
+from .gitrepo import (LineReplay, extract_blame, extract_history,
+                      filter_snapshot, repo_fingerprint, resolve_revision)
 from .identity import (DEFAULT_SIMILARITY, parse_alias_file,
                        resolve_identities)
 from .metrics import DataMetric, MetricKind
@@ -380,10 +380,14 @@ def _cmd_ingest(parser, args, argv, started) -> int:
     if not cache:
         parser.error(f"--cache is required (or set ${_ENV_CACHE})")
     commit = resolve_revision(repo, "HEAD")
+    # the history pass replays line owners; blame runs only for the
+    # files the replay cannot prove
+    replay = LineReplay()
     records = list(extract_history(repo, commit,
-                                   include_merges=args.include_merges))
+                                   include_merges=args.include_merges,
+                                   replay=replay))
     try:
-        blame = extract_blame(repo, commit)
+        blame = extract_blame(repo, commit, replay=replay)
     except NoTextFiles:
         blame = None
     fingerprint = repo_fingerprint(repo, commit)

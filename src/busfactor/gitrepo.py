@@ -6,12 +6,19 @@ stdout and checks its exit code. History is read in one streaming
 `git log` pass with zero-context patches so that line counts match
 `git log --numstat` while the changed lines themselves are available
 for tokenization.
+
+The same pass replays each file's hunks to track who owns each of its
+lines (`LineReplay`). `extract_blame` takes a file's owners from the
+replay when the replay proves they are `git blame`'s, and runs
+`git blame` on each other file, in a pool of threads. Both passes
+read authors through .mailmap and diff with the same pinned algorithm.
 """
 from __future__ import annotations
 
 import io
 import os
 import re
+from collections import Counter
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from itertools import chain
@@ -30,8 +37,9 @@ from .records import BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor
 
 _FIELD_SEP = "\x01"
 _COMMIT_MARK = "\x00"
-# Pretty format: NUL marker, then hash/name/email/author-epoch/parents.
-_LOG_FORMAT = "%x00%H%x01%an%x01%ae%x01%at%x01%P"
+# Pretty format: NUL marker, then hash/name/email/author-epoch/parents;
+# name and email through .mailmap, as `git blame` gives them.
+_LOG_FORMAT = "%x00%H%x01%aN%x01%aE%x01%at%x01%P"
 
 _BLAME_WORKERS = min(8, os.cpu_count() or 1)
 
@@ -129,51 +137,171 @@ def repo_fingerprint(repo_path: str, commit: str) -> str:
 
 # --- history extraction ---
 
-def _parse_header(line: str, sequence: int) -> CommitMeta:
+def _parse_header(line: str, sequence: int) -> tuple[CommitMeta, str]:
+    """A commit header's CommitMeta, and its parents' hashes as git
+    lists them."""
     hash_, name, email, epoch, parents = line[1:].split(_FIELD_SEP)
     return CommitMeta(hash_, RawAuthor(name, email),
                       datetime.fromtimestamp(int(epoch), tz=timezone.utc),
-                      len(parents.split()) > 1, sequence)
+                      len(parents.split()) > 1, sequence), parents
 
 
-def _strip_diff_path(header_line: str) -> str | None:
-    # "--- a/path" / "+++ b/path" / "--- /dev/null"; git appends "\t" to
-    # names holding a space. It C-quotes names holding '"', '\\' or a
+def _section_path(line: str) -> str:
+    # "diff --git a/<path> b/<path>": under --no-renames both names are
+    # the one path, so the line after "diff --git " splits into two
+    # halves of equal length. git C-quotes a name holding '"', '\\' or a
     # control character; under core.quotepath=false it escapes only those
-    # ASCII characters, each in an escape that Python string literals share.
-    # The "a/" or "b/" prefix is pinned by `extract_history`.
-    value = header_line[4:].rstrip("\t")
-    if value.startswith('"'):
+    # ASCII characters, each in an escape that Python string literals
+    # share. The "a/" prefix is pinned by `extract_history`.
+    name = line[11:11 + (len(line) - 12) // 2]
+    if name.startswith('"'):
         import ast
-        value = ast.literal_eval(value)
-    return None if value == "/dev/null" else value[2:]
+        name = ast.literal_eval(name)
+    return name[2:]
+
+
+class LineReplay:
+    """Each file's line owners, replayed from the patches of the history
+    pass, for `extract_blame` to take instead of blaming the file.
+
+    `extract_history` fills it once it has read the log to its end:
+    `revision` is the commit the log was read at, and `files` maps each
+    path whose owners the replay proves to the blob id the replay ends
+    at and the author of each of its lines. Left empty, it proves
+    nothing.
+    """
+
+    def __init__(self):
+        self.revision: str | None = None
+        self.files: dict[str, tuple[str, list[RawAuthor]]] = {}
+
+
+# "@@ -<start>[,<count>] +<start>[,<count>] @@"; a count left out is 1
+_HUNK = re.compile(r"@@ -\d+(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
+
+
+class _Replay:
+    """Line owners tracked through the hunks of `git log -p -U0`.
+
+    Each file section comes with its pre- and post-image blob ids ("" for
+    none) and its hunk headers; a hunk replaces the lines it deletes with
+    one owner per line it adds. `git blame` walks the same diffs back
+    from the revision, so the replayed owners are blame's whenever blame
+    meets the same diffs on its walk. `proven` keeps a file only when:
+    - every section's pre-image is the post-image the replay last
+      reached for its path (none after a deletion), so the replay saw
+      each change on the file's way to its current blob;
+    - no section of it is binary, which shows no hunks, or comes from
+      a merge commit, which blame diffs against every parent;
+    - it was not created by a commit that also deleted a file, where
+      blame would follow a rename;
+    - the history is one line of commits ending at the revision, or no
+      post-image of the path repeats. Across branches a blob that
+      repeats (a change undone) can join diffs that blame never meets,
+      while a blob that does not repeat has one commit that made it,
+      which blame's walk must reach.
+    `extract_blame` adds the last rule: the file's blob at the revision
+    is the one the replay reached.
+    """
+
+    def __init__(self):
+        # path -> (blob id, owner per line); a blob id of None marks a
+        # path unproven until it is deleted
+        self.files: dict[str, tuple[str | None, list[RawAuthor]]] = {}
+        self.posts: set[tuple[str, str]] = set()
+        self.repeats: set[str] = set()
+        self.created: list[str] = []  # paths the current commit created
+        self.deletes = False  # whether the current commit deleted a file
+        self.linear = True
+        self.last = ""
+
+    def commit(self, hash_: str, parents: str) -> None:
+        self._end_commit()
+        self.linear = self.linear and parents == self.last
+        self.last = hash_
+
+    def _end_commit(self) -> None:
+        if self.deletes:
+            for path in self.created:
+                self.files[path] = (None, [])
+        self.created, self.deletes = [], False
+
+    def section(self, path: str, pre: str, post: str,
+                hunks: list[str] | None, commit: CommitMeta) -> None:
+        """One file section of a commit: its path, the ids of its pre-
+        and post-image, and its hunk headers (None when it is binary)."""
+        if not post:  # deleted: a file made here later starts afresh
+            self.files.pop(path, None)
+            self.deletes = True
+            return
+        if (path, post) in self.posts:
+            self.repeats.add(path)
+        self.posts.add((path, post))
+        if not pre:
+            self.created.append(path)
+        blob, owners = self.files.get(path) or ("", [])
+        if pre != blob or hunks is None or commit.is_merge:
+            self.files[path] = (None, [])
+            return
+        author = commit.author
+        for header in hunks:
+            old, start, new = _HUNK.match(header).groups()
+            old = 1 if old is None else int(old)
+            new = 1 if new is None else int(new)
+            at = int(start) - 1 if new else int(start)
+            owners[at:at + old] = [author] * new
+        self.files[path] = (post, owners)
+
+    def proven(self, revision: str) -> dict[str, tuple[str, list[RawAuthor]]]:
+        self._end_commit()
+        linear = self.linear and self.last == revision
+        return {path: (blob, owners)
+                for path, (blob, owners) in self.files.items()
+                if blob is not None and (linear or path not in self.repeats)}
 
 
 def extract_history(repo_path: str, revision: str = "HEAD",
-                    include_merges: bool = False) -> Iterator[ChangeRecord]:
+                    include_merges: bool = False,
+                    replay: LineReplay | None = None,
+                    ) -> Iterator[ChangeRecord]:
     """Yield one ChangeRecord per (commit, modified text file) pair.
 
     Covers the full history reachable from a revision, oldest first
     (author-date order under topological constraints).
     Merge commits are skipped unless include_merges is set, in which
     case their diff is taken against the first parent. Binary files
-    and submodule pointer bumps are skipped.
+    and submodule pointer bumps are skipped. Authors are taken through
+    the repository's .mailmap, as `git blame` takes them.
+
+    A LineReplay passed as replay receives each file's line owners at
+    the revision once the last record has been yielded.
     """
     commit = _commit_of(repo_path, revision)
-    # Colour, path prefixes and the diff algorithm are pinned: `_parse_log`
-    # reads plain "a/" and "b/" paths, and the changed lines are the same,
-    # whatever the user's diff.noprefix, color.ui or diff.algorithm.
+    # Colour, path prefixes, hunk context, the diff algorithm and its
+    # heuristic are pinned: `_parse_log` reads plain "a/" and "b/" paths
+    # and zero-context hunks, and the changed lines are the same, and
+    # the same as blame's, whatever the user's color.ui, diff.noprefix,
+    # diff.interHunkContext, diff.algorithm or diff.indentHeuristic.
+    # Like blame, the log counts lines as committed, through no textconv
+    # filter, and --full-index gives the blob ids the replay checks.
     args = ["log", "--reverse", "--author-date-order", "--no-renames",
-            "-p", "-U0", "--no-color", "--src-prefix=a/", "--dst-prefix=b/",
-            "--diff-algorithm=myers", f"--pretty=format:{_LOG_FORMAT}",
+            "-p", "-U0", "--inter-hunk-context=0", "--no-color",
+            "--src-prefix=a/", "--dst-prefix=b/", "--diff-algorithm=myers",
+            "--indent-heuristic", "--no-textconv", "--full-index",
+            f"--pretty=format:{_LOG_FORMAT}",
             "--diff-merges=first-parent" if include_merges else "--no-merges",
             f"{commit}^{{commit}}", "--"]  # a tree's log would be empty
+    tracked = _Replay()
     with _rejections_of(repo_path, revision):
-        yield from _parse_log(_git(repo_path, *args))
+        yield from _parse_log(_git(repo_path, *args), tracked)
+    if replay is not None:
+        replay.revision, replay.files = commit, tracked.proven(commit)
 
 
-def _parse_log(lines: Iterable[str]) -> Iterator[ChangeRecord]:
-    """Change records from the lines of `git log -p -U0` in _LOG_FORMAT.
+def _parse_log(lines: Iterable[str],
+               replay: _Replay) -> Iterator[ChangeRecord]:
+    """Change records from the lines of `git log -p -U0 --full-index` in
+    _LOG_FORMAT; each commit and file section also goes to the replay.
 
     A file section runs from its "diff --git" line to the next one, the
     next commit header or the end of the stream, and gives a record when
@@ -181,13 +309,15 @@ def _parse_log(lines: Iterable[str]) -> Iterator[ChangeRecord]:
     """
     commit: CommitMeta | None = None
     sequence = 0
-    path: str | None = None  # post-image path, unless the file was deleted
+    path: str | None = None
     added: list[str] = []
     deleted: list[str] = []
+    hunks: list[str] | None = []  # None for a binary section
+    blobs: tuple[str, str] | None = None  # ids of the pre- and post-image
     gitlink = False
     in_hunks = False
-    # The trailing "diff --git " ends the last section like any other.
-    for line in chain(lines, ["diff --git "]):
+    # The trailing mark ends the last section like any other.
+    for line in chain(lines, [_COMMIT_MARK]):
         if in_hunks:
             # With -U0 a hunk holds only +/-/backslash lines, so content
             # that looks like "--- x", "+++ y" or "@@" stays content.
@@ -197,7 +327,10 @@ def _parse_log(lines: Iterable[str]) -> Iterator[ChangeRecord]:
             if line.startswith("-"):
                 deleted.append(line[1:])
                 continue
-            if line.startswith(("@@", "\\")):
+            if line.startswith("@@"):
+                hunks.append(line)
+                continue
+            if line.startswith("\\"):
                 continue
             in_hunks = False
         if line.startswith(("diff --git ", _COMMIT_MARK)):
@@ -206,20 +339,29 @@ def _parse_log(lines: Iterable[str]) -> Iterator[ChangeRecord]:
                 yield ChangeRecord(commit, path, len(added), len(deleted),
                                    token_distance(tokenize(added),
                                                   tokenize(deleted)))
-            path, added, deleted, gitlink = None, [], [], False
-            if line.startswith(_COMMIT_MARK):
-                commit = _parse_header(line, sequence)
+            if blobs is not None:
+                replay.section(path, *blobs, hunks, commit)
+            path, added, deleted, hunks, blobs, gitlink = (
+                None, [], [], [], None, False)
+            if line.startswith("diff --git "):
+                path = _section_path(line)
+            elif line != _COMMIT_MARK:
+                commit, parents = _parse_header(line, sequence)
+                replay.commit(commit.hash, parents)
                 sequence += 1
         elif line.startswith("@@"):
             in_hunks = True
+            hunks.append(line)
         # Preamble of a file section (between "diff --git" and first hunk).
-        elif line.startswith("--- "):
-            path = _strip_diff_path(line)
-        elif line.startswith("+++ "):
-            path = _strip_diff_path(line) or path
         elif line.endswith(" 160000"):
             # index, new/deleted file mode or old/new mode of a gitlink
             gitlink = True
+        elif line.startswith("index "):
+            # "index <pre>..<post>[ <mode>]"; an all-zero id is no blob
+            pre, _, post = line[6:].split(" ", 1)[0].partition("..")
+            blobs = (pre.strip("0") and pre, post.strip("0") and post)
+        elif line.startswith("Binary files "):
+            hunks = None
 
 
 # --- blame extraction ---
@@ -234,31 +376,33 @@ _EMPTY_TREE = {
 }
 
 
-def _list_text_files(repo_path: str, commit: str, scope: str) -> list[str]:
-    """Non-empty regular text files at a commit (a full hash), within a
-    scope.
+def _list_text_files(repo_path: str, commit: str, scope: str,
+                     ) -> dict[str, str]:
+    """Blob id of each non-empty regular text file at a commit (a full
+    hash), within a scope, in path order.
 
-    One diff against the empty tree gives each file's mode (raw entries,
-    ":<old mode> <new mode> ...", then the path) and its line count
-    (numstat entries, "-" for binary files).
+    One diff against the empty tree gives each file's mode and blob id
+    (raw entries, ":<old mode> <new mode> <old id> <new id> A", then the
+    path) and its line count (numstat entries, "-" for binary files).
     """
-    args = ["diff", "--raw", "--numstat", "-z", "--no-renames",
-            _EMPTY_TREE[len(commit)], commit]
+    args = ["diff", "--raw", "--no-abbrev", "--numstat", "-z",
+            "--no-renames", _EMPTY_TREE[len(commit)], commit]
     if scope:
         args += ["--", f":(literal){scope}"]  # a prefix, as in `in_scope`
-    modes: dict[str, str] = {}
+    blobs: dict[str, tuple[str, str]] = {}
     added: dict[str, str] = {}
     # -z output: a path holding "\n" is whole again once lines are joined
     fields = iter("\n".join(_git(repo_path, *args)).split("\0")[:-1])
     for field in fields:
         if field.startswith(":"):
-            modes[next(fields)] = field.split(" ")[1]
+            _, mode, _, blob, _ = field.split(" ")
+            blobs[next(fields)] = (mode, blob)
         else:
             count, _, rest = field.split("\t", 2)
             added[rest] = count
-    return sorted(path for path, mode in modes.items()
-                  if mode in _TEXT_BLOB_MODES
-                  and added[path] != "-" and int(added[path]) > 0)
+    return {path: blob for path, (mode, blob) in sorted(blobs.items())
+            if mode in _TEXT_BLOB_MODES
+            and added[path] != "-" and int(added[path]) > 0}
 
 
 def _blame_file(repo_path: str, revision: str, path: str,
@@ -267,9 +411,13 @@ def _blame_file(repo_path: str, revision: str, path: str,
     counts: dict[tuple[str, str], int] = {}
     name = ""
     email = ""
-    # An empty --ignore-revs-file clears the user's blame.ignoreRevsFile.
+    # An empty --ignore-revs-file clears the user's blame.ignoreRevsFile;
+    # the diff algorithm, its heuristic and the lines as committed (no
+    # textconv filter) are the history pass's.
     for line in _git(repo_path, "blame", "--line-porcelain",
-                     "--ignore-revs-file=", revision, "--", path):
+                     "--ignore-revs-file=", "--diff-algorithm=myers",
+                     "--indent-heuristic", "--no-textconv", revision, "--",
+                     path):
         if line.startswith("\t"):
             counts[name, email] = counts.get((name, email), 0) + 1
         elif line.startswith("author "):
@@ -281,27 +429,37 @@ def _blame_file(repo_path: str, revision: str, path: str,
 
 
 def extract_blame(repo_path: str, revision: str = "HEAD",
-                  path_filter: str | None = None) -> BlameSnapshot:
+                  path_filter: str | None = None,
+                  replay: LineReplay | None = None) -> BlameSnapshot:
     """Blame every text file at a revision.
 
     Returns, per file, the number of lines each raw author owns: a
     line belongs to the author of the commit that last changed it
     (plain blame, no copy/move detection). Raises NoTextFiles when the
     filter matches nothing blame-able.
+
+    A LineReplay that `extract_history` filled at this revision gives
+    the owners of each file it proves whose blob is the file's blob at
+    the revision; `git blame` runs for the other files only.
     """
     from concurrent.futures import ThreadPoolExecutor
     commit = _commit_of(repo_path, revision)
     scope = normalize_scope(path_filter)
+    replayed = (replay.files if replay is not None
+                and replay.revision == commit else {})
     with _rejections_of(repo_path, revision):
-        paths = _list_text_files(repo_path, commit, scope)
-        if not paths:
+        blobs = _list_text_files(repo_path, commit, scope)
+        if not blobs:
             detail = f"under {scope!r} " if scope else ""
             raise NoTextFiles(f"no text files {detail}at revision {revision}")
+        owners = {path: dict(Counter(replayed[path][1]))
+                  for path, blob in blobs.items()
+                  if path in replayed and replayed[path][0] == blob}
+        unproven = [path for path in blobs if path not in owners]
         with ThreadPoolExecutor(max_workers=_BLAME_WORKERS) as pool:
-            attributions = list(pool.map(
-                lambda p: _blame_file(repo_path, commit, p), paths))
-    files = {path: owners
-             for path, owners in zip(paths, attributions) if owners}
+            owners.update(zip(unproven, pool.map(
+                lambda p: _blame_file(repo_path, commit, p), unproven)))
+    files = {path: owners[path] for path in blobs if owners[path]}
     if not files:
         raise NoTextFiles(f"no blame-able lines at revision {revision}")
     return BlameSnapshot(revision=commit, files=files)

@@ -7,9 +7,10 @@ files (a file counts as abandoned once 90% of its lines belonged to
 departed developers). An exhaustive mode enumerates every subset and
 therefore yields the exact minimum g.
 
-Ownership is indexed once per run. Each developer becomes one integer
-holding their line count of every file in a bit field of its own, so
-testing a g-subset costs g big-integer additions and one bit count.
+Ownership is indexed once per snapshot, however many runs use it. Each
+developer becomes one integer holding their line count of every file
+in a bit field of its own, so testing a g-subset costs g big-integer
+additions and one bit count.
 Before any test, a bound on the files any g-subset can abandon rules
 out the group sizes too small to win; their subsets are counted, not
 tested.
@@ -216,7 +217,8 @@ def _sample_indexes(rng: random.Random, population: int, g: int) -> tuple[int, .
 
 
 def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
-                   config: RigConfig = RigConfig()) -> RigResult:
+                   config: RigConfig = RigConfig(), *,
+                   index: _Departures | None = None) -> RigResult:
     """Smallest departing group found to abandon the project.
 
     Sampled mode draws samples_per_size subsets per group size;
@@ -227,8 +229,13 @@ def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
     evaluated without being tested. Sampled mode still draws them when
     a later size is tested, so that size draws the subsets it would
     have drawn without the bound.
+
+    `index` is the snapshot's departure index at the config's line
+    threshold when the caller has built it already, as `rig_repeat`
+    does once for all its runs.
     """
-    index = _Departures(blame, identity, config.line_abandon_fraction)
+    if index is None:
+        index = _Departures(blame, identity, config.line_abandon_fraction)
     population = len(index.population)
     cap = min(config.max_group_size, population)
     files = len(index.need)
@@ -275,13 +282,15 @@ def rig_repeat(blame: BlameSnapshot, identity: IdentityMap,
     """Repeat the estimate with seeds seed, seed+1, ... seed+runs-1.
 
     Exhaustive mode ignores the seed, so it searches once and returns
-    that result runs times.
+    that result runs times. Sampled runs share one departure index.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if config.exhaustive:
         return [rig_bus_factor(blame, identity, config)] * runs
-    return [rig_bus_factor(blame, identity, config.replace(seed=config.seed + i))
+    index = _Departures(blame, identity, config.line_abandon_fraction)
+    return [rig_bus_factor(blame, identity,
+                           config.replace(seed=config.seed + i), index=index)
             for i in range(runs)]
 
 

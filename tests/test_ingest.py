@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from busfactor import (BlameSnapshot, RawAuthor, compile_globs,
+from busfactor import (BlameSnapshot, LineReplay, RawAuthor, compile_globs,
                        extract_blame, extract_history, filter_records,
                        filter_snapshot, load_cache, path_matches,
                        repo_fingerprint, resolve_revision, token_distance,
@@ -115,26 +115,46 @@ def test_patch_lines_that_look_like_headers(repo_factory):
         tokenize(["++ b/y", "@@ q"]), tokenize(["-- a/x", "old"]))
 
 
+# Before and after an edit that the indent heuristic places elsewhere
+# in the file, and a third version that changes the second line.
+SLID = ("}\nif a:\n  y\n{\n}\n}\n  y\n",
+        "}\nif a:\n  y\nend\nif a:\n  y\n{\n}\n}\n  y\n",
+        "}\nif b:\n  y\nend\nif a:\n  y\n{\n}\n}\n  y\n")
+
+
 @pytest.mark.parametrize("key, value", [("diff.noprefix", "true"),
                                         ("color.ui", "always"),
-                                        ("diff.algorithm", "histogram")])
+                                        ("diff.algorithm", "histogram"),
+                                        ("diff.indentHeuristic", "false"),
+                                        ("diff.interHunkContext", "1")])
 def test_history_ignores_diff_config(repo_factory, key, value):
     repo = repo_factory()
     repo.write("b/x.txt", "one\n")
     repo.write("y.txt", "two\n")
     repo.write("z.txt", "c\nb\nb\na\n")
+    repo.write("w.txt", SLID[0])
+    repo.write("v.txt", "1\n2\n3\n")
     repo.commit(ADA)
     repo.write("b/x.txt", "one\nthree\n")
     repo.write("z.txt", "b\nb\nb\nc\n")  # myers: 2 lines each way
+    repo.write("w.txt", SLID[1])
+    repo.write("v.txt", "one\n2\nthree\n")  # two hunks, one line apart
     repo.commit(BERT)
-    expected = list(extract_history(repo.path))
-    assert [(r.path, r.lines_added, r.lines_deleted) for r in expected] == [
-        ("b/x.txt", 1, 0), ("y.txt", 1, 0), ("z.txt", 4, 0),
-        ("b/x.txt", 1, 0), ("z.txt", 2, 2)]
-    patches = repo.git("log", "-p")
+
+    def history():
+        replay = LineReplay()
+        records = list(extract_history(repo.path, replay=replay))
+        return records, replay.files
+    expected = history()
+    assert [(r.path, r.lines_added, r.lines_deleted)
+            for r in expected[0]] == [
+        ("b/x.txt", 1, 0), ("v.txt", 3, 0), ("w.txt", 7, 0), ("y.txt", 1, 0),
+        ("z.txt", 4, 0), ("b/x.txt", 1, 0), ("v.txt", 2, 2), ("w.txt", 3, 0),
+        ("z.txt", 2, 2)]
+    patches = repo.git("log", "-p", "-U0")
     repo.git("config", key, value)
-    assert repo.git("log", "-p") != patches  # the setting reaches git
-    assert list(extract_history(repo.path)) == expected
+    assert repo.git("log", "-p", "-U0") != patches  # the setting reaches git
+    assert history() == expected
 
 
 def test_modified_line_counts_once_each_way(repo_factory):
@@ -290,6 +310,20 @@ def test_blame_ignores_ignore_revs_config(repo_factory, tmp_path):
     assert extract_blame(repo.path) == expected
 
 
+def test_blame_ignores_diff_config(repo_factory):
+    repo = repo_factory()
+    for text, author in zip(SLID, (ADA, BERT, CLEO)):
+        repo.write("w.txt", text)
+        repo.commit(author)
+    expected = extract_blame(repo.path)
+    assert expected.files["w.txt"] == {
+        RawAuthor(*ADA): 7, RawAuthor(*BERT): 2, RawAuthor(*CLEO): 1}
+    repo.git("config", "diff.indentHeuristic", "false")
+    assert Counter(raw_blame(repo.path, "HEAD", "w.txt")) == {
+        ADA: 6, BERT: 3, CLEO: 1}
+    assert extract_blame(repo.path) == expected
+
+
 def test_blame_at_past_revision(repo_factory):
     repo = repo_factory()
     repo.write("f.txt", "original\n")
@@ -420,6 +454,10 @@ def test_blame_in_sha256_repository(tmp_path):
     snap = extract_blame(repo.path)
     assert snap.revision == repo.head()
     assert snap.files == {"a.txt": {RawAuthor(*ADA): 1, RawAuthor(*BERT): 1}}
+    replay = LineReplay()
+    list(extract_history(repo.path, replay=replay))
+    assert set(replay.files) == {"a.txt"}
+    assert extract_blame(repo.path, replay=replay) == snap
 
 
 def test_line_counts_match_worktree(two_dev_repo):
@@ -597,8 +635,9 @@ def test_git_spawns_per_command(repo_factory, tmp_path, monkeypatch):
         assert main([*argv, "--repo", str(repo.path)]) == 0
         return len(spawns)
     # history and blame take the hash that cli.py resolved without a
-    # second rev-parse, and the empty tree's id is known without asking
-    assert count("ingest", "--cache", str(tmp_path / "cache")) == 4 + blamed
+    # second rev-parse, and the empty tree's id is known without asking;
+    # ingest takes a linear history's owners from the history pass
+    assert count("ingest", "--cache", str(tmp_path / "cache")) == 4
     assert count("cst", "--metric", "commits",
                  "--cst-metric", "mul-equal") == 3
     assert count("trend", "--from-year", "2021", "--to-year", "2021") == 3

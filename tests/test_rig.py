@@ -279,6 +279,26 @@ def test_repeat_derives_distinct_seeds():
     assert runs == singles
 
 
+def test_repeat_builds_one_index_for_all_runs(monkeypatch):
+    snap = snapshot({"f1": [A, A, B], "f2": [B, C], "f3": [C, D, D],
+                     "f4": [D, A]})
+    idmap = identity_for(snap)
+    expected = [rig_bus_factor(snap, idmap,
+                               config(seed=3 + i, max_group_size=3))
+                for i in range(5)]
+    built = []
+    index = rig_module._Departures
+
+    class Counted(index):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(rig_module, "_Departures", Counted)
+    runs = rig_repeat(snap, idmap, config(seed=3, max_group_size=3), 5)
+    assert len(built) == 1
+    assert runs == expected
+
+
 def test_repeat_exhaustive_runs_identical():
     snap = snapshot({"f1": [A, B], "f2": [C], "f3": [C, C]})
     idmap = identity_for(snap)
