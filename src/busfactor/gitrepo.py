@@ -7,11 +7,13 @@ stdout and checks its exit code. History is read in one streaming
 `git log --numstat` while the changed lines themselves are available
 for tokenization.
 
-The same pass replays each file's hunks to track who owns each of its
-lines (`LineReplay`). `extract_blame` takes a file's owners from the
-replay when the replay proves they are `git blame`'s, and runs
-`git blame` on each other file, in a pool of threads. Both passes
-read authors through .mailmap and diff with the same pinned algorithm.
+Given a `LineReplay`, the same pass replays each file's hunks to track
+who owns each of its lines. On a history that is one line of commits
+the replayed owners are `git blame`'s, and `extract_blame` takes them
+for every file but those a rename or a binary change may have touched;
+it runs `git blame` on each other file, in a pool of threads. Both
+passes read authors through .mailmap and diff with the same pinned
+algorithm.
 """
 from __future__ import annotations
 
@@ -160,104 +162,90 @@ def _section_path(line: str) -> str:
     return name[2:]
 
 
-class LineReplay:
-    """Each file's line owners, replayed from the patches of the history
-    pass, for `extract_blame` to take instead of blaming the file.
-
-    `extract_history` fills it once it has read the log to its end:
-    `revision` is the commit the log was read at, and `files` maps each
-    path whose owners the replay proves to the blob id the replay ends
-    at and the author of each of its lines. Left empty, it proves
-    nothing.
-    """
-
-    def __init__(self):
-        self.revision: str | None = None
-        self.files: dict[str, tuple[str, list[RawAuthor]]] = {}
-
-
 # "@@ -<start>[,<count>] +<start>[,<count>] @@"; a count left out is 1
 _HUNK = re.compile(r"@@ -\d+(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
 
-class _Replay:
-    """Line owners tracked through the hunks of `git log -p -U0`.
+class LineReplay:
+    """Each file's line owners, replayed from the patches of the history
+    pass, for `extract_blame` to take instead of blaming the file.
 
-    Each file section comes with its pre- and post-image blob ids ("" for
-    none) and its hunk headers; a hunk replaces the lines it deletes with
-    one owner per line it adds. `git blame` walks the same diffs back
-    from the revision, so the replayed owners are blame's whenever blame
-    meets the same diffs on its walk. `proven` keeps a file only when:
-    - every section's pre-image is the post-image the replay last
-      reached for its path (none after a deletion), so the replay saw
-      each change on the file's way to its current blob;
-    - no section of it is binary, which shows no hunks, or comes from
-      a merge commit, which blame diffs against every parent;
-    - it was not created by a commit that also deleted a file, where
-      blame would follow a rename;
-    - the history is one line of commits ending at the revision, or no
-      post-image of the path repeats. Across branches a blob that
-      repeats (a change undone) can join diffs that blame never meets,
-      while a blob that does not repeat has one commit that made it,
-      which blame's walk must reach.
-    `extract_blame` adds the last rule: the file's blob at the revision
-    is the one the replay reached.
+    Pass one to `extract_history`. Once its log has been read to the
+    end, `revision` is the commit the log was read at and `files` maps
+    each path whose owners the replay proves to the author of each of
+    its lines. A history stopped early leaves `revision` None and
+    `files` empty.
+
+    A hunk replaces the lines it deletes with one owner per line it
+    adds. When the logged history is one line of commits ending at the
+    revision, `git blame` walks the same diffs back from the revision,
+    so the replayed owners are blame's for every file, except a file
+    - with a binary section, which shows no hunks, or
+    - created by a commit that also deleted a file, where blame would
+      follow a rename.
+    On any other history the replay proves nothing: the log leaves out
+    merges, or diffs them against their first parent only, while blame
+    diffs a merge against every parent.
     """
 
     def __init__(self):
-        # path -> (blob id, owner per line); a blob id of None marks a
-        # path unproven until it is deleted
-        self.files: dict[str, tuple[str | None, list[RawAuthor]]] = {}
-        self.posts: set[tuple[str, str]] = set()
-        self.repeats: set[str] = set()
-        self.created: list[str] = []  # paths the current commit created
-        self.deletes = False  # whether the current commit deleted a file
-        self.linear = True
-        self.last = ""
+        self._reset()
 
-    def commit(self, hash_: str, parents: str) -> None:
+    def _reset(self) -> None:
+        self.revision: str | None = None
+        self.files: dict[str, list[RawAuthor]] = {}
+        # path -> owner per line, None for a path unproven until it is
+        # deleted; None for every path once the history is not one line
+        self._owners: dict[str, list[RawAuthor] | None] | None = {}
+        self._created: list[str] = []  # paths the current commit created
+        self._deletes = False  # whether the current commit deleted a file
+        self._last = ""  # the commit logged before, "" before the root
+
+    def _commit(self, hash_: str, parents: str) -> None:
         self._end_commit()
-        self.linear = self.linear and parents == self.last
-        self.last = hash_
+        if parents != self._last:
+            self._owners = None
+        self._last = hash_
 
     def _end_commit(self) -> None:
-        if self.deletes:
-            for path in self.created:
-                self.files[path] = (None, [])
-        self.created, self.deletes = [], False
+        if self._deletes and self._owners is not None:
+            self._owners.update(dict.fromkeys(self._created))
+        self._created, self._deletes = [], False
 
-    def section(self, path: str, pre: str, post: str,
-                hunks: list[str] | None, commit: CommitMeta) -> None:
-        """One file section of a commit: its path, the ids of its pre-
-        and post-image, and its hunk headers (None when it is binary)."""
-        if not post:  # deleted: a file made here later starts afresh
-            self.files.pop(path, None)
-            self.deletes = True
+    def _section(self, path: str, status: str, hunks: list[str] | None,
+                 author: RawAuthor) -> None:
+        """One file section: its path, "new" or "deleted" for a file the
+        commit created or deleted, and its hunk headers (None when it is
+        binary)."""
+        if self._owners is None:
             return
-        if (path, post) in self.posts:
-            self.repeats.add(path)
-        self.posts.add((path, post))
-        if not pre:
-            self.created.append(path)
-        blob, owners = self.files.get(path) or ("", [])
-        if pre != blob or hunks is None or commit.is_merge:
-            self.files[path] = (None, [])
+        if status == "deleted":  # a file made here later starts afresh
+            self._owners.pop(path, None)
+            self._deletes = True
             return
-        author = commit.author
+        if status == "new":
+            self._created.append(path)
+            self._owners[path] = []
+        owners = self._owners.get(path)
+        if owners is None:
+            return
+        if hunks is None:
+            self._owners[path] = None
+            return
         for header in hunks:
             old, start, new = _HUNK.match(header).groups()
             old = 1 if old is None else int(old)
             new = 1 if new is None else int(new)
             at = int(start) - 1 if new else int(start)
             owners[at:at + old] = [author] * new
-        self.files[path] = (post, owners)
 
-    def proven(self, revision: str) -> dict[str, tuple[str, list[RawAuthor]]]:
+    def _finish(self, revision: str) -> None:
         self._end_commit()
-        linear = self.linear and self.last == revision
-        return {path: (blob, owners)
-                for path, (blob, owners) in self.files.items()
-                if blob is not None and (linear or path not in self.repeats)}
+        if self._owners is not None and self._last == revision:
+            self.files = {path: owners
+                          for path, owners in self._owners.items()
+                          if owners is not None}
+        self.revision = revision
 
 
 def extract_history(repo_path: str, revision: str = "HEAD",
@@ -274,7 +262,8 @@ def extract_history(repo_path: str, revision: str = "HEAD",
     the repository's .mailmap, as `git blame` takes them.
 
     A LineReplay passed as replay receives each file's line owners at
-    the revision once the last record has been yielded.
+    the revision once the last record has been yielded; without one,
+    no owners are tracked.
     """
     commit = _commit_of(repo_path, revision)
     # Colour, path prefixes, hunk context, the diff algorithm and its
@@ -283,25 +272,26 @@ def extract_history(repo_path: str, revision: str = "HEAD",
     # the same as blame's, whatever the user's color.ui, diff.noprefix,
     # diff.interHunkContext, diff.algorithm or diff.indentHeuristic.
     # Like blame, the log counts lines as committed, through no textconv
-    # filter, and --full-index gives the blob ids the replay checks.
+    # filter.
     args = ["log", "--reverse", "--author-date-order", "--no-renames",
             "-p", "-U0", "--inter-hunk-context=0", "--no-color",
             "--src-prefix=a/", "--dst-prefix=b/", "--diff-algorithm=myers",
-            "--indent-heuristic", "--no-textconv", "--full-index",
+            "--indent-heuristic", "--no-textconv",
             f"--pretty=format:{_LOG_FORMAT}",
             "--diff-merges=first-parent" if include_merges else "--no-merges",
             f"{commit}^{{commit}}", "--"]  # a tree's log would be empty
-    tracked = _Replay()
-    with _rejections_of(repo_path, revision):
-        yield from _parse_log(_git(repo_path, *args), tracked)
     if replay is not None:
-        replay.revision, replay.files = commit, tracked.proven(commit)
+        replay._reset()
+    with _rejections_of(repo_path, revision):
+        yield from _parse_log(_git(repo_path, *args), replay)
+    if replay is not None:
+        replay._finish(commit)
 
 
 def _parse_log(lines: Iterable[str],
-               replay: _Replay) -> Iterator[ChangeRecord]:
-    """Change records from the lines of `git log -p -U0 --full-index` in
-    _LOG_FORMAT; each commit and file section also goes to the replay.
+               replay: LineReplay | None = None) -> Iterator[ChangeRecord]:
+    """Change records from the lines of `git log -p -U0` in _LOG_FORMAT;
+    each commit and file section also goes to the replay, if any.
 
     A file section runs from its "diff --git" line to the next one, the
     next commit header or the end of the stream, and gives a record when
@@ -313,7 +303,7 @@ def _parse_log(lines: Iterable[str],
     added: list[str] = []
     deleted: list[str] = []
     hunks: list[str] | None = []  # None for a binary section
-    blobs: tuple[str, str] | None = None  # ids of the pre- and post-image
+    status = ""  # "new" or "deleted" for a file created or deleted
     gitlink = False
     in_hunks = False
     # The trailing mark ends the last section like any other.
@@ -334,34 +324,36 @@ def _parse_log(lines: Iterable[str],
                 continue
             in_hunks = False
         if line.startswith(("diff --git ", _COMMIT_MARK)):
-            # A mode-only, empty-file or binary change has no changed lines.
-            if path is not None and not gitlink and (added or deleted):
-                yield ChangeRecord(commit, path, len(added), len(deleted),
-                                   token_distance(tokenize(added),
-                                                  tokenize(deleted)))
-            if blobs is not None:
-                replay.section(path, *blobs, hunks, commit)
-            path, added, deleted, hunks, blobs, gitlink = (
-                None, [], [], [], None, False)
+            if path is not None:
+                # A mode-only, empty-file or binary change has no changed
+                # lines.
+                if not gitlink and (added or deleted):
+                    yield ChangeRecord(commit, path, len(added), len(deleted),
+                                       token_distance(tokenize(added),
+                                                      tokenize(deleted)))
+                if replay is not None:
+                    replay._section(path, status, hunks, commit.author)
+            path, added, deleted, hunks, status, gitlink = (
+                None, [], [], [], "", False)
             if line.startswith("diff --git "):
                 path = _section_path(line)
             elif line != _COMMIT_MARK:
                 commit, parents = _parse_header(line, sequence)
-                replay.commit(commit.hash, parents)
+                if replay is not None:
+                    replay._commit(commit.hash, parents)
                 sequence += 1
         elif line.startswith("@@"):
             in_hunks = True
             hunks.append(line)
         # Preamble of a file section (between "diff --git" and first hunk).
-        elif line.endswith(" 160000"):
-            # index, new/deleted file mode or old/new mode of a gitlink
-            gitlink = True
-        elif line.startswith("index "):
-            # "index <pre>..<post>[ <mode>]"; an all-zero id is no blob
-            pre, _, post = line[6:].split(" ", 1)[0].partition("..")
-            blobs = (pre.strip("0") and pre, post.strip("0") and post)
         elif line.startswith("Binary files "):
             hunks = None
+        else:
+            if line.endswith(" 160000"):
+                # index, new/deleted file mode or old/new mode of a gitlink
+                gitlink = True
+            if line.startswith(("new file mode ", "deleted file mode ")):
+                status = line.split(" ", 1)[0]
 
 
 # --- blame extraction ---
@@ -376,33 +368,31 @@ _EMPTY_TREE = {
 }
 
 
-def _list_text_files(repo_path: str, commit: str, scope: str,
-                     ) -> dict[str, str]:
-    """Blob id of each non-empty regular text file at a commit (a full
-    hash), within a scope, in path order.
+def _list_text_files(repo_path: str, commit: str, scope: str) -> list[str]:
+    """Non-empty regular text files at a commit (a full hash), within a
+    scope.
 
-    One diff against the empty tree gives each file's mode and blob id
-    (raw entries, ":<old mode> <new mode> <old id> <new id> A", then the
-    path) and its line count (numstat entries, "-" for binary files).
+    One diff against the empty tree gives each file's mode (raw entries,
+    ":<old mode> <new mode> ...", then the path) and its line count
+    (numstat entries, "-" for binary files).
     """
-    args = ["diff", "--raw", "--no-abbrev", "--numstat", "-z",
-            "--no-renames", _EMPTY_TREE[len(commit)], commit]
+    args = ["diff", "--raw", "--numstat", "-z", "--no-renames",
+            _EMPTY_TREE[len(commit)], commit]
     if scope:
         args += ["--", f":(literal){scope}"]  # a prefix, as in `in_scope`
-    blobs: dict[str, tuple[str, str]] = {}
+    modes: dict[str, str] = {}
     added: dict[str, str] = {}
     # -z output: a path holding "\n" is whole again once lines are joined
     fields = iter("\n".join(_git(repo_path, *args)).split("\0")[:-1])
     for field in fields:
         if field.startswith(":"):
-            _, mode, _, blob, _ = field.split(" ")
-            blobs[next(fields)] = (mode, blob)
+            modes[next(fields)] = field.split(" ")[1]
         else:
             count, _, rest = field.split("\t", 2)
             added[rest] = count
-    return {path: blob for path, (mode, blob) in sorted(blobs.items())
-            if mode in _TEXT_BLOB_MODES
-            and added[path] != "-" and int(added[path]) > 0}
+    return sorted(path for path, mode in modes.items()
+                  if mode in _TEXT_BLOB_MODES
+                  and added[path] != "-" and int(added[path]) > 0)
 
 
 def _blame_file(repo_path: str, revision: str, path: str,
@@ -439,8 +429,8 @@ def extract_blame(repo_path: str, revision: str = "HEAD",
     filter matches nothing blame-able.
 
     A LineReplay that `extract_history` filled at this revision gives
-    the owners of each file it proves whose blob is the file's blob at
-    the revision; `git blame` runs for the other files only.
+    the owners of each file it proves; `git blame` runs for the other
+    files only.
     """
     from concurrent.futures import ThreadPoolExecutor
     commit = _commit_of(repo_path, revision)
@@ -448,18 +438,17 @@ def extract_blame(repo_path: str, revision: str = "HEAD",
     replayed = (replay.files if replay is not None
                 and replay.revision == commit else {})
     with _rejections_of(repo_path, revision):
-        blobs = _list_text_files(repo_path, commit, scope)
-        if not blobs:
+        paths = _list_text_files(repo_path, commit, scope)
+        if not paths:
             detail = f"under {scope!r} " if scope else ""
             raise NoTextFiles(f"no text files {detail}at revision {revision}")
-        owners = {path: dict(Counter(replayed[path][1]))
-                  for path, blob in blobs.items()
-                  if path in replayed and replayed[path][0] == blob}
-        unproven = [path for path in blobs if path not in owners]
+        owners = {path: dict(Counter(replayed[path]))
+                  for path in paths if path in replayed}
+        unproven = [path for path in paths if path not in owners]
         with ThreadPoolExecutor(max_workers=_BLAME_WORKERS) as pool:
             owners.update(zip(unproven, pool.map(
                 lambda p: _blame_file(repo_path, commit, p), unproven)))
-    files = {path: owners[path] for path in blobs if owners[path]}
+    files = {path: owners[path] for path in paths if owners[path]}
     if not files:
         raise NoTextFiles(f"no blame-able lines at revision {revision}")
     return BlameSnapshot(revision=commit, files=files)

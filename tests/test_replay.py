@@ -84,6 +84,19 @@ def evil_merge(repo):
     repo.commit(DMITRI)
 
 
+def evil_merge_of_a_branch_ahead(repo):
+    """Main does not move after the fork; the merge commit, which the
+    log leaves out, changes f.txt. The logged commits are one line, but
+    it ends before the revision."""
+    _fork(repo)
+    repo.write("g.txt", "g\nG\n")
+    repo.commit(BERT)
+    repo.git("checkout", "-q", "main")
+    repo.git("merge", "-q", "--no-ff", "--no-commit", "side")
+    repo.write("f.txt", "1\n2\nthree\n4\n5\n")
+    repo.commit(DMITRI)
+
+
 def undone_on_a_branch(repo):
     """A side branch changes f.txt and changes it back, main changes it
     after the fork: each pre-image matches the post-image before it in
@@ -97,6 +110,30 @@ def undone_on_a_branch(repo):
     repo.write("f.txt", "1\n2\n3\n4\nE\n")
     repo.commit(DMITRI)
     repo.merge_branch("side", ADA)
+
+
+def resolved_again_on_a_branch(repo):
+    """A merge resolves f.txt to a new blob and a later side-branch
+    commit makes the same blob. The log leaves the merge out, so the
+    side branch's diffs chain from the first blob to the last one
+    unbroken, while blame credits the merge's lines to the merge."""
+    repo.write("f.txt", "1\n2\n3\n")
+    repo.write("g.txt", "g\n")
+    repo.commit(ADA)
+    repo.git("checkout", "-q", "-b", "side")
+    repo.write("f.txt", "1\nB\n3\n")
+    repo.commit(BERT)
+    repo.git("checkout", "-q", "main")
+    repo.write("g.txt", "g\nG\n")
+    repo.commit(CLEO)
+    repo.git("merge", "-q", "--no-ff", "--no-commit", "side")
+    repo.write("f.txt", "1\nX\n3\nY\n")
+    repo.commit(DMITRI)
+    repo.git("checkout", "-q", "side")
+    repo.write("f.txt", "1\nX\n3\nY\n")
+    repo.commit(ADA)
+    repo.git("checkout", "-q", "main")
+    repo.merge_branch("side", BERT)
 
 
 def deleted_then_added(repo):
@@ -121,19 +158,22 @@ def binary_then_text(repo):
 
 
 # case -> history, ingest flags, the files `git blame` must still run on
+FORKED = ["f.txt", "g.txt", "h.txt"]
 CASES = {
     "linear": (linear, (), []),
     "rename": (rename, (), ["b.txt"]),
-    "side-branch": (side_branch, (), ["f.txt"]),
-    "evil-merge": (evil_merge, (), ["f.txt"]),
-    "undone-on-a-branch": (undone_on_a_branch, (), ["f.txt"]),
+    # a history that is not one line of commits replays nothing
+    "side-branch": (side_branch, (), FORKED),
+    "evil-merge": (evil_merge, (), FORKED),
+    "evil-merge-of-a-branch-ahead": (evil_merge_of_a_branch_ahead, (),
+                                     FORKED),
+    "undone-on-a-branch": (undone_on_a_branch, (), FORKED),
+    "resolved-again-on-a-branch": (resolved_again_on_a_branch, (),
+                                   ["f.txt", "g.txt"]),
     "deleted-then-added": (deleted_then_added, (), []),
     "binary-then-text": (binary_then_text, (), ["f.dat"]),
-    # first-parent merge diffs are never replayed
-    "include-merges": (side_branch, ("--include-merges",),
-                       ["f.txt", "g.txt"]),
-    "include-merges-evil": (evil_merge, ("--include-merges",),
-                            ["f.txt", "g.txt"]),
+    "include-merges": (side_branch, ("--include-merges",), FORKED),
+    "include-merges-evil": (evil_merge, ("--include-merges",), FORKED),
 }
 
 
@@ -219,16 +259,30 @@ def test_history_stopped_early_proves_nothing(repo_factory):
     repo.write("b.txt", "b\n")
     repo.commit(BERT)
     replay = LineReplay()
-    records = extract_history(repo.path, replay=replay)
+    list(extract_history(repo.path, replay=replay))
+    assert set(replay.files) == {"a.txt", "b.txt"}
+    everything = extract_blame(repo.path, replay=replay)
+    records = extract_history(repo.path, replay=replay)  # the same replay
     next(records)
     records.close()
-    assert replay.files == {}
-    everything = LineReplay()
-    list(extract_history(repo.path, replay=everything))
-    assert set(everything.files) == {"a.txt", "b.txt"}
-    assert (extract_blame(repo.path, replay=replay)
-            == extract_blame(repo.path, replay=everything)
+    assert replay.revision is None and replay.files == {}
+    assert (extract_blame(repo.path, replay=replay) == everything
             == extract_blame(repo.path))
+
+
+def test_history_without_a_replay_tracks_no_owners(repo_factory,
+                                                    monkeypatch):
+    repo = repo_factory()
+    repo.write("a.txt", "a\n")
+    repo.commit(ADA)
+    repo.write("a.txt", "b\n")
+    repo.commit(BERT)
+
+    def tracked(*args):
+        raise AssertionError("owners tracked without a replay")
+    for name in ("_commit", "_section", "_finish"):
+        monkeypatch.setattr(LineReplay, name, tracked)
+    assert len(list(extract_history(repo.path))) == 2
 
 
 def test_replay_of_another_revision_is_not_used(repo_factory, monkeypatch):
