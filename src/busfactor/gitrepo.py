@@ -45,6 +45,20 @@ _LOG_FORMAT = "%x00%H%x01%aN%x01%aE%x01%at%x01%P"
 
 _BLAME_WORKERS = min(8, os.cpu_count() or 1)
 
+# The diff of both the history and the blame pass, so that they see the
+# same changed lines: Myers with its indent heuristic, on the blobs as
+# committed.
+_DIFF_FLAGS = ("--diff-algorithm=myers", "--indent-heuristic", "--no-textconv")
+
+# Variables that point git at another repository than the one named,
+# as a git hook inherits them: `git rev-parse --local-env-vars`.
+_REPOSITORY_VARS = frozenset((
+    "GIT_ALTERNATE_OBJECT_DIRECTORIES", "GIT_COMMON_DIR", "GIT_CONFIG",
+    "GIT_CONFIG_COUNT", "GIT_CONFIG_PARAMETERS", "GIT_DIR", "GIT_GRAFT_FILE",
+    "GIT_IMPLICIT_WORK_TREE", "GIT_INDEX_FILE", "GIT_INTERNAL_SUPER_PREFIX",
+    "GIT_NO_REPLACE_OBJECTS", "GIT_OBJECT_DIRECTORY", "GIT_PREFIX",
+    "GIT_REPLACE_REF_BASE", "GIT_SHALLOW_FILE", "GIT_WORK_TREE"))
+
 
 def _git(repo_path: str, *args: str,
          ok_codes: Sequence[int] = (0,)) -> Iterator[str]:
@@ -63,9 +77,11 @@ def _git(repo_path: str, *args: str,
     import subprocess
     import tempfile
     cmd = ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args]
+    env = {k: v for k, v in os.environ.items() if k not in _REPOSITORY_VARS}
     with tempfile.TemporaryFile() as stderr:
         try:
-            proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=stderr)
+            proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                                    stderr=stderr, env=env)
         except OSError as exc:
             raise GitInvocationFailure(" ".join(cmd), -1, str(exc)) from None
         with proc, io.TextIOWrapper(proc.stdout, encoding="utf-8",
@@ -149,17 +165,17 @@ def _parse_header(line: str, sequence: int) -> tuple[CommitMeta, str]:
 
 
 def _section_path(line: str) -> str:
-    # "diff --git a/<path> b/<path>": under --no-renames both names are
-    # the one path, so the line after "diff --git " splits into two
-    # halves of equal length. git C-quotes a name holding '"', '\\' or a
-    # control character; under core.quotepath=false it escapes only those
-    # ASCII characters, each in an escape that Python string literals
-    # share. The "a/" prefix is pinned by `extract_history`.
+    # "diff --git <path> <path>": under --no-renames and --no-prefix both
+    # names are the one path, so the line after "diff --git " splits into
+    # two halves of equal length. git C-quotes a name holding '"', '\\'
+    # or a control character; under core.quotepath=false it escapes only
+    # those ASCII characters, each in an escape that Python string
+    # literals share.
     name = line[11:11 + (len(line) - 12) // 2]
     if name.startswith('"'):
         import ast
         name = ast.literal_eval(name)
-    return name[2:]
+    return name
 
 
 # "@@ -<start>[,<count>] +<start>[,<count>] @@"; a count left out is 1
@@ -266,17 +282,12 @@ def extract_history(repo_path: str, revision: str = "HEAD",
     no owners are tracked.
     """
     commit = _commit_of(repo_path, revision)
-    # Colour, path prefixes, hunk context, the diff algorithm and its
-    # heuristic are pinned: `_parse_log` reads plain "a/" and "b/" paths
-    # and zero-context hunks, and the changed lines are the same, and
-    # the same as blame's, whatever the user's color.ui, diff.noprefix,
-    # diff.interHunkContext, diff.algorithm or diff.indentHeuristic.
-    # Like blame, the log counts lines as committed, through no textconv
-    # filter.
+    # Flags, not -c: each overrides every config key that feeds it, so
+    # `_parse_log` reads uncoloured zero-context hunks under bare paths,
+    # in git's own file order.
     args = ["log", "--reverse", "--author-date-order", "--no-renames",
             "-p", "-U0", "--inter-hunk-context=0", "--no-color",
-            "--src-prefix=a/", "--dst-prefix=b/", "--diff-algorithm=myers",
-            "--indent-heuristic", "--no-textconv",
+            "--no-prefix", f"-O{os.devnull}", *_DIFF_FLAGS,
             f"--pretty=format:{_LOG_FORMAT}",
             "--diff-merges=first-parent" if include_merges else "--no-merges",
             f"{commit}^{{commit}}", "--"]  # a tree's log would be empty
@@ -401,13 +412,9 @@ def _blame_file(repo_path: str, revision: str, path: str,
     counts: dict[tuple[str, str], int] = {}
     name = ""
     email = ""
-    # An empty --ignore-revs-file clears the user's blame.ignoreRevsFile;
-    # the diff algorithm, its heuristic and the lines as committed (no
-    # textconv filter) are the history pass's.
+    # An empty --ignore-revs-file clears a configured blame.ignoreRevsFile
     for line in _git(repo_path, "blame", "--line-porcelain",
-                     "--ignore-revs-file=", "--diff-algorithm=myers",
-                     "--indent-heuristic", "--no-textconv", revision, "--",
-                     path):
+                     "--ignore-revs-file=", *_DIFF_FLAGS, revision, "--", path):
         if line.startswith("\t"):
             counts[name, email] = counts.get((name, email), 0) + 1
         elif line.startswith("author "):

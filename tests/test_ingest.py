@@ -126,7 +126,8 @@ SLID = ("}\nif a:\n  y\n{\n}\n}\n  y\n",
                                         ("color.ui", "always"),
                                         ("diff.algorithm", "histogram"),
                                         ("diff.indentHeuristic", "false"),
-                                        ("diff.interHunkContext", "1")])
+                                        ("diff.interHunkContext", "1"),
+                                        ("diff.orderFile", ".git/order")])
 def test_history_ignores_diff_config(repo_factory, key, value):
     repo = repo_factory()
     repo.write("b/x.txt", "one\n")
@@ -152,6 +153,7 @@ def test_history_ignores_diff_config(repo_factory, key, value):
         ("z.txt", 4, 0), ("b/x.txt", 1, 0), ("v.txt", 2, 2), ("w.txt", 3, 0),
         ("z.txt", 2, 2)]
     patches = repo.git("log", "-p", "-U0")
+    (repo.path / ".git" / "order").write_text("z*\n")  # for diff.orderFile
     repo.git("config", key, value)
     assert repo.git("log", "-p", "-U0") != patches  # the setting reaches git
     assert history() == expected
@@ -271,6 +273,31 @@ def test_fingerprint_combines_path_and_head(two_dev_repo):
     fp = repo_fingerprint(two_dev_repo.path, two_dev_repo.head())
     assert str(two_dev_repo.path) in fp
     assert fp.endswith("@" + two_dev_repo.head())
+
+
+def test_inherited_repository_variables_are_ignored(two_dev_repo,
+                                                   repo_factory, monkeypatch):
+    # As inside a git hook of another repository.
+    local = subprocess.run(["git", "rev-parse", "--local-env-vars"],
+                           capture_output=True, text=True, check=True)
+    other = repo_factory()
+    other.write("other.txt", "x\ny\n")
+    other.commit(CLEO)
+    other.git("remote", "add", "origin", "https://example.invalid/other.git")
+    path = two_dev_repo.path
+
+    def results():
+        head = resolve_revision(path, "HEAD")
+        return (head, list(extract_history(path)), extract_blame(path),
+                repo_fingerprint(path, head))
+    expected = results()
+    git_dir = other.path / ".git"
+    for name, value in (("GIT_DIR", git_dir), ("GIT_WORK_TREE", other.path),
+                        ("GIT_INDEX_FILE", git_dir / "index"),
+                        ("GIT_OBJECT_DIRECTORY", git_dir / "objects")):
+        monkeypatch.setenv(name, str(value))
+    assert results() == expected
+    assert set(local.stdout.split()) <= gitrepo._REPOSITORY_VARS
 
 
 # --- blame ------------------------------------------------------------

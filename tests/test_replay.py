@@ -8,6 +8,7 @@ be blamed one by one.
 """
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
@@ -213,22 +214,36 @@ def test_ingest_owners_equal_git_blame(case, repo_factory, tmp_path,
 
 
 def test_mailmap_gives_history_and_blame_one_author(repo_factory, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, capsys):
     repo = repo_factory()
     repo.write(".mailmap", "Real Person <real@x.test> Old Name <old@x.test>\n")
     repo.write("a.txt", "one\ntwo\n")
     repo.commit(("Old Name", "old@x.test"))
     repo.write("a.txt", "one\nzwei\n")
     repo.commit(BERT)
-    records = list(extract_history(repo.path))
-    real = RawAuthor("Real Person", "real@x.test")
-    assert {r.author for r in records} == {real, RawAuthor(*BERT)}
-    blame, blamed = ingest_counting_blame(repo, tmp_path / "cache",
-                                          monkeypatch)
-    assert blamed == []
-    assert blame.authors() == {real, RawAuthor(*BERT)}
-    for path, owners in blame.files.items():
-        assert _owners(owners) == Counter(raw_blame(repo.path, "HEAD", path))
+    # Both passes read the working tree's .mailmap: the committed one,
+    # then an uncommitted edit, moves their authors together.
+    for name in ("Real Person", "New Name"):
+        repo.write(".mailmap", f"{name} <real@x.test> Old Name <old@x.test>\n")
+        real = RawAuthor(name, "real@x.test")
+        records = list(extract_history(repo.path))
+        assert {r.author for r in records} == {real, RawAuthor(*BERT)}
+        blame, blamed = ingest_counting_blame(repo, tmp_path / name,
+                                              monkeypatch)
+        assert blamed == []
+        assert blame.authors() == {real, RawAuthor(*BERT)}
+        for path, owners in blame.files.items():
+            assert _owners(owners) == Counter(raw_blame(repo.path, "HEAD",
+                                                        path))
+        capsys.readouterr()
+        assert main(["cst", "--repo", str(repo.path), "--metric", "commits",
+                     "--cst-metric", "mul-equal", "--format", "json"]) == 0
+        cst = json.loads(capsys.readouterr().out)["knowledge_table"]
+        assert main(["rig", "--repo", str(repo.path), "--exhaustive",
+                     "--format", "json"]) == 0
+        rig = json.loads(capsys.readouterr().out)["runs"][0]["bf_set"]
+        assert {d["name"] for d in cst} == {name, BERT[0]}
+        assert [d["name"] for d in rig] == [name]  # .mailmap is theirs
 
 
 def test_history_and_blame_apply_no_textconv(repo_factory, tmp_path,
