@@ -30,8 +30,7 @@ _EXPORTS = {
             "rig_bus_factor", "rig_repeat", "summarize_runs"),
     "trend": ("TrendPoint", "TrendSeries", "yearly_trend"),
     "gitrepo": ("resolve_revision", "repo_fingerprint", "extract_history",
-                "extract_blame", "LineReplay", "compile_globs",
-                "path_matches", "filter_snapshot"),
+                "extract_blame", "LineReplay", "paths_in", "filter_snapshot"),
     "cache": ("SCHEMA_VERSION", "save_cache", "load_cache"),
     "report": ("RunManifest", "render", "FORMATS", "payload_cst",
                "payload_ingest", "payload_rig", "payload_trend",

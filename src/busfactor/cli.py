@@ -420,29 +420,30 @@ def _cmd_cst(parser, args, argv, started) -> int:
 def _cmd_rig(parser, args, argv, started) -> int:
     from .rig import RigConfig, rig_repeat
     repo, cache = _resolve_source(parser, args)
+    exclude = tuple(args.exclude or ())
     nothing_in_scope = EmptySnapshot(
         f"no blamed file under {args.dir or '.'!r} "
         f"outside excludes {args.exclude or []}")
     if repo:
         try:
-            blame = extract_blame(repo, args.rev, path_filter=args.dir)
+            blame = extract_blame(repo, args.rev, path_filter=args.dir,
+                                  exclude_globs=exclude)
         except NoTextFiles:
             raise nothing_in_scope from None
         fingerprint = repo_fingerprint(repo, blame.revision)
     else:
         _, blame, fingerprint = load_cache(cache, records=False)
-        if blame is None:
-            raise EmptySnapshot("cache holds no blame data; re-run ingest")
+        if blame is None:  # ingest found no text file to blame
+            raise nothing_in_scope
         # ingest snapshots HEAD, so HEAD names the cached commit.
         if args.rev != "HEAD" and not (_HASH_PREFIX.fullmatch(args.rev)
                                        and blame.revision.startswith(args.rev)):
             raise UnknownRevision(
                 f"cache holds blame for {blame.revision}, not {args.rev}; "
                 "other revisions need --repo")
-    blame = filter_snapshot(blame, scope=args.dir,
-                            exclude_globs=tuple(args.exclude or ()))
-    if not blame.files:
-        raise nothing_in_scope
+        blame = filter_snapshot(blame, scope=args.dir, exclude_globs=exclude)
+        if not blame.files:
+            raise nothing_in_scope
 
     weights = Counter()
     for lines in blame.files.values():

@@ -10,7 +10,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import EmptyScope, ZeroDevelopers
-from .gitrepo import compile_globs, in_scope, normalize_scope, path_matches
+from .gitrepo import paths_in
 from .identity import DeveloperId, IdentityMap
 from .metrics import DataMetric, MetricKind, contribution
 from .records import ChangeRecord, Value
@@ -171,19 +171,11 @@ def filter_records(records: Iterable[ChangeRecord],
                    window: TimeWindow | None = None,
                    scope: str | None = None,
                    exclude_globs: Sequence[str] = ()) -> list[ChangeRecord]:
-    """Apply time, directory and external-code filters, in that order."""
-    compiled = compile_globs(exclude_globs)
-    scope = normalize_scope(scope)
-    kept = []
-    for record in records:
-        if window and not window.contains(record.commit.author_timestamp):
-            continue
-        if not in_scope(record.path, scope):
-            continue
-        if compiled and path_matches(record.path, compiled):
-            continue
-        kept.append(record)
-    return kept
+    """Keep the records inside the time window whose paths `paths_in` admits."""
+    analysed = paths_in(scope, exclude_globs)
+    return [record for record in records
+            if (not window or window.contains(record.commit.author_timestamp))
+            and analysed(record.path)]
 
 
 def shares_from_timeline(timeline: Sequence[tuple[DeveloperId, float]],

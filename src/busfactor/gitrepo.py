@@ -24,7 +24,7 @@ from collections import Counter
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyRepository,
@@ -164,17 +164,23 @@ def _parse_header(line: str, sequence: int) -> tuple[CommitMeta, str]:
                       len(parents.split()) > 1, sequence), parents
 
 
+# An escape in a C-quoted name: "\" and a key of _C_CHARS or 3 octal digits
+_C_ESCAPE = r"\\([0-7]{3}|.)"
+_C_CHARS = {"a": "\a", "b": "\b", "t": "\t", "n": "\n", "v": "\v",
+            "f": "\f", "r": "\r", '"': '"', "\\": "\\"}
+
+
 def _section_path(line: str) -> str:
     # "diff --git <path> <path>": under --no-renames and --no-prefix both
     # names are the one path, so the line after "diff --git " splits into
     # two halves of equal length. git C-quotes a name holding '"', '\\'
     # or a control character; under core.quotepath=false it escapes only
-    # those ASCII characters, each in an escape that Python string
-    # literals share.
+    # those ASCII characters.
     name = line[11:11 + (len(line) - 12) // 2]
     if name.startswith('"'):
-        import ast
-        name = ast.literal_eval(name)
+        name = re.sub(_C_ESCAPE,
+                      lambda m: _C_CHARS.get(m[1]) or chr(int(m[1], 8)),
+                      name[1:-1])
     return name
 
 
@@ -390,7 +396,7 @@ def _list_text_files(repo_path: str, commit: str, scope: str) -> list[str]:
     args = ["diff", "--raw", "--numstat", "-z", "--no-renames",
             _EMPTY_TREE[len(commit)], commit]
     if scope:
-        args += ["--", f":(literal){scope}"]  # a prefix, as in `in_scope`
+        args += ["--", f":(literal){scope}"]  # a prefix, as in `paths_in`
     modes: dict[str, str] = {}
     added: dict[str, str] = {}
     # -z output: a path holding "\n" is whole again once lines are joined
@@ -427,13 +433,15 @@ def _blame_file(repo_path: str, revision: str, path: str,
 
 def extract_blame(repo_path: str, revision: str = "HEAD",
                   path_filter: str | None = None,
+                  exclude_globs: Sequence[str] = (),
                   replay: LineReplay | None = None) -> BlameSnapshot:
-    """Blame every text file at a revision.
+    """Blame every text file at a revision that lies in the directory
+    path_filter and matches none of exclude_globs (`paths_in`).
 
     Returns, per file, the number of lines each raw author owns: a
     line belongs to the author of the commit that last changed it
     (plain blame, no copy/move detection). Raises NoTextFiles when the
-    filter matches nothing blame-able.
+    filters leave nothing blame-able.
 
     A LineReplay that `extract_history` filled at this revision gives
     the owners of each file it proves; `git blame` runs for the other
@@ -445,10 +453,11 @@ def extract_blame(repo_path: str, revision: str = "HEAD",
     replayed = (replay.files if replay is not None
                 and replay.revision == commit else {})
     with _rejections_of(repo_path, revision):
-        paths = _list_text_files(repo_path, commit, scope)
+        listed = _list_text_files(repo_path, commit, scope)
+        paths = list(filter(paths_in(scope, exclude_globs), listed))
         if not paths:
-            detail = f"under {scope!r} " if scope else ""
-            raise NoTextFiles(f"no text files {detail}at revision {revision}")
+            raise NoTextFiles(f"no text files under {scope or '.'!r} outside "
+                              f"{list(exclude_globs)} at revision {revision}")
         owners = {path: dict(Counter(replayed[path]))
                   for path in paths if path in replayed}
         unproven = [path for path in paths if path not in owners]
@@ -463,50 +472,34 @@ def extract_blame(repo_path: str, revision: str = "HEAD",
 
 # --- path filtering ---
 
-def _glob_to_regex(pattern: str) -> re.Pattern:
-    """Translate a path glob to a regex.
+# One token of a path glob: "**/", "**", "*", "?", a character class,
+# or any other character. In a class a "]" right after "[" or "[!" is a
+# member, as in fnmatch; a class without its closing "]" is unterminated.
+_GLOB_TOKEN = r"(?s)\*\*/|\*\*|\*|\?|\[(!?)(\]?[^\]]*)(\]?)|."
+# `*` and `?` do not cross `/`; `**` spans directories, and `**/` also
+# matches zero directories.
+_WILDCARDS = {"**/": r"(?:.*/)?", "**": r".*", "*": r"[^/]*", "?": r"[^/]"}
 
-    `*` and `?` do not cross `/`; `**` spans directories, and a
-    leading `**/` also matches zero directories.
-    """
+
+def _glob_to_regex(pattern: str) -> re.Pattern:
+    """Translate a path glob to a regex; a leading `/` is dropped."""
     if not pattern or pattern.isspace():
         raise InvalidGlob("empty pattern")
     pattern = pattern.lstrip("/")
     out = []
-    i = 0
-    n = len(pattern)
-    while i < n:
-        ch = pattern[i]
-        if ch == "*":
-            if pattern[i:i + 2] == "**":
-                i += 2
-                if pattern[i:i + 1] == "/":
-                    i += 1
-                    out.append(r"(?:.*/)?")  # **/ matches zero or more dirs
-                else:
-                    out.append(r".*")
-            else:
-                out.append(r"[^/]*")
-                i += 1
-        elif ch == "?":
-            out.append(r"[^/]")
-            i += 1
-        elif ch == "[":
-            j = i + 1
-            if j < n and pattern[j] in "!]":
-                j += 1
-            while j < n and pattern[j] != "]":
-                j += 1
-            if j >= n:
-                raise InvalidGlob(f"unterminated character class in {pattern!r}")
-            cls = pattern[i + 1:j].replace("\\", "\\\\")
-            if cls.startswith("!"):
-                cls = "^" + cls[1:]
-            out.append(f"[{cls}]")
-            i = j + 1
+    for token in re.finditer(_GLOB_TOKEN, pattern):
+        text, negate, members, close = token.group(0, 1, 2, 3)
+        if text in _WILDCARDS:
+            out.append(_WILDCARDS[text])
+        elif members is not None:
+            if not close:
+                raise InvalidGlob(
+                    f"unterminated character class in {pattern!r}")
+            # "!" negates; a backslash is a member, not an escape
+            out.append("[" + "^" * len(negate)
+                       + members.replace("\\", "\\\\") + "]")
         else:
-            out.append(re.escape(ch))
-            i += 1
+            out.append(re.escape(text))
     try:
         return re.compile("^" + "".join(out) + "$")
     except re.error as exc:
@@ -525,24 +518,24 @@ def normalize_scope(scope: str | None) -> str:
     return "" if cleaned == "." else cleaned
 
 
-def in_scope(path: str, scope: str) -> bool:
-    """Whether a path lies in a scope from `normalize_scope`."""
-    return not scope or path == scope or path.startswith(scope + "/")
+def paths_in(scope: str | None = None,
+             exclude_globs: Iterable[str] = ()) -> Callable[[str], bool]:
+    """The one rule of which paths are analysed: whether a path lies in
+    a directory scope (any spelling `normalize_scope` takes) and matches
+    none of the exclusion globs. Raises InvalidGlob for a bad glob."""
+    scope = normalize_scope(scope)
+    prefix = scope + "/"
+    excluded = [_glob_to_regex(pattern) for pattern in exclude_globs]
 
-
-def compile_globs(patterns: Iterable[str]) -> list[re.Pattern]:
-    return [_glob_to_regex(p) for p in patterns]
-
-
-def path_matches(path: str, compiled: Sequence[re.Pattern]) -> bool:
-    return any(rx.match(path) for rx in compiled)
+    def analysed(path: str) -> bool:
+        return ((not scope or path == scope or path.startswith(prefix))
+                and not (excluded and any(rx.match(path) for rx in excluded)))
+    return analysed
 
 
 def filter_snapshot(blame: BlameSnapshot, scope: str | None = None,
                     exclude_globs: Sequence[str] = ()) -> BlameSnapshot:
     """Restrict a blame snapshot to a directory prefix minus exclusions."""
-    compiled = compile_globs(exclude_globs)
-    scope = normalize_scope(scope)
-    files = {path: lines for path, lines in blame.files.items()
-             if in_scope(path, scope) and not path_matches(path, compiled)}
-    return BlameSnapshot(revision=blame.revision, files=files)
+    analysed = paths_in(scope, exclude_globs)
+    return blame.replace(files={path: lines for path, lines
+                                in blame.files.items() if analysed(path)})

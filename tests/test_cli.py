@@ -579,6 +579,57 @@ def test_rig_nothing_in_scope_is_empty_snapshot(two_dev_repo, tmp_path,
     assert repr(scope[1]) in proc.stderr
 
 
+def test_rig_without_text_files_fails_alike_from_repo_and_cache(
+        repo_factory, tmp_path):
+    # ingest caches no blame when HEAD holds no text file; rig then finds
+    # nothing in scope from either source
+    repo = repo_factory()
+    repo.write_bytes("b.bin", b"\x00\x01\x02\xff" * 8)
+    repo.commit(("Ada Core", "ada@fixture.test"))
+    cache = str(tmp_path / "cache")
+    assert run_cli("ingest", "--repo", str(repo.path),
+                   "--cache", cache).returncode == 0
+    from_repo = run_cli("rig", "--repo", str(repo.path))
+    from_cache = run_cli("rig", "--cache", cache)
+    assert from_repo.returncode == from_cache.returncode == 1
+    assert from_repo.stderr == from_cache.stderr == (
+        "ERROR EmptySnapshot: no blamed file under '.' outside excludes []\n")
+
+
+def test_rig_repo_blames_no_excluded_path(repo_factory, tmp_path,
+                                          monkeypatch, capsys):
+    from busfactor.cli import main
+    repo = repo_factory()
+    for i in range(3):
+        repo.write(f"src/s{i}.py", "s\n" * (i + 1))
+        repo.write(f"vendor/v{i}.c", "v\n" * (i + 2))
+    repo.commit(("Ada Core", "ada@fixture.test"))
+    repo.write("src/s0.py", "s\nt\n")
+    repo.write("vendor/v0.c", "w\n")
+    repo.commit(("Bert Low", "bert@fixture.test"))
+    cache = str(tmp_path / "cache")
+    assert main(["ingest", "--repo", str(repo.path), "--cache", cache]) == 0
+    capsys.readouterr()
+    blamed = []
+    real_popen = subprocess.Popen
+
+    def popen(cmd, *args, **kwargs):
+        if "blame" in cmd:
+            blamed.append(cmd[-1])  # git blame ... -- <path>
+        return real_popen(cmd, *args, **kwargs)
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    reports = []
+    for source in (["--repo", str(repo.path)], ["--cache", cache]):
+        assert main(["rig", *source, "--exclude", "vendor/**",
+                     "--exhaustive", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["manifest"]
+        reports.append(doc)
+    assert sorted(blamed) == ["src/s0.py", "src/s1.py", "src/s2.py"]
+    assert reports[0] == reports[1]
+    assert reports[0]["file_count"] == 3
+
+
 def test_git_missing_from_path(two_dev_repo, tmp_path):
     assert os.path.isabs(sys.executable)
     proc = run_cli("cst", "--repo", str(two_dev_repo.path),

@@ -1,19 +1,21 @@
 """History extraction, blame, globbing and the path filters."""
 from __future__ import annotations
 
+import json
 import math
+import os
 import subprocess
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from busfactor import (BlameSnapshot, LineReplay, RawAuthor, compile_globs,
-                       extract_blame, extract_history, filter_records,
-                       filter_snapshot, load_cache, path_matches,
-                       repo_fingerprint, resolve_revision, token_distance,
-                       tokenize)
+from busfactor import (BlameSnapshot, LineReplay, RawAuthor, extract_blame,
+                       extract_history, filter_records, filter_snapshot,
+                       load_cache, paths_in, repo_fingerprint,
+                       resolve_revision, token_distance, tokenize)
 from busfactor import cli, gitrepo
 from busfactor.cli import main
 from busfactor.errors import (EmptyRepository, GitInvocationFailure,
@@ -451,6 +453,32 @@ def test_carriage_return_in_a_name(repo_factory, tmp_path):
             == Counter(raw_blame(repo.path, "HEAD", "odd\rname.txt")))
 
 
+# Names git C-quotes in a diff header: each escape of its table, '"',
+# "\\", octal control bytes, and a raw non-ASCII letter beside them.
+C_QUOTED_NAMES = ("tab\there.txt", "new\nline.txt", 'say "hi".txt',
+                  "back\\slash.txt", "ctrl\x01.txt", "del\x7f.txt",
+                  "esc\x1b[31m.txt", "caf\u00e9\t.txt", "bell\a\b\v\f.txt")
+
+
+def test_quoted_names_unquote_without_ast(repo_factory):
+    repo = repo_factory()
+    for name in C_QUOTED_NAMES:
+        repo.write(name, "one line\n")
+    repo.commit(ADA)
+    code = ("import json, sys\n"
+            "from busfactor.gitrepo import extract_history\n"
+            "paths = [r.path for r in extract_history(sys.argv[1])]\n"
+            "print(json.dumps([paths, 'ast' in sys.modules]))\n")
+    src = str(Path(gitrepo.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(repo.path)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    paths, ast_loaded = json.loads(proc.stdout)
+    assert sorted(paths) == sorted(C_QUOTED_NAMES)
+    assert not ast_loaded
+
+
 def test_blame_splits_lines_at_newline_only(repo_factory):
     # a form feed or U+2028 followed by a tab must not pass for the tab
     # that starts a blamed line in the porcelain output
@@ -497,38 +525,87 @@ def test_line_counts_match_worktree(two_dev_repo):
 # --- globs and filtering ------------------------------------------------
 
 def test_glob_star_does_not_cross_directories():
-    compiled = compile_globs(["src/*.py"])
-    assert path_matches("src/a.py", compiled)
-    assert not path_matches("src/sub/a.py", compiled)
+    analysed = paths_in(exclude_globs=["src/*.py"])
+    assert not analysed("src/a.py")
+    assert analysed("src/sub/a.py")
 
 
 def test_glob_double_star_spans_directories():
-    compiled = compile_globs(["vendor/**"])
-    assert path_matches("vendor/lib.c", compiled)
-    assert path_matches("vendor/deep/nest/lib.c", compiled)
-    assert not path_matches("src/vendor.c", compiled)
+    analysed = paths_in(exclude_globs=["vendor/**"])
+    assert not analysed("vendor/lib.c")
+    assert not analysed("vendor/deep/nest/lib.c")
+    assert analysed("src/vendor.c")
 
 
 def test_glob_double_star_matches_zero_directories():
-    compiled = compile_globs(["a/**/b.txt"])
-    assert path_matches("a/b.txt", compiled)
-    assert path_matches("a/x/b.txt", compiled)
-    assert path_matches("a/x/y/b.txt", compiled)
+    analysed = paths_in(exclude_globs=["a/**/b.txt"])
+    assert not analysed("a/b.txt")
+    assert not analysed("a/x/b.txt")
+    assert not analysed("a/x/y/b.txt")
 
 
 def test_glob_question_mark_and_classes():
-    compiled = compile_globs(["f?.t[xy]t"])
-    assert path_matches("f1.txt", compiled)
-    assert path_matches("f2.tyt", compiled)
-    assert not path_matches("f12.txt", compiled)
-    assert not path_matches("f1.tzt", compiled)
+    analysed = paths_in(exclude_globs=["f?.t[xy]t"])
+    assert not analysed("f1.txt")
+    assert not analysed("f2.tyt")
+    assert analysed("f12.txt")
+    assert analysed("f1.tzt")
 
 
 def test_invalid_glob_rejected():
-    with pytest.raises(InvalidGlob):
-        compile_globs([""])
-    with pytest.raises(InvalidGlob):
-        compile_globs(["bad[range"])
+    # empty or blank; a class left open, where a "]" right after "[" or
+    # "[!" is a member; a class that is no valid range
+    for glob in ["", " ", "bad[range", "[", "[]", "[!]", "[!]*", "[z-a]"]:
+        with pytest.raises(InvalidGlob):
+            paths_in(exclude_globs=[glob])
+
+
+# Each token kind of the translator and the regex it gives, pinned so
+# that a rewrite of the translator keeps every one.
+_GLOB_REGEXES = [
+    ("src/*.py", r"^src/[^/]*\.py$"),
+    ("**", r"^.*$"),
+    ("**/", r"^(?:.*/)?$"),
+    ("**/x.c", r"^(?:.*/)?x\.c$"),
+    ("a/**/b", r"^a/(?:.*/)?b$"),
+    ("a/**", r"^a/.*$"),
+    ("***", r"^.*[^/]*$"),
+    ("?.c", r"^[^/]\.c$"),
+    ("[]a]", r"^[]a]$"),
+    ("[]]", r"^[]]$"),
+    ("[]!]", r"^[]!]$"),
+    ("[!a]", r"^[^a]$"),
+    ("[^a]", r"^[^a]$"),
+    ("[a-z]*.md", r"^[a-z][^/]*\.md$"),
+    ("[!0-9]x", r"^[^0-9]x$"),
+    ("a\\b", r"^a\\b$"),
+    ("[a\\]", r"^[a\\]$"),
+    ("/vendor/**", r"^vendor/.*$"),
+    ("//a/*", r"^a/[^/]*$"),
+    ("a b.txt", r"^a\ b\.txt$"),
+    ("x-y.^$", r"^x\-y\.\^\$$"),
+]
+
+
+@pytest.mark.parametrize("glob, regex", _GLOB_REGEXES)
+def test_glob_translation_is_pinned(glob, regex):
+    assert gitrepo._glob_to_regex(glob).pattern == regex
+
+
+# A "]" right after "[!" is a member of the class, as in fnmatch, so
+# each of these globs holds one closed class.
+@pytest.mark.parametrize("glob, regex, paths", [
+    ("[!]a]x", r"^[^]a]x$", {"bx": True, "]x": False, "ax": False}),
+    ("[!]]", r"^[^]]$", {"a": True, "]": False}),
+    ("[!]-a]", r"^[^]-a]$", {"b": True, "-": True, "^": False, "]": False}),
+])
+def test_glob_bracket_after_negation_is_a_member(glob, regex, paths):
+    import fnmatch
+    compiled = gitrepo._glob_to_regex(glob)
+    assert compiled.pattern == regex
+    for path, matched in paths.items():
+        assert bool(compiled.match(path)) is matched
+        assert fnmatch.fnmatchcase(path, glob) is matched
 
 
 def _rec(path):
