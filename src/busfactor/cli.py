@@ -14,8 +14,7 @@ from . import __version__
 from .cache import load_cache, save_cache
 from .cst import (CstConfig, CstMetricKind, TimeWindow, WeightScheme,
                   compare_error, cst_bus_factor)
-from .errors import (BusFactorError, EmptySnapshot, IoFailure, NoTextFiles,
-                     UnknownRevision)
+from .errors import BusFactorError, EmptySnapshot, IoFailure, UnknownRevision
 from .gitrepo import (LineReplay, extract_blame, extract_history,
                       filter_snapshot, repo_fingerprint, resolve_revision)
 from .identity import (DEFAULT_SIMILARITY, parse_alias_file,
@@ -386,20 +385,16 @@ def _cmd_ingest(parser, args, argv, started) -> int:
     records = list(extract_history(repo, commit,
                                    include_merges=args.include_merges,
                                    replay=replay))
-    try:
-        blame = extract_blame(repo, commit, replay=replay)
-    except NoTextFiles:
-        blame = None
+    blame = extract_blame(repo, commit, replay=replay)
     fingerprint = repo_fingerprint(repo, commit)
-    save_cache(records, blame, fingerprint, cache)
+    save_cache(records, blame if blame.files else None, fingerprint, cache)
     stats = {
         "cache_path": str(cache),
         "records": len(records),
         "commits": len({r.commit.hash for r in records}),
         "files_in_history": len({r.path for r in records}),
-        "blame_files": len(blame.files) if blame else 0,
-        "authors": len({r.author for r in records}
-                       | (blame.authors() if blame else set())),
+        "blame_files": len(blame.files),
+        "authors": len({r.author for r in records} | blame.authors()),
     }
     sys.stdout.write(
         render(payload_ingest(stats, _manifest(argv, fingerprint, started)),
@@ -421,29 +416,25 @@ def _cmd_rig(parser, args, argv, started) -> int:
     from .rig import RigConfig, rig_repeat
     repo, cache = _resolve_source(parser, args)
     exclude = tuple(args.exclude or ())
-    nothing_in_scope = EmptySnapshot(
-        f"no blamed file under {args.dir or '.'!r} "
-        f"outside excludes {args.exclude or []}")
     if repo:
-        try:
-            blame = extract_blame(repo, args.rev, path_filter=args.dir,
-                                  exclude_globs=exclude)
-        except NoTextFiles:
-            raise nothing_in_scope from None
+        blame = extract_blame(repo, args.rev, path_filter=args.dir,
+                              exclude_globs=exclude)
         fingerprint = repo_fingerprint(repo, blame.revision)
     else:
         _, blame, fingerprint = load_cache(cache, records=False)
-        if blame is None:  # ingest found no text file to blame
-            raise nothing_in_scope
-        # ingest snapshots HEAD, so HEAD names the cached commit.
-        if args.rev != "HEAD" and not (_HASH_PREFIX.fullmatch(args.rev)
-                                       and blame.revision.startswith(args.rev)):
-            raise UnknownRevision(
-                f"cache holds blame for {blame.revision}, not {args.rev}; "
-                "other revisions need --repo")
-        blame = filter_snapshot(blame, scope=args.dir, exclude_globs=exclude)
-        if not blame.files:
-            raise nothing_in_scope
+        if blame is not None:  # None: ingest found no text file to blame
+            # ingest snapshots HEAD, so HEAD names the cached commit.
+            if args.rev != "HEAD" and not (
+                    _HASH_PREFIX.fullmatch(args.rev)
+                    and blame.revision.startswith(args.rev)):
+                raise UnknownRevision(
+                    f"cache holds blame for {blame.revision}, not "
+                    f"{args.rev}; other revisions need --repo")
+            blame = filter_snapshot(blame, scope=args.dir,
+                                    exclude_globs=exclude)
+    if blame is None or not blame.files:
+        raise EmptySnapshot(f"no blamed file under {args.dir or '.'!r} "
+                            f"outside excludes {args.exclude or []}")
 
     weights = Counter()
     for lines in blame.files.values():

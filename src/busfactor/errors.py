@@ -32,10 +32,6 @@ class UnknownRevision(BusFactorError):
     """The requested revision does not resolve."""
 
 
-class NoTextFiles(BusFactorError):
-    """No blame-able text files match the requested path filter."""
-
-
 class InvalidGlob(BusFactorError):
     """An exclusion pattern failed to parse."""
 

@@ -31,7 +31,6 @@ from .errors import (
     GitInvocationFailure,
     InvalidGlob,
     NotARepository,
-    NoTextFiles,
     UnknownRevision,
 )
 from .metrics import token_distance, tokenize
@@ -440,14 +439,13 @@ def extract_blame(repo_path: str, revision: str = "HEAD",
 
     Returns, per file, the number of lines each raw author owns: a
     line belongs to the author of the commit that last changed it
-    (plain blame, no copy/move detection). Raises NoTextFiles when the
-    filters leave nothing blame-able.
+    (plain blame, no copy/move detection). When the filters leave
+    nothing blame-able, the snapshot lists no file.
 
     A LineReplay that `extract_history` filled at this revision gives
     the owners of each file it proves; `git blame` runs for the other
-    files only.
+    files only, in a pool of threads started only for them.
     """
-    from concurrent.futures import ThreadPoolExecutor
     commit = _commit_of(repo_path, revision)
     scope = normalize_scope(path_filter)
     replayed = (replay.files if replay is not None
@@ -455,30 +453,29 @@ def extract_blame(repo_path: str, revision: str = "HEAD",
     with _rejections_of(repo_path, revision):
         listed = _list_text_files(repo_path, commit, scope)
         paths = list(filter(paths_in(scope, exclude_globs), listed))
-        if not paths:
-            raise NoTextFiles(f"no text files under {scope or '.'!r} outside "
-                              f"{list(exclude_globs)} at revision {revision}")
         owners = {path: dict(Counter(replayed[path]))
                   for path in paths if path in replayed}
         unproven = [path for path in paths if path not in owners]
-        with ThreadPoolExecutor(max_workers=_BLAME_WORKERS) as pool:
-            owners.update(zip(unproven, pool.map(
-                lambda p: _blame_file(repo_path, commit, p), unproven)))
-    files = {path: owners[path] for path in paths if owners[path]}
-    if not files:
-        raise NoTextFiles(f"no blame-able lines at revision {revision}")
-    return BlameSnapshot(revision=commit, files=files)
+        if unproven:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=_BLAME_WORKERS) as pool:
+                owners.update(zip(unproven, pool.map(
+                    lambda p: _blame_file(repo_path, commit, p), unproven)))
+    return BlameSnapshot(revision=commit,
+                         files={path: owners[path] for path in paths})
 
 
 # --- path filtering ---
 
 # One token of a path glob: "**/", "**", "*", "?", a character class,
-# or any other character. In a class a "]" right after "[" or "[!" is a
-# member, as in fnmatch; a class without its closing "]" is unterminated.
-_GLOB_TOKEN = r"(?s)\*\*/|\*\*|\*|\?|\[(!?)(\]?[^\]]*)(\]?)|."
+# or any other character. A "]" right after "[" or a negating "!" or "^"
+# is a member; a class without its closing "]" is unterminated.
+_GLOB_TOKEN = r"(?s)\*\*/|\*\*|\*|\?|\[([!^]?)(\]?[^\]]*)(\]?)|."
 # `*` and `?` do not cross `/`; `**` spans directories, and `**/` also
 # matches zero directories.
 _WILDCARDS = {"**/": r"(?:.*/)?", "**": r".*", "*": r"[^/]*", "?": r"[^/]"}
+# A member of a class, or a range of two, as `re` reads a class
+_CLASS_ITEM = r"(?s)(.)(?:-(.))?"
 
 
 def _glob_to_regex(pattern: str) -> re.Pattern:
@@ -495,9 +492,13 @@ def _glob_to_regex(pattern: str) -> re.Pattern:
             if not close:
                 raise InvalidGlob(
                     f"unterminated character class in {pattern!r}")
-            # "!" negates; a backslash is a member, not an escape
-            out.append("[" + "^" * len(negate)
-                       + members.replace("\\", "\\\\") + "]")
+            # "!" or "^" negates. Each member is escaped, so that a
+            # backslash, "[", "&&" or "--" means only itself to `re`.
+            body = "".join(re.escape(lo) + ("-" + re.escape(hi) if hi else "")
+                           for lo, hi in re.findall(_CLASS_ITEM, members))
+            if members.startswith("]"):  # a member to `re` as written
+                body = body[1:]
+            out.append("[" + "^" * len(negate) + body + "]")
         else:
             out.append(re.escape(text))
     try:

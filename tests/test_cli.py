@@ -1,4 +1,4 @@
-"""End-to-end command line behaviour via subprocess."""
+"""End-to-end command line behaviour, via subprocess or `main` in process."""
 from __future__ import annotations
 
 import json
@@ -17,6 +17,14 @@ def run_cli(*args, env_extra=None, cwd=None):
         env.update(env_extra)
     return subprocess.run(CLI + list(args), capture_output=True,
                           text=True, env=env, cwd=cwd, timeout=120)
+
+
+def run_main(capsys, *args):
+    """Run the CLI in this process: its exit code, stdout and stderr."""
+    from busfactor.cli import main
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_version_flag():
@@ -172,18 +180,18 @@ def test_rig_from_cache_checks_records(two_dev_repo, tmp_path):
     assert proc.stderr.startswith("ERROR CorruptCache:")
 
 
-def test_rig_cache_rev_mismatch(two_dev_repo, tmp_path):
+def test_rig_cache_rev_mismatch(two_dev_repo, tmp_path, capsys):
     # Besides HEAD, only 4 to 64 hex digits that prefix the cached hash
     # name the cached commit; --repo rejects the same names.
     head = two_dev_repo.head()
     cache = tmp_path / "cache"
-    run_cli("ingest", "--repo", str(two_dev_repo.path),
-            "--cache", str(cache))
+    run_main(capsys, "ingest", "--repo", str(two_dev_repo.path),
+             "--cache", str(cache))
     for rev in ("f" * 40, "", head[:1], head[:3], head[:4] + "x"):
         for source in ("--cache", str(cache)), ("--repo", str(two_dev_repo.path)):
-            proc = run_cli("rig", *source, "--rev", rev)
-            assert proc.returncode == 1, (rev, source)
-            assert proc.stderr.startswith("ERROR UnknownRevision:")
+            code, _, err = run_main(capsys, "rig", *source, "--rev", rev)
+            assert code == 1, (rev, source)
+            assert err.startswith("ERROR UnknownRevision:")
 
 
 def _without_run_fields(doc: dict) -> dict:
@@ -534,16 +542,17 @@ def test_dir_scope_flag(repo_factory):
         assert doc["developer_count"] == 2
 
 
-def _rig_report(*args) -> dict:
+def _rig_report(capsys, *args) -> dict:
     """An exhaustive rig JSON report without its run manifest."""
-    proc = run_cli("rig", *args, "--exhaustive", "--format", "json")
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
+    code, out, err = run_main(capsys, "rig", *args, "--exhaustive",
+                              "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
     del doc["manifest"]
     return doc
 
 
-def test_rig_scope_spellings_match(repo_factory, tmp_path):
+def test_rig_scope_spellings_match(repo_factory, tmp_path, capsys):
     repo = repo_factory()
     repo.write("d00/a.py", "a\nb\nc\n")
     repo.write("d01/b.py", "x\n")
@@ -554,16 +563,16 @@ def test_rig_scope_spellings_match(repo_factory, tmp_path):
     repo.write("d01/b.py", "x\ny\n")
     repo.commit(("Cleo Vian", "cleo@fixture.test"))
     cache = tmp_path / "cache"
-    assert run_cli("ingest", "--repo", str(repo.path),
-                   "--cache", str(cache)).returncode == 0
+    assert run_main(capsys, "ingest", "--repo", str(repo.path),
+                    "--cache", str(cache))[0] == 0
     for source in (("--repo", str(repo.path)), ("--cache", str(cache))):
-        scoped = _rig_report(*source, "--dir", "d00")
+        scoped = _rig_report(capsys, *source, "--dir", "d00")
         assert scoped["file_count"] == 1
-        assert _rig_report(*source, "--dir", "./d00") == scoped
-        whole = _rig_report(*source)
+        assert _rig_report(capsys, *source, "--dir", "./d00") == scoped
+        whole = _rig_report(capsys, *source)
         assert whole["file_count"] == 3
         for spelling in (".", "/"):
-            assert _rig_report(*source, "--dir", spelling) == whole
+            assert _rig_report(capsys, *source, "--dir", spelling) == whole
 
 
 @pytest.mark.parametrize("source", ["repo", "cache"])

@@ -83,3 +83,18 @@ def test_submodules_still_import_by_name():
     assert rig is sys.modules["busfactor.rig"]
     assert trend is sys.modules["busfactor.trend"]
     assert rig.rig_repeat is busfactor.rig_repeat
+
+
+def test_ingest_of_a_proven_history_starts_no_blame_pool(bare, two_dev_repo,
+                                                        tmp_path):
+    # The history pass proves every file of a history without merges, so
+    # no `git blame` runs and no thread pool is started for it.
+    ingest = ["ingest", "--repo", str(two_dev_repo.path),
+              "--cache", str(tmp_path / "cache")]
+    loaded = _modules_after(
+        "import contextlib, io\n"
+        "from busfactor.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({ingest!r}) == 0") - bare
+    assert "busfactor.gitrepo" in loaded
+    assert not loaded & {"concurrent.futures", "logging"}

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -19,8 +20,7 @@ from busfactor import (BlameSnapshot, LineReplay, RawAuthor, extract_blame,
 from busfactor import cli, gitrepo
 from busfactor.cli import main
 from busfactor.errors import (EmptyRepository, GitInvocationFailure,
-                              InvalidGlob, NoTextFiles, NotARepository,
-                              UnknownRevision)
+                              InvalidGlob, NotARepository, UnknownRevision)
 
 from tests.conftest import ADA, BERT, CLEO, RepoBuilder
 from tests.oracles import changed_lines, numstat_totals, raw_blame
@@ -368,8 +368,9 @@ def test_blame_path_filter_and_no_text_files(repo_factory):
     repo = repo_factory()
     repo.write("docs/readme.md", "hello\n")
     repo.commit(ADA)
-    with pytest.raises(NoTextFiles):
-        extract_blame(repo.path, path_filter="src/")
+    # nothing blame-able in scope is an empty snapshot, not an error
+    assert extract_blame(repo.path, path_filter="src/") == BlameSnapshot(
+        revision=repo.head(), files={})
     snap = extract_blame(repo.path, path_filter="docs")
     assert list(snap.files) == ["docs/readme.md"]
 
@@ -553,11 +554,15 @@ def test_glob_question_mark_and_classes():
 
 
 def test_invalid_glob_rejected():
-    # empty or blank; a class left open, where a "]" right after "[" or
-    # "[!" is a member; a class that is no valid range
-    for glob in ["", " ", "bad[range", "[", "[]", "[!]", "[!]*", "[z-a]"]:
-        with pytest.raises(InvalidGlob):
-            paths_in(exclude_globs=[glob])
+    # empty or blank; a class left open, where a "]" right after "[",
+    # "[!" or "[^" is a member; a class that is no valid range ("1--" runs
+    # from "1" down to "-"), with no FutureWarning on the way
+    for glob in ["", " ", "bad[range", "[", "[]", "[!]", "[!]*", "[z-a]",
+                 "[^]", "[^]*", "s[1--]*", "src/s[1--]*"]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGlob):
+                paths_in(exclude_globs=[glob])
 
 
 # Each token kind of the translator and the regex it gives, pinned so
@@ -584,6 +589,12 @@ _GLOB_REGEXES = [
     ("//a/*", r"^a/[^/]*$"),
     ("a b.txt", r"^a\ b\.txt$"),
     ("x-y.^$", r"^x\-y\.\^\$$"),
+    ("[^]a]x", r"^[^]a]x$"),
+    ("[^^a]", r"^[^\^a]$"),
+    ("[[]x", r"^[\[]x$"),
+    ("[a&&b]", r"^[a\&\&b]$"),
+    ("[+--]", r"^[\+-\-]$"),
+    ("[a-]", r"^[a\-]$"),
 ]
 
 
@@ -606,6 +617,26 @@ def test_glob_bracket_after_negation_is_a_member(glob, regex, paths):
     for path, matched in paths.items():
         assert bool(compiled.match(path)) is matched
         assert fnmatch.fnmatchcase(path, glob) is matched
+
+
+# Members that `re` would read as its own set syntax ("[", "&&", "||",
+# "~~", "--") are plain members of a glob class, with no FutureWarning.
+@pytest.mark.parametrize("glob, paths", [
+    ("[[]x", {"[x": True, "x": False, "[[x": False}),
+    ("[a&&b]", {"a": True, "&": True, "b": True, "c": False}),
+    ("[a||b]", {"|": True, "b": True, "c": False}),
+    ("[a~~b]", {"~": True, "a": True, "c": False}),
+    ("[!a&&b]", {"c": True, "&": False}),
+    ("[+--]", {"+": True, ",": True, "-": True, "a": False}),
+])
+def test_glob_class_members_are_not_set_syntax(glob, paths):
+    import fnmatch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        analysed = paths_in(exclude_globs=[glob])
+    for path, excluded in paths.items():
+        assert analysed(path) is not excluded, path
+        assert fnmatch.fnmatchcase(path, glob) is excluded, path
 
 
 def _rec(path):

@@ -15,6 +15,7 @@ from busfactor import (BusFactorResult, ChangeRecord, CommitMeta, CstConfig,
                        TrendPoint, TrendSeries, cst_bus_factor, payload_cst,
                        payload_rig, payload_trend, redacted_label, render,
                        resolve_identities)
+from busfactor.report import payload_ingest
 from busfactor.cst import KnowledgeTable
 from busfactor.errors import UnsupportedFormat
 
@@ -212,3 +213,170 @@ def test_share_rounding_is_six_places():
     assert doc["knowledge_table"][0]["knowledge"] == 0.666667
     text = render(payload_cst(result, MANIFEST), "text").decode()
     assert "0.666667" in text
+
+
+# --- golden text and CSV -------------------------------------------------
+
+C = RawAuthor("Cleo Vian", "cleo@fixture.test")
+DEV_C = DeveloperId(C.name, C.email, frozenset({C}))
+
+
+def _with(command_line: str, seed: int | None = None) -> RunManifest:
+    return MANIFEST.replace(command_line=command_line, seed=seed)
+
+
+def three_role_cst() -> BusFactorResult:
+    """One primary, one secondary and one other developer."""
+    table = KnowledgeTable(shares={DEV_A: 0.5, DEV_B: 0.3, DEV_C: 0.2},
+                           file_count=3)
+    return BusFactorResult(primary_devs=(DEV_A,), secondary_devs=(DEV_B,),
+                           config=cst_result().config, knowledge=table)
+
+
+GOLDEN_PAYLOADS = {
+    "cst": lambda: payload_cst(three_role_cst(), MANIFEST),
+    "cst-redacted": lambda: payload_cst(three_role_cst(), MANIFEST,
+                                        redact=True),
+    "rig": lambda: payload_rig(
+        [RigResult(frozenset({DEV_A}), 3, 0.5), RigResult(None, 9, 0.0),
+         RigResult(frozenset({DEV_A, DEV_B}), 12, 0.75)],
+        RigConfig(seed=4), _with("busfactor rig --repo demo --runs 3", 4),
+        revision="d" * 40, file_count=2, developer_count=3),
+    "trend": lambda: payload_trend(
+        trend_series(), _with("busfactor trend --repo demo")),
+    "ingest": lambda: payload_ingest(
+        {"cache_path": "/tmp/cache", "records": 4, "commits": 4,
+         "files_in_history": 1, "blame_files": 1, "authors": 2},
+        _with("busfactor ingest --repo demo --cache /tmp/cache")),
+}
+
+_REPO = "/tmp/demo@" + "c" * 40
+_TIMES = "2021-06-01T12:00:00+00:00  finished: 2021-06-01T12:00:03+00:00"
+
+# The bytes each payload renders to; every text report ends in the
+# manifest footer and every CSV starts with the manifest preamble.
+GOLDEN = [
+    ("cst", "text", f"""\
+Bus factor: 2
+Scope: .  (3 files, 3 developers)
+Thresholds: primary >= 0.333333, secondary >= 0.166667
+Metrics: mul-equal x commits
+Primary developers:
+  Ada Core <ada@fixture.test>  knowledge 0.500000
+Secondary developers:
+  Bert Low <bert@fixture.test>  knowledge 0.300000
+--
+busfactor 0.1.0  repo {_REPO}
+command: busfactor cst --repo demo --metric commits
+"""),
+    ("cst", "csv", f"""\
+# tool: busfactor 0.1.0
+# command: busfactor cst --repo demo --metric commits
+# repo: {_REPO}
+# started: {_TIMES}
+# bus_factor: 2
+rank,role,name,email,knowledge
+1,primary,Ada Core,ada@fixture.test,0.500000
+2,secondary,Bert Low,bert@fixture.test,0.300000
+3,other,Cleo Vian,cleo@fixture.test,0.200000
+"""),
+    ("cst-redacted", "text", f"""\
+Bus factor: 2
+Scope: .  (3 files, 3 developers)
+Thresholds: primary >= 0.333333, secondary >= 0.166667
+Metrics: mul-equal x commits
+Primary developers:
+  dev-6bce5fb1098a  knowledge 0.500000
+Secondary developers:
+  dev-8c47bf862862  knowledge 0.300000
+--
+busfactor 0.1.0  repo {_REPO}
+command: busfactor cst --repo demo --metric commits
+"""),
+    ("cst-redacted", "csv", f"""\
+# tool: busfactor 0.1.0
+# command: busfactor cst --repo demo --metric commits
+# repo: {_REPO}
+# started: {_TIMES}
+# bus_factor: 2
+rank,role,name,email,knowledge
+1,primary,dev-6bce5fb1098a,,0.500000
+2,secondary,dev-8c47bf862862,,0.300000
+3,other,dev-5f4af9eaafcf,,0.200000
+"""),
+    ("rig", "text", f"""\
+RIG bus factor: 1
+Revision: {"d" * 40}  (2 files, 3 developers)
+Run 0: bus factor 1, abandoned fraction 0.500000 after 3 samples
+  departing: Ada Core <ada@fixture.test>
+Run 1: no feasible group within limits (9 samples)
+Run 2: bus factor 2, abandoned fraction 0.750000 after 12 samples
+  departing: Ada Core <ada@fixture.test>, Bert Low <bert@fixture.test>
+Summary over 3 runs: min 1, max 2, mode 1
+--
+busfactor 0.1.0  repo {_REPO}  seed 4
+command: busfactor rig --repo demo --runs 3
+"""),
+    ("rig", "csv", f"""\
+# tool: busfactor 0.1.0
+# command: busfactor rig --repo demo --runs 3
+# repo: {_REPO}
+# started: {_TIMES}
+# seed: 4
+# bus_factor: 1
+run,bus_factor,abandoned_fraction,samples_evaluated,bf_set
+0,1,0.500000,3,ada@fixture.test
+1,,0.000000,9,
+2,2,0.750000,12,ada@fixture.test;bert@fixture.test
+"""),
+    ("trend", "text", f"""\
+Bus factor trend for .
+  2021: BF 1 of 1 developers (100.0%)
+  2022: BF 2 of 2 developers (100.0%)
+  2023: (no activity)
+--
+busfactor 0.1.0  repo {_REPO}
+command: busfactor trend --repo demo
+"""),
+    ("trend", "csv", f"""\
+# tool: busfactor 0.1.0
+# command: busfactor trend --repo demo
+# repo: {_REPO}
+# started: {_TIMES}
+year,bus_factor,total_developers,bf_percentage
+2021,1,1,100.000000
+2022,2,2,100.000000
+2023,0,0,0.000000
+"""),
+    ("ingest", "text", f"""\
+Ingestion complete
+  authors: 2
+  blame_files: 1
+  cache_path: /tmp/cache
+  commits: 4
+  files_in_history: 1
+  records: 4
+--
+busfactor 0.1.0  repo {_REPO}
+command: busfactor ingest --repo demo --cache /tmp/cache
+"""),
+    ("ingest", "csv", f"""\
+# tool: busfactor 0.1.0
+# command: busfactor ingest --repo demo --cache /tmp/cache
+# repo: {_REPO}
+# started: {_TIMES}
+field,value
+authors,2
+blame_files,1
+cache_path,/tmp/cache
+commits,4
+files_in_history,1
+records,4
+"""),
+]
+
+
+@pytest.mark.parametrize("case, fmt, expected", GOLDEN,
+                         ids=[f"{case}-{fmt}" for case, fmt, _ in GOLDEN])
+def test_text_and_csv_bytes_are_pinned(case, fmt, expected):
+    assert render(GOLDEN_PAYLOADS[case](), fmt) == expected.encode("utf-8")
