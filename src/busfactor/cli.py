@@ -422,14 +422,15 @@ def _cmd_rig(parser, args, argv, started) -> int:
         fingerprint = repo_fingerprint(repo, blame.revision)
     else:
         _, blame, fingerprint = load_cache(cache, records=False)
+        # ingest snapshots HEAD, so HEAD names the cached commit, which
+        # the fingerprint holds ("<source>@<commit>") even when no text
+        # file was there to blame.
+        commit = fingerprint.rpartition("@")[2]
+        if args.rev != "HEAD" and not (_HASH_PREFIX.fullmatch(args.rev)
+                                       and commit.startswith(args.rev)):
+            raise UnknownRevision(f"cache was ingested at {commit}, not "
+                                  f"{args.rev}; other revisions need --repo")
         if blame is not None:  # None: ingest found no text file to blame
-            # ingest snapshots HEAD, so HEAD names the cached commit.
-            if args.rev != "HEAD" and not (
-                    _HASH_PREFIX.fullmatch(args.rev)
-                    and blame.revision.startswith(args.rev)):
-                raise UnknownRevision(
-                    f"cache holds blame for {blame.revision}, not "
-                    f"{args.rev}; other revisions need --repo")
             blame = filter_snapshot(blame, scope=args.dir,
                                     exclude_globs=exclude)
     if blame is None or not blame.files:

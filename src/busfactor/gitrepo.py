@@ -33,7 +33,7 @@ from .errors import (
     NotARepository,
     UnknownRevision,
 )
-from .metrics import token_distance, tokenize
+from .metrics import holds_token, token_distance, tokenize
 from .records import BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor
 
 _FIELD_SEP = "\x01"
@@ -344,9 +344,13 @@ def _parse_log(lines: Iterable[str],
                 # A mode-only, empty-file or binary change has no changed
                 # lines.
                 if not gitlink and (added or deleted):
+                    if added and deleted:
+                        distance = token_distance(tokenize(added),
+                                                  tokenize(deleted))
+                    else:  # `token_distance`'s rule for an empty bag
+                        distance = float(holds_token(added or deleted))
                     yield ChangeRecord(commit, path, len(added), len(deleted),
-                                       token_distance(tokenize(added),
-                                                      tokenize(deleted)))
+                                       distance)
                 if replay is not None:
                     replay._section(path, status, hunks, commit.author)
             path, added, deleted, hunks, status, gitlink = (

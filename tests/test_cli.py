@@ -605,6 +605,25 @@ def test_rig_without_text_files_fails_alike_from_repo_and_cache(
         "ERROR EmptySnapshot: no blamed file under '.' outside excludes []\n")
 
 
+def test_rig_cache_without_blame_checks_rev(repo_factory, tmp_path, capsys):
+    # a binary-only HEAD leaves the cache no blame; --rev is still checked
+    # against the commit the cache was ingested at
+    repo = repo_factory()
+    repo.write_bytes("b.bin", b"\x00\x01\x02\xff" * 8)
+    repo.commit(("Ada Core", "ada@fixture.test"))
+    cache = str(tmp_path / "cache")
+    assert run_main(capsys, "ingest", "--repo", str(repo.path),
+                    "--cache", cache)[0] == 0
+    for rev, error in (("abcd", "UnknownRevision"), ("main", "UnknownRevision"),
+                       ("HEAD", "EmptySnapshot"),
+                       (repo.head()[:7], "EmptySnapshot")):
+        code, _, err = run_main(capsys, "rig", "--cache", cache, "--rev", rev)
+        assert code == 1, rev
+        assert err.startswith(f"ERROR {error}:"), rev
+    assert repo.head() in run_main(capsys, "rig", "--cache", cache,
+                                   "--rev", "main")[2]
+
+
 def test_rig_repo_blames_no_excluded_path(repo_factory, tmp_path,
                                           monkeypatch, capsys):
     from busfactor.cli import main
