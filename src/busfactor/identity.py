@@ -4,14 +4,23 @@ leaves in a history into a single canonical developer identity.
 Two raw authors merge when their normalized emails match, their
 normalized names are similar enough (token-set ratio), or they share a
 non-trivial email local part. Merging is closed transitively with a
-union-find, so the result does not depend on comparison order.
+union-find over indexes into the sorted authors, so the result does not
+depend on the order in which merges are found.
+
+Names are not scored pair by pair. Names with equal token sets, such
+as "Smith, John" and "John Smith", merge unscored, since they score
+100. Names that share a token are scored. Token-disjoint names are
+scored only when the characters they share, counted on packed ints,
+bound their score at or above the threshold. Every pair left unscored
+would score below it, so the groups are those of scoring every pair.
 """
 from __future__ import annotations
 
 import re
 import unicodedata
 from collections import Counter
-from typing import Iterable, Mapping
+from itertools import combinations, compress, count, repeat
+from typing import Iterable, Iterator, Mapping
 
 from .errors import EmptyAuthorSet, UnknownAuthor
 from .records import RawAuthor, Value
@@ -56,7 +65,7 @@ class IdentityMap:
         return set(self._entries)
 
     def __len__(self) -> int:
-        return len(self.developers())
+        return len(set(self._entries.values()))
 
     def __contains__(self, author: RawAuthor) -> bool:
         return author in self._entries
@@ -106,60 +115,101 @@ def token_set_ratio(a: str, b: str) -> int:
     return int(round(100 * best))
 
 
-class _NameShape:
-    """What bounds a name's token_set_ratio against any other name.
+def _find(parent: list[int], x: int) -> int:
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:  # path compression
+        parent[x], x = root, parent[x]
+    return root
 
-    When two names have non-empty, disjoint token sets, the shared token
-    string is empty, so their score is ratio() of their two sorted token
+
+def _union(parent: list[int], x: int, y: int) -> None:
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[max(rx, ry)] = min(rx, ry)
+
+
+def _name_merges(names: list[str],
+                 threshold: int) -> Iterator[tuple[int, int]]:
+    """Pairs of indexes into the sorted `names` whose transitive closure
+    is that of every pair i < j with token_set_ratio(names[i], names[j])
+    at or above `threshold`.
+
+    The score depends only on the two token sets and their order:
+    difflib's ratio() is not symmetric, so two names are scored in the
+    order in which they sort. Names with equal, non-empty token sets
+    score 100, so they are paired unscored, and each token set is
+    scored once per order that its names and the other set's names
+    take. A name without tokens scores 0. Token sets that share a token
+    are scored. When two token sets are disjoint, the shared token
+    string is empty and the score is ratio() of the two sorted token
     strings. That ratio is at most 2 * (characters the strings have in
     common, as multisets) / (sum of their lengths), which is what
-    SequenceMatcher.quick_ratio() computes. Rounding is monotone, so a
-    bound that rounds below the threshold proves the pair cannot merge.
+    SequenceMatcher.quick_ratio() computes; rounding is monotone, so a
+    pair whose bound rounds below the threshold is skipped unscored.
     """
+    if threshold == 0:  # every score is at least 0
+        yield from ((0, index) for index in range(1, len(names)))
+        return
+    by_tokens: dict[frozenset[str], list[int]] = {}
+    for index, name in enumerate(names):
+        by_tokens.setdefault(frozenset(_name_tokens(name)), []).append(index)
+    by_tokens.pop(frozenset(), None)
+    texts = []
+    for tokens, members in by_tokens.items():
+        yield from ((members[0], other) for other in members[1:])
+        joined = " ".join(sorted(tokens))
+        texts.append((len(joined), joined, members[0], members[-1]))
 
-    def __init__(self, name: str):
-        self.name = name
-        self.tokens = _name_tokens(name)
-        joined = " ".join(sorted(self.tokens))
-        self.length = len(joined)
-        # The k-th occurrence of each character, so that a set
-        # intersection counts the characters two names share.
-        self.chars = frozenset((char, k) for char, count in
-                               Counter(joined).items() for k in range(count))
+    # Token sets in order of the length of their sorted token strings.
+    # Each gets an int with one bit per (character, k-th occurrence) of
+    # that string, so that `&` and bit_count() count the characters two
+    # of them share.
+    texts.sort()
+    holders: dict[str, list[int]] = {}
+    by_length: dict[int, tuple[list[int], list[int]]] = {}
+    bits: dict[tuple[str, int], int] = {}
+    for rank, (length, joined, _, _) in enumerate(texts):
+        for token in joined.split():
+            holders.setdefault(token, []).append(rank)
+        chars = sum(1 << bits.setdefault((char, k), len(bits))
+                    for char, n in Counter(joined).items() for k in range(n))
+        ranks, packed = by_length.setdefault(length, ([], []))
+        ranks.append(rank)
+        packed.append(chars)
 
-    def cannot_merge(self, other: _NameShape, threshold: int) -> bool:
-        if (not self.tokens or not other.tokens
-                or not self.tokens.isdisjoint(other.tokens)):
-            return False
-        shared = len(self.chars & other.chars)
-        # difflib's own expression, so the float bound is never below
-        # the float ratio it bounds.
-        bound = 2.0 * shared / (self.length + other.length)
-        return int(round(100 * bound)) < threshold
+    # Pairs that share a token are all scored.
+    pairs = {pair for group in holders.values()
+             for pair in combinations(group, 2)}
+    # A token-disjoint pair is scored when its bound reaches the
+    # threshold. `least` is the fewest shared characters for which it
+    # does, computed with difflib's own expression so that the float
+    # bound is never below the float ratio it bounds.
+    for length, (ranks_a, packed_a) in by_length.items():
+        for other, (ranks_b, packed_b) in by_length.items():
+            if other < length:
+                continue
+            least = next(shared for shared in count() if int(round(
+                100 * (2.0 * shared / (length + other)))) >= threshold)
+            if least > length:  # more than the shorter string holds
+                continue
+            for position, (rank, chars) in enumerate(zip(ranks_a, packed_a)):
+                start = position + 1 if other == length else 0
+                hits = map(least.__le__, map(int.bit_count,
+                                             map(chars.__and__,
+                                                 packed_b[start:])))
+                pairs.update(zip(repeat(rank),
+                                 compress(ranks_b[start:], hits)))
 
-
-class _UnionFind:
-    def __init__(self, items: Iterable):
-        self.parent = {item: item for item in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-    def groups(self) -> dict:
-        out: dict = {}
-        for item in self.parent:
-            out.setdefault(self.find(item), []).append(item)
-        return out
+    for a, b in sorted(pairs):
+        _, _, first_a, last_a = texts[a]
+        _, _, first_b, last_b = texts[b]
+        if (first_a < last_b and token_set_ratio(
+                names[first_a], names[last_b]) >= threshold
+                or first_b < last_a and token_set_ratio(
+                    names[first_b], names[last_a]) >= threshold):
+            yield first_a, first_b
 
 
 def parse_alias_file(path: str) -> dict[str, str]:
@@ -201,7 +251,9 @@ def resolve_identities(authors: Iterable[RawAuthor],
         raise ValueError("similarity threshold must be in 0..100")
     weights = weights or {}
 
-    uf = _UnionFind(author_list)
+    # A union-find over indexes into author_list, whose order is that
+    # of RawAuthor.
+    parent = list(range(len(author_list)))
 
     # Union each author with the first author seen under each key it
     # has: its email after aliasing (an alias target joins everything
@@ -210,8 +262,8 @@ def resolve_identities(authors: Iterable[RawAuthor],
     aliases = aliases or {}
     if not all(raw and canonical for raw, canonical in aliases.items()):
         raise ValueError("alias emails must be non-empty")
-    first: dict[tuple[str, str], RawAuthor] = {}
-    for author in author_list:
+    first: dict[tuple[str, str], int] = {}
+    for index, author in enumerate(author_list):
         email = normalize_email(author.email)
         local = _local_part(email)
         keys = [("email", aliases.get(email, email)),
@@ -219,28 +271,21 @@ def resolve_identities(authors: Iterable[RawAuthor],
                 ("name", normalize_name(author.name))]
         for kind, value in keys:
             if value:
-                uf.union(first.setdefault((kind, value), author), author)
+                _union(parent, first.setdefault((kind, value), index), index)
 
-    # Fuzzy name matching over distinct normalized names. Pairs whose
-    # _NameShape bound rules out a merge are never scored.
     names = sorted(value for kind, value in first if kind == "name")
-    shapes = [_NameShape(name) for name in names]
-    for i, a in enumerate(shapes):
-        for b in shapes[i + 1:]:
-            if a.cannot_merge(b, similarity_threshold):
-                continue
-            if token_set_ratio(a.name, b.name) >= similarity_threshold:
-                uf.union(first["name", a.name], first["name", b.name])
+    for a, b in _name_merges(names, similarity_threshold):
+        _union(parent, first["name", names[a]], first["name", names[b]])
 
+    groups: dict[int, list[RawAuthor]] = {}
+    for index, author in enumerate(author_list):
+        groups.setdefault(_find(parent, index), []).append(author)
     entries: dict[RawAuthor, DeveloperId] = {}
-    for members in uf.groups().values():
+    for members in groups.values():
         representative = min(
             members, key=lambda a: (-weights.get(a, 0), a.email, a.name))
-        dev = DeveloperId(
-            canonical_name=representative.name,
-            canonical_email=representative.email,
-            members=frozenset(members),
-        )
+        dev = DeveloperId(representative.name, representative.email,
+                          frozenset(members))
         for member in members:
             entries[member] = dev
     return IdentityMap(entries)

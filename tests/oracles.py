@@ -318,10 +318,17 @@ def _plain_name(name: str) -> str:
     return " ".join(kept.lower().split())
 
 
+def name_tokens(name: str) -> frozenset[str]:
+    """The words of a plain name: runs of letters and digits."""
+    return frozenset(_TOKEN.findall(_plain_name(name)))
+
+
 def name_score(a: str, b: str) -> int:
-    """Token-set similarity 0-100 of two names, straight from difflib."""
-    tokens_a = set(_TOKEN.findall(_plain_name(a)))
-    tokens_b = set(_TOKEN.findall(_plain_name(b)))
+    """Token-set similarity 0-100 of two names, straight from difflib.
+
+    difflib's ratio() is not symmetric, so neither is this score.
+    """
+    tokens_a, tokens_b = name_tokens(a), name_tokens(b)
     if not tokens_a or not tokens_b:
         return 0
     shared = sorted(tokens_a & tokens_b)

@@ -1,6 +1,8 @@
 """Identity resolution: merging rules, canonical picks, alias files."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -280,3 +282,126 @@ def test_only_pairs_that_can_merge_are_scored(monkeypatch):
     idmap = resolve_identities(authors, similarity_threshold=90)
     assert len(calls) == merging
     assert len(idmap) == len(names) - merging
+
+
+def _scored_token_sets(monkeypatch) -> dict[tuple[frozenset, frozenset], int]:
+    """Record each token_set_ratio call: its pair of token sets, in the
+    order in which they were scored, and the score."""
+    scored = {}
+
+    def counted(a, b):
+        score = token_set_ratio(a, b)
+        scored[oracles.name_tokens(a), oracles.name_tokens(b)] = score
+        return score
+    monkeypatch.setattr(identity, "token_set_ratio", counted)
+    return scored
+
+
+_WORDS = _NAME_PARTS + ["O'Neil", "Zoë", "zoe", "Ünal", "García", "garcia",
+                        "Fami", "Sivopa", "Gupa", "Dadiso", "Bepi", "Budope"]
+
+
+@st.composite
+def _spellings(draw) -> str:
+    """A name as people type it: words in either order, joined by
+    punctuation, or a name without any word."""
+    words = draw(st.lists(st.sampled_from(_WORDS), max_size=3))
+    if draw(st.booleans()):
+        words.reverse()
+    joined = draw(st.sampled_from([" ", ", ", "-", ". ", " & "])).join(words)
+    return joined or draw(st.sampled_from(["", "---", "(.)"]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(names=st.lists(_spellings(), min_size=1, max_size=30),
+       threshold=st.integers(0, 100))
+def test_every_pair_that_can_merge_is_scored(names, threshold):
+    # Names are compared in the order in which their normalized forms
+    # sort. A pair that reaches the threshold has its two token sets
+    # scored in that order, or merges unscored: its token sets are
+    # equal, the threshold is 0 and every name merges, or the two token
+    # sets already merged when scored in the other order.
+    authors = [RawAuthor(name, f"dev{i}@corp.test")
+               for i, name in enumerate(names)]
+    with pytest.MonkeyPatch.context() as patch:
+        scored = _scored_token_sets(patch)
+        idmap = resolve_identities(authors, similarity_threshold=threshold)
+    assert len(idmap) == len(idmap.developers())
+    spelled = {normalize_name(a.name): a for a in authors}
+    plain = sorted(spelled.keys() - {""})
+    for i, a in enumerate(plain):
+        for b in plain[i + 1:]:
+            if oracles.name_score(a, b) < threshold:
+                continue
+            pair = (oracles.name_tokens(a), oracles.name_tokens(b))
+            if pair not in scored:
+                assert (pair[0] == pair[1] or threshold == 0
+                        or scored.get(pair[::-1], -1) >= threshold), (a, b)
+                assert idmap.canonical(spelled[a]) is idmap.canonical(
+                    spelled[b])
+
+
+def _generated_corpus(size: int, seed: int) -> list[RawAuthor]:
+    """People with random two-word names, some of whom also commit as
+    "Last, First", with an accent, with a typo or with an initial."""
+    rng = random.Random(seed)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    accents = {"a": "á", "e": "é", "o": "ö", "u": "ü"}
+
+    def word(shortest: int, longest: int) -> str:
+        return "".join(rng.choice(letters) for _ in range(
+            rng.randint(shortest, longest))).capitalize()
+
+    names = []
+    while len(names) < size:
+        first, last = word(2, 7), word(3, 9)
+        names.append(f"{first} {last}")
+        variant = rng.randrange(6)
+        if variant == 0:
+            names.append(f"{last}, {first}")
+        elif variant == 1:
+            names.append(f"{first} {''.join(accents.get(c, c) for c in last)}")
+        elif variant == 2:
+            k = rng.randrange(len(last))
+            names.append(f"{first} {last[:k]}{rng.choice(letters)}"
+                         f"{last[k + 1:]}")
+        elif variant == 3:
+            names.append(f"{first[0]}. {last}")
+    return [RawAuthor(name, f"user{i}@corp{i}.test")
+            for i, name in enumerate(names[:size])]
+
+
+@pytest.mark.parametrize("threshold", [1, 50, 77, 90, 100])
+def test_partition_matches_oracle_on_generated_corpus(threshold):
+    corpus = _generated_corpus(200, seed=threshold)
+    idmap = resolve_identities(corpus, similarity_threshold=threshold)
+    assert partition(idmap) == oracles.identity_partition(corpus, threshold)
+
+
+def test_equal_token_sets_merge_unscored(monkeypatch):
+    people = ["Wilhelmina Zhou", "Quincy Oduya", "Priya Raman",
+              "Thaddeus Kowalczyk", "Ingrid Bjornsdottir", "Mateo Fuentes"]
+    authors = []
+    for i, name in enumerate(people):
+        first, last = name.split()
+        authors += [RawAuthor(name, f"{first.lower()}@one.test"),
+                    RawAuthor(f"{last}, {first}", f"dev{i}@two.test")]
+    scored = _scored_token_sets(monkeypatch)
+    idmap = resolve_identities(authors)
+    assert scored == {}
+    assert len(idmap) == len(people)
+    for i in range(0, len(authors), 2):
+        assert idmap.canonical(authors[i]) is idmap.canonical(authors[i + 1])
+
+
+def test_token_sets_are_scored_in_sorted_order():
+    # token_set_ratio is not symmetric: "fami sivopa" scores 45 against
+    # "gupa dadiso", which scores 55 against it. "sivopa fami" sorts
+    # after "gupa dadiso", so at 50 the pair merges through it.
+    assert token_set_ratio("fami sivopa", "gupa dadiso") == 45
+    assert token_set_ratio("gupa dadiso", "sivopa fami") == 55
+    authors = [RawAuthor("Fami Sivopa", "f1@x.test"),
+               RawAuthor("Gupa Dadiso", "g@y.test"),
+               RawAuthor("Sivopa Fami", "f2@z.test")]
+    assert len(resolve_identities(authors, similarity_threshold=50)) == 1
+    assert len(resolve_identities(authors[:2], similarity_threshold=50)) == 2

@@ -98,3 +98,29 @@ def test_ingest_of_a_proven_history_starts_no_blame_pool(bare, two_dev_repo,
         f"    assert main({ingest!r}) == 0") - bare
     assert "busfactor.gitrepo" in loaded
     assert not loaded & {"concurrent.futures", "logging"}
+
+
+def test_cst_on_reordered_names_loads_no_difflib(bare, repo_factory,
+                                                 tmp_path):
+    # "Core, Ada" has the same words as "Ada Core", so the two merge
+    # without a similarity score; no other pair comes near one.
+    repo = repo_factory()
+    for line, author in enumerate([("Ada Core", "ada@one.test"),
+                                   ("Core, Ada", "a.core@two.test"),
+                                   ("Bert Low", "bert@one.test")]):
+        repo.write(f"f{line}.txt", f"line {line}\n")
+        repo.commit(author)
+    cache = str(tmp_path / "cache")
+    from busfactor.cli import main
+    assert main(["ingest", "--repo", str(repo.path), "--cache", cache]) == 0
+    cst = ["cst", "--cache", cache, "--metric", "commits",
+           "--cst-metric", "mul-equal", "--format", "json"]
+    loaded = _modules_after(
+        "import contextlib, io, json\n"
+        "from busfactor.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert main({cst!r}) == 0\n"
+        "assert json.loads(out.getvalue())['developer_count'] == 2") - bare
+    assert "busfactor.identity" in loaded
+    assert "difflib" not in loaded
