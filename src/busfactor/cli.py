@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import shlex
+import shutil
 import sys
 from collections import Counter
 from datetime import datetime, timezone
@@ -192,25 +194,33 @@ def _add_cst_metric_flags(sub: argparse.ArgumentParser,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # A HelpFormatter without a width asks the terminal for one, and
+    # argparse builds a formatter for every add_argument; ask once.
+    formatter = functools.partial(
+        argparse.HelpFormatter,
+        width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="busfactor",
         description="Estimate a git repository's bus factor from its "
-                    "commit history or line ownership.")
+                    "commit history or line ownership.",
+        formatter_class=formatter)
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True,
                                      metavar="COMMAND")
 
-    ingest = commands.add_parser(
-        "ingest", help="extract history and blame into a cache directory",
-        allow_abbrev=False)
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return commands.add_parser(name, help=summary, allow_abbrev=False,
+                                   formatter_class=formatter)
+
+    ingest = command("ingest",
+                     "extract history and blame into a cache directory")
     _add_common(ingest, "ingest")
     ingest.add_argument("--include-merges", action="store_true",
                         help="keep merge commits (first-parent diffs)")
     ingest.set_defaults(func=_cmd_ingest)
 
-    cst = commands.add_parser(
-        "cst", help="commit-based bus factor", allow_abbrev=False)
+    cst = command("cst", "commit-based bus factor")
     _add_common(cst, "cst")
     _add_cst_metric_flags(cst, required=True)
     cst.add_argument("--from", dest="time_from", metavar="YYYY[-MM]",
@@ -222,9 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(cst)
     cst.set_defaults(func=_cmd_cst)
 
-    rig = commands.add_parser(
-        "rig", help="bus factor by simulated developer departure",
-        allow_abbrev=False)
+    rig = command("rig", "bus factor by simulated developer departure")
     _add_common(rig, "rig")
     rig.add_argument("--rev", metavar="REV", default="HEAD",
                      help="revision to blame (default %(default)s)")
@@ -251,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(rig)
     rig.set_defaults(func=_cmd_rig)
 
-    trend = commands.add_parser(
-        "trend", help="per-year bus factor series", allow_abbrev=False)
+    trend = command("trend", "per-year bus factor series")
     _add_common(trend, "trend")
     trend.add_argument("--from-year", type=_YEAR, default=None,
                        metavar="YYYY", help="first year of the series")
@@ -266,9 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(trend)
     trend.set_defaults(func=_cmd_trend)
 
-    compare = commands.add_parser(
-        "compare", help="absolute error against a reference bus factor",
-        allow_abbrev=False)
+    compare = command("compare",
+                      "absolute error against a reference bus factor")
     compare.add_argument("--config", help=argparse.SUPPRESS)
     compare.add_argument("--bf", type=_NATURAL, default=None,
                          help="computed bus factor")

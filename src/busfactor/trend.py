@@ -52,11 +52,23 @@ def yearly_trend(records: Iterable[ChangeRecord], identity: IdentityMap,
     """
     if first_year > last_year:
         raise EmptySpan(f"year span {first_year}..{last_year} is empty")
-    pool = list(records)
+    # Author dates are UTC, so a record's year is the year whose window
+    # holds it. Each pass gets only the records its window admits: year
+    # by year, each year's in the given order. The pipeline sorts every
+    # file's records by date, stably, so that equals the given order.
+    by_year: dict[int, list[ChangeRecord]] = {}
+    for record in records:
+        by_year.setdefault(record.commit.author_timestamp.year,
+                           []).append(record)
+    through = [record for year in sorted(by_year) if year < first_year
+               for record in by_year[year]]
     points = []
     for year in range(first_year, last_year + 1):
-        window = (TimeWindow(None, None, year, None) if cumulative
-                  else TimeWindow.year(year))
+        if cumulative:
+            through = through + by_year.get(year, [])
+            window, pool = TimeWindow(None, None, year, None), through
+        else:
+            window, pool = TimeWindow.year(year), by_year.get(year, [])
         config = base_config.replace(time_range=window)
         try:
             result = cst_bus_factor(pool, identity, config)

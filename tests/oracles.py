@@ -376,3 +376,32 @@ def identity_partition(authors, threshold: int) -> set[frozenset]:
             for member in joined:
                 component[member] = joined
     return {frozenset(group) for group in component.values()}
+
+
+# --- yearly trend, one pass over all records per year -----------------------
+
+def yearly_trend_points(records, identity, base_config, first_year: int,
+                        last_year: int, cumulative=False):
+    """(year, bus factor, developers) per year, from the loop that
+    `trend.yearly_trend` ran before it bucketed records by year: every
+    year's pipeline gets all records and its window does the filtering.
+
+    Unlike the rest of this module it calls into the package, since the
+    pipeline itself is not what it checks; it checks which records each
+    year's pipeline sees.
+    """
+    from busfactor import TimeWindow, cst_bus_factor
+    from busfactor.errors import EmptyScope, ZeroDevelopers
+    pool = list(records)
+    points = []
+    for year in range(first_year, last_year + 1):
+        window = (TimeWindow(None, None, year, None) if cumulative
+                  else TimeWindow.year(year))
+        try:
+            result = cst_bus_factor(
+                pool, identity, base_config.replace(time_range=window))
+        except (EmptyScope, ZeroDevelopers):
+            points.append((year, 0, 0))
+            continue
+        points.append((year, result.bus_factor, result.developer_count))
+    return points

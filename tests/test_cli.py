@@ -173,7 +173,9 @@ def test_rig_from_cache_checks_records(two_dev_repo, tmp_path):
                    "--cache", str(cache)).returncode == 0
     cache_file = cache / "cache.json"
     blob = bytearray(cache_file.read_bytes())
-    blob[blob.index(b'"records":[') + 12] ^= 0x01  # in the first record
+    header = blob[:blob.index(b"\n") + 1]
+    head_size = int(header.split()[3])
+    blob[len(header) + head_size + 12] ^= 0x01  # inside the records part
     cache_file.write_bytes(bytes(blob))
     proc = run_cli("rig", "--cache", str(cache), "--exhaustive")
     assert proc.returncode == 1
@@ -430,6 +432,36 @@ def test_help_after_config_shows_builtin_defaults(tmp_path):
     # the command line is parsed, and --help answered, before the config
     assert ("random subsets per group size (default 1000)"
             in " ".join(proc.stdout.split()))
+
+
+def test_parser_asks_terminal_width_once(monkeypatch):
+    import shutil
+    from busfactor.cli import build_parser
+    calls = []
+    real = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    parser = build_parser()
+    assert len(calls) == 1
+    parser.format_help()
+    parser.commands.choices["rig"].format_help()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("columns", [60, 200])
+def test_help_wraps_at_terminal_width(monkeypatch, columns):
+    # argparse leaves two columns of margin
+    from busfactor.cli import build_parser
+    monkeypatch.setenv("COLUMNS", str(columns))
+    parser = build_parser()
+    for text in (parser.format_help(),
+                 parser.commands.choices["rig"].format_help()):
+        widths = [len(line) for line in text.splitlines()]
+        assert max(widths) <= columns - 2
+        assert (max(widths) > 60) is (columns == 200)
 
 
 def test_time_window_flags(two_dev_repo):

@@ -4,12 +4,16 @@ from __future__ import annotations
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from busfactor import (ChangeRecord, CommitMeta, CstConfig, CstMetricKind,
                        DataMetric, MetricKind, RawAuthor, TimeWindow,
                        TrendPoint, cst_bus_factor, resolve_identities,
                        yearly_trend)
+from busfactor import trend as trend_module
 from busfactor.errors import EmptySpan
+
+from . import oracles
 
 A = RawAuthor("Ada Core", "ada@fixture.test")
 B = RawAuthor("Bert Low", "bert@fixture.test")
@@ -132,3 +136,74 @@ def test_point_validation():
     point = TrendPoint(year=2021, bus_factor=1, total_developers=3)
     assert point.active
     assert point.bf_percentage == 100.0 * 1 / 3
+
+
+# Instants on both sides of each year boundary, and inside each year.
+_INSTANTS = [datetime(year, month, day, hour, minute, second,
+                      tzinfo=timezone.utc)
+             for year in range(2019, 2023)
+             for month, day, hour, minute, second in (
+                 (1, 1, 0, 0, 0), (6, 15, 12, 0, 0), (12, 31, 23, 59, 59))]
+_AUTHORS = [A, B, RawAuthor("Cy Third", "cy@fixture.test")]
+_PATHS = ["src/a.py", "src/gen/b.py", "docs/c.md", "d.txt"]
+
+
+@st.composite
+def _histories(draw):
+    commits = draw(st.lists(st.tuples(st.sampled_from(_INSTANTS),
+                                      st.sampled_from(_AUTHORS)),
+                            max_size=12))
+    records = []
+    for seq, (instant, author) in enumerate(commits):
+        meta = CommitMeta(hash=f"{seq:040x}", author=author,
+                          author_timestamp=instant, sequence=seq)
+        for path in draw(st.lists(st.sampled_from(_PATHS), min_size=1,
+                                  max_size=3, unique=True)):
+            records.append(ChangeRecord(
+                commit=meta, path=path,
+                lines_added=draw(st.integers(0, 4)),
+                lines_deleted=draw(st.integers(0, 4)) or 1,
+                cos_distance=draw(st.sampled_from((0.0, 0.5, 1.0)))))
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(records=_histories(),
+       span=st.tuples(st.integers(2017, 2023), st.integers(0, 4)),
+       cumulative=st.booleans(),
+       cst_metric=st.sampled_from(list(CstMetricKind)),
+       data_kind=st.sampled_from(list(MetricKind)),
+       scope=st.sampled_from([None, "src", "docs"]),
+       exclude=st.sampled_from([(), ("*.md",), ("src/gen/*",)]))
+def test_matches_one_pass_over_all_records_per_year(
+        records, span, cumulative, cst_metric, data_kind, scope, exclude):
+    first, last = span[0], span[0] + span[1]
+    base = config(cst_metric=cst_metric, data_metric=DataMetric(data_kind),
+                  scope=scope, exclude_globs=exclude)
+    idmap = resolve_identities(_AUTHORS)
+    series = yearly_trend(records, idmap, base, first, last,
+                          cumulative=cumulative)
+    assert [(p.year, p.bus_factor, p.total_developers)
+            for p in series.points] == oracles.yearly_trend_points(
+                records, idmap, base, first, last, cumulative)
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+def test_each_year_passes_only_its_records(monkeypatch, cumulative):
+    records = [record(A, 2019, 12, 0), record(B, 2020, 3, 1),
+               record(A, 2021, 6, 2), record(B, 2019, 1, 3)]
+    calls = []
+    real = trend_module.cst_bus_factor
+
+    def spy(pool, identity, config):
+        calls.append((config.time_range, list(pool)))
+        return real(pool, identity, config)
+    monkeypatch.setattr(trend_module, "cst_bus_factor", spy)
+    yearly_trend(records, identity_for(records), config(), 2018, 2022,
+                 cumulative=cumulative)
+    assert [window.end_year for window, _ in calls] == list(range(2018, 2023))
+    for window, pool in calls:
+        inside = [r for r in records
+                  if window.contains(r.commit.author_timestamp)]
+        assert sorted(pool, key=ChangeRecord.sort_key) == \
+            sorted(inside, key=ChangeRecord.sort_key)
