@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import re
 import shlex
@@ -504,6 +505,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
+
+# The modules imported above live as long as the process, yet the full
+# collection at interpreter exit would still break and free their objects
+# one by one: 13-16 ms of every command on a 2-vCPU host. Frozen objects
+# move to the permanent generation, which no collection traverses, and
+# the OS reclaims them at exit. This runs once per process, on import;
+# freezing in `main` would make each in-process call's uncollected
+# cycles permanent, and the library modules leave a caller's collector
+# alone.
+gc.freeze()
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -1,4 +1,5 @@
-"""What importing the package costs: modules loaded, and lazy exports.
+"""What importing the package costs: modules loaded, lazy exports, and
+the collector's frozen heap.
 
 Each command should load only the modules it runs, so the checks below
 run a fresh interpreter and compare the modules an import leaves loaded
@@ -26,12 +27,22 @@ DEFERRED = {"subprocess", "concurrent.futures", "logging", "configparser",
 NEVER = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
-def _modules_after(statement: str) -> set[str]:
+def _fresh(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(_SRC))
-    code = f"{statement}\nimport sys\nprint(*sys.modules, sep='\\n')"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    return set(out.split())
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+def _modules_after(statement: str) -> set[str]:
+    return set(_fresh(f"{statement}\nimport sys\n"
+                      "print(*sys.modules, sep='\\n')").split())
+
+
+def _freeze_counts_after(statement: str) -> list[int]:
+    """`gc.get_freeze_count()` after `statement`, and after each
+    `print(gc.get_freeze_count())` the statement runs itself."""
+    return [int(count) for count in _fresh(
+        f"import gc\n{statement}\nprint(gc.get_freeze_count())").split()]
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +66,40 @@ def test_import_loads_no_code_generation_module(bare, module):
     loaded = _modules_after(f"import {module}") - bare
     assert module in loaded
     assert not loaded & NEVER
+
+
+def test_import_cli_freezes_its_heap():
+    # The CLI's imported modules live as long as the process, so it
+    # freezes them once and no collection, at exit least of all, walks
+    # them again.
+    assert _freeze_counts_after("import busfactor.cli")[0] > 0
+
+
+@pytest.mark.parametrize("module", ["busfactor", "busfactor.cst",
+                                    "busfactor.rig", "busfactor.cache",
+                                    "busfactor.gitrepo"])
+def test_library_import_leaves_the_collector_alone(module):
+    assert _freeze_counts_after(f"import {module}") == [0]
+
+
+def test_main_freezes_nothing_more(two_dev_repo, tmp_path):
+    # The freeze runs at import, not per call: a call's uncollected
+    # cycles must stay collectable, or leaks would go unseen. The count
+    # may still fall, since a frozen object is freed when its last
+    # reference goes (the first `isinstance` against an ABC resets a
+    # few caches).
+    cache = str(tmp_path / "cache")
+    ingest = ["ingest", "--repo", str(two_dev_repo.path), "--cache", cache]
+    cst = ["cst", "--cache", cache, "--metric", "commits",
+           "--cst-metric", "mul-equal", "--format", "json"]
+    before, after = _freeze_counts_after(
+        "import contextlib, io\n"
+        "from busfactor.cli import main\n"
+        "print(gc.get_freeze_count())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({ingest!r}) == 0\n"
+        f"    assert main({cst!r}) == 0")
+    assert after <= before
 
 
 def test_every_export_resolves():
