@@ -10,10 +10,14 @@ therefore yields the exact minimum g.
 Ownership is indexed once per snapshot, however many runs use it. Each
 developer becomes one integer holding their line count of every file
 in a bit field of its own, so testing a g-subset costs g big-integer
-additions and one bit count.
+additions and one bit count. The subsets of a size stream through
+`map`, `sum` and `int.bit_count` in C, and the Python loop runs only to
+draw a sampled subset.
+
 Before any test, a bound on the files any g-subset can abandon rules
 out the group sizes too small to win; their subsets are counted, not
-tested.
+tested. The bound rests on critical owners: an owner holding more of a
+file than the lines that may stay is in every group that abandons it.
 """
 from __future__ import annotations
 
@@ -124,9 +128,11 @@ class _Departures:
         top: list[tuple[int, int]] = []
         self.need: list[int] = []
         shift = 0
-        # g -> owners of each file whose g largest owners first hold
-        # its need
-        self._killable_from: dict[int, list[list[DeveloperId]]] = {}
+        # g -> (owners, k) for each file whose g largest owners first
+        # hold its need, where any group abandoning the file holds at
+        # least k of these owners (see level_bounds)
+        self._killable_from: dict[int, list[tuple[list[DeveloperId],
+                                                  int]]] = {}
         for path in sorted(blame.files):
             owners = blame.files[path]
             if not owners:
@@ -151,7 +157,11 @@ class _Departures:
                 if held >= need:
                     break
                 level += 1
-            self._killable_from.setdefault(level, []).append(list(counts))
+            # without a critical owner's lines, fewer than need remain
+            critical = [dev for dev, n in counts.items() if n > total - need]
+            self._killable_from.setdefault(level, []).append(
+                (critical, len(critical)) if critical
+                else (list(counts), level))
         self.population = sorted(fields, key=DeveloperId.sort_key)
         self.packed = [_pack(fields[dev]) for dev in self.population]
         self.bias = _pack(bias)
@@ -169,19 +179,30 @@ class _Departures:
         departure of any g developers abandons.
 
         g developers abandon only files killable at g, whose g largest
-        owners hold their need, and only those they own lines of. So
-        they abandon at most the lesser of the number of killable files
-        and the sum of the g largest per-developer counts of killable
-        files.
+        owners hold their need. Each killable file spreads one unit of
+        weight over the owners that a group abandoning it must include:
+        1/k to each of its k critical owners, the owners holding more
+        lines than the file may keep, or when it has none, 1/level to
+        each owner, since a group abandoning it includes at least
+        `level` of them. A group thus weighs at least the number of
+        files it abandons, so g developers abandon at most the lesser
+        of the number of killable files and the sum of the g largest
+        weights, rounded down. No weight exceeds a developer's count of
+        killable files they own lines of. The weights are kept as
+        integers scaled by the lcm of every k and level.
         """
+        scale = math.lcm(*(k for files in self._killable_from.values()
+                           for _, k in files))
         killable = 0
-        per_developer: Counter[DeveloperId] = Counter()
+        weight: Counter[DeveloperId] = Counter()
         for g in itertools.count(1):
-            for owners in self._killable_from.get(g, ()):
+            for owners, k in self._killable_from.get(g, ()):
                 killable += 1
-                per_developer.update(owners)
-            yield min(killable, sum(sorted(per_developer.values(),
-                                           reverse=True)[:g]))
+                share = scale // k
+                for dev in owners:
+                    weight[dev] += share
+            yield min(killable, sum(sorted(weight.values(),
+                                           reverse=True)[:g]) // scale)
 
 
 def abandoned_file_fraction(blame: BlameSnapshot, identity: IdentityMap,
@@ -197,23 +218,38 @@ def abandoned_file_fraction(blame: BlameSnapshot, identity: IdentityMap,
     return abandoned / len(index.need)
 
 
-def _randbelow(rng: random.Random, n: int) -> int:
-    """Uniform draw from [0, n) by rejection on getrandbits, so the
-    consumed bit stream is fully specified by this module."""
-    bits = n.bit_length()
-    value = rng.getrandbits(bits)
-    while value >= n:
-        value = rng.getrandbits(bits)
-    return value
+def _steps(population: int, g: int) -> list[tuple[int, int]]:
+    """(bound, bit length) of each of the g rejection draws that pick a
+    g-subset of range(population) by partial Fisher-Yates."""
+    return [(n, n.bit_length())
+            for n in range(population, population - g, -1)]
 
 
-def _sample_indexes(rng: random.Random, population: int, g: int) -> tuple[int, ...]:
-    """One uniform g-subset of range(population) via partial Fisher-Yates."""
-    slots = list(range(population))
-    for i in range(g):
-        j = i + _randbelow(rng, population - i)
-        slots[i], slots[j] = slots[j], slots[i]
-    return tuple(slots[:g])
+def _drawn(rng: random.Random, deck: list[int], g: int,
+           samples: int) -> Iterator[list[int]]:
+    """`samples` uniform g-subsets of deck, which must hold range(len(deck)).
+
+    Each is deck[:g] after a partial Fisher-Yates shuffle. Swap i draws
+    j by rejection on getrandbits, so the consumed bit stream is fully
+    specified by this module. Drawing is lazy: while a subset is being
+    looked at, deck holds it in its first g places, and its swaps are
+    undone, restoring deck in O(g), only when the next one is asked for.
+    """
+    getrandbits = rng.getrandbits
+    steps = list(enumerate(_steps(len(deck), g)))
+    swaps = [0] * g
+    for _ in range(samples):
+        for i, (n, bits) in steps:
+            j = getrandbits(bits)
+            while j >= n:
+                j = getrandbits(bits)
+            j += i
+            deck[i], deck[j] = deck[j], deck[i]
+            swaps[i] = j
+        yield deck[:g]
+        for i in range(g - 1, -1, -1):
+            j = swaps[i]
+            deck[i], deck[j] = deck[j], deck[i]
 
 
 def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
@@ -226,9 +262,9 @@ def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
     exact. Group size is capped at the developer population.
 
     The subsets of a group size that the level bound rules out count as
-    evaluated without being tested. Sampled mode still draws them when
-    a later size is tested, so that size draws the subsets it would
-    have drawn without the bound.
+    evaluated without being tested. Sampled mode still makes their
+    draws when a later size is tested, so that size draws the subsets
+    it would have drawn without the bound.
 
     `index` is the snapshot's departure index at the config's line
     threshold when the caller has built it already, as `rig_repeat`
@@ -245,34 +281,48 @@ def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
     # no group smaller than first can win
     bounds = zip(range(1, cap + 1), index.level_bounds())
     first = next((g for g, most in bounds if most >= wins_at), cap + 1)
+    samples = config.samples_per_size
 
     rng = random.Random(config.seed)
-    evaluated = 0
-    for g in range(1, cap + 1):
-        if g < first:
-            if config.exhaustive:
-                evaluated += math.comb(population, g)
-                continue
-            if first <= cap:  # a later size draws from where these end
-                for _ in range(config.samples_per_size):
-                    for i in range(g):
-                        _randbelow(rng, population - i)
-            evaluated += config.samples_per_size
-            continue
+    if config.exhaustive:
+        evaluated = sum(math.comb(population, g) for g in range(1, first))
+    else:
+        evaluated = samples * (first - 1)
+        if first <= cap:  # the first tested size draws from where these end
+            getrandbits = rng.getrandbits
+            draws = itertools.chain.from_iterable(
+                itertools.repeat(_steps(population, g), samples)
+                for g in range(1, first))
+            for n, bits in itertools.chain.from_iterable(draws):
+                while getrandbits(bits) >= n:
+                    pass
+    packed = index.packed
+    deck = list(range(population))
+    for g in range(first, cap + 1):
         if config.exhaustive:
-            candidates = itertools.combinations(range(population), g)
+            groups = itertools.combinations(packed, g)
         else:
-            candidates = (_sample_indexes(rng, population, g)
-                          for _ in range(config.samples_per_size))
-        for indexes in candidates:
-            evaluated += 1
-            abandoned = index.abandoned(indexes)
-            if abandoned >= wins_at:
-                return RigResult(
-                    bf_set=frozenset(index.population[i] for i in indexes),
-                    samples_evaluated=evaluated,
-                    abandoned_fraction_at_return=abandoned / files,
-                )
+            groups = map(map, itertools.repeat(packed.__getitem__),
+                         _drawn(rng, deck, g, samples))
+        abandoned = map(int.bit_count, map(index.top.__and__, map(
+            sum, groups, itertools.repeat(index.bias))))
+        won = next(itertools.compress(itertools.count(),
+                                      map(wins_at.__le__, abandoned)), None)
+        if won is None:
+            evaluated += (math.comb(population, g) if config.exhaustive
+                          else samples)
+            continue
+        evaluated += won + 1
+        if config.exhaustive:
+            indexes = next(itertools.islice(
+                itertools.combinations(range(population), g), won, None))
+        else:  # the draws stopped at the winner, which deck still holds
+            indexes = deck[:g]
+        return RigResult(
+            bf_set=frozenset(index.population[i] for i in indexes),
+            samples_evaluated=evaluated,
+            abandoned_fraction_at_return=index.abandoned(indexes) / files,
+        )
     return RigResult(bf_set=None, samples_evaluated=evaluated,
                      abandoned_fraction_at_return=0.0)
 

@@ -261,6 +261,20 @@ def most_abandoned(per_file, g, line_fraction) -> int:
                for combo in itertools.combinations(devs, g))
 
 
+def owner_count_bound(per_file, g, line_fraction) -> int:
+    """The looser bound on most_abandoned that counts owners: the lesser
+    of the number of files whose g largest owners reach line_fraction
+    and the sum of the g largest per-developer counts of such files
+    owned."""
+    owned = Counter()
+    killable = 0
+    for total, counts in per_file:
+        if sum(sorted(counts.values())[-g:]) / total >= line_fraction:
+            killable += 1
+            owned.update(counts)
+    return min(killable, sum(n for _, n in owned.most_common(g)))
+
+
 def rig_reference(blame, dev_of, config):
     """The departure loop written out literally, for any RigConfig.
 

@@ -528,6 +528,44 @@ def test_level_bound_never_below_true_most(snap, line):
         assert bound >= oracles.most_abandoned(per_file, g, line)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(snap=_SNAPSHOTS, line=_FRACTIONS)
+def test_level_bound_never_above_owner_count_bound(snap, line):
+    idmap = one_per_author(snap)
+    index = rig_module._Departures(snap, idmap, line)
+    per_file = oracles.per_file_counts(snap, idmap.canonical)
+    sizes = range(1, len(index.population) + 1)
+    for g, bound in zip(sizes, index.level_bounds()):
+        assert bound <= oracles.owner_count_bound(per_file, g, line)
+
+
+def no_critical_owner():
+    """Files of 10-12 owners with 3 lines each: at line fraction 0.9 a
+    file may keep 3 lines, which no owner exceeds, so no owner is in
+    every group that abandons it."""
+    rng = random.Random(4)
+    return snapshot({f"f{i}": rng.sample(PEOPLE, rng.randint(10, 12)) * 3
+                     for i in range(8)})
+
+
+BOUND_FIXTURES = {
+    "no-critical-owner": (no_critical_owner(), 0.9),
+    **{name: (snap, kwargs.get("line_abandon_fraction", 0.9))
+       for name, (snap, kwargs) in GOLDEN_FIXTURES.items()},
+}
+
+
+@pytest.mark.parametrize("name", BOUND_FIXTURES)
+def test_level_bound_never_below_true_most_on_fixtures(name):
+    snap, line = BOUND_FIXTURES[name]
+    idmap = one_per_author(snap)
+    index = rig_module._Departures(snap, idmap, line)
+    per_file = oracles.per_file_counts(snap, idmap.canonical)
+    sizes = range(1, len(index.population) + 1)
+    for g, bound in zip(sizes, index.level_bounds()):
+        assert bound >= oracles.most_abandoned(per_file, g, line)
+
+
 def sixty_developers():
     """400 files, each with 4 random owners of 5-50 lines out of 60
     developers: no group of 5 or fewer can abandon half of them."""
@@ -553,6 +591,19 @@ def test_sizes_the_bound_rules_out_count_without_a_test():
         abandoned_fraction_at_return=0.0)
 
 
+def test_critical_owners_rule_out_sizes_to_twelve():
+    snap = sixty_developers()
+    idmap = one_per_author(snap)
+    index = rig_module._Departures(snap, idmap, 0.9)
+    assert max(itertools.islice(index.level_bounds(), 12)) < 200
+    result = rig_bus_factor(snap, idmap,
+                            RigConfig(exhaustive=True, max_group_size=8))
+    assert result == RigResult(
+        bf_set=None,
+        samples_evaluated=sum(math.comb(60, g) for g in range(1, 9)),
+        abandoned_fraction_at_return=0.0)
+
+
 def triples():
     """Files owned in equal thirds, so a file is abandoned only when all
     three of its owners leave: groups of 1 or 2 abandon nothing."""
@@ -568,10 +619,65 @@ def test_sampling_after_skipped_sizes_draws_as_before(seed):
     snap = triples()
     idmap = one_per_author(snap)
     index = rig_module._Departures(snap, idmap, 0.9)
-    assert list(itertools.islice(index.level_bounds(), 3)) == [0, 0, 4]
+    assert list(itertools.islice(index.level_bounds(), 3)) == [0, 0, 2]
     cfg = RigConfig(max_group_size=8, samples_per_size=6, seed=seed)
     result = rig_bus_factor(snap, idmap, cfg)
     assert result.bus_factor >= 3
+    assert (result.bus_factor, result.bf_set, result.samples_evaluated,
+            result.abandoned_fraction_at_return) == oracles.rig_reference(
+                snap, idmap.canonical, cfg)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampling_stops_at_the_first_winner(monkeypatch, seed):
+    # any one developer's departure abandons a third of the files, so
+    # the first subset drawn wins, however many more the size allows
+    snap = snapshot({"a1": [A], "a2": [A], "b1": [B], "b2": [B],
+                     "c1": [C], "c2": [C]})
+    idmap = one_per_author(snap)
+    calls = []
+
+    class Counted(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+    monkeypatch.setattr(rig_module.random, "Random", Counted)
+    cfg = RigConfig(samples_per_size=10**6, file_abandon_fraction=1 / 3,
+                    seed=seed)
+    result = rig_bus_factor(snap, idmap, cfg)
+    drawn, calls[:] = calls[:], []
+    assert result.samples_evaluated == 1
+    assert (result.bus_factor, result.bf_set, result.samples_evaluated,
+            result.abandoned_fraction_at_return) == oracles.rig_reference(
+                snap, idmap.canonical, cfg)
+    assert drawn == calls
+
+
+def two_thousand_developers():
+    """80 files among 2,000 developers: 40 leads own one file each, and
+    the other 1,960 hold one line each of 40 shared files, so a file
+    shared by 49 people needs 45 of them to leave."""
+    people = [RawAuthor(f"Dev {i:04d}", f"dev{i:04d}@fixture.test")
+              for i in range(2000)]
+    leads = people[::50]
+    rest = [p for p in people if p not in leads]
+    files = {f"lead{i:02d}.py": {p: 3} for i, p in enumerate(leads)}
+    files.update({f"shared{k:02d}.py": dict.fromkeys(rest[k::40], 1)
+                  for k in range(40)})
+    return BlameSnapshot(revision="e" * 40, files=files)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("leads, max_g", [(1, 2), (2, 3)])
+def test_sampling_two_thousand_developers_matches_reference_loop(
+        seed, leads, max_g):
+    # a single lead wins at 1 of 80 files; at 2 of 80 the bound skips
+    # g = 1, and drawing two leads of 2,000 developers is rare
+    snap = two_thousand_developers()
+    idmap = one_per_author(snap)
+    cfg = RigConfig(max_group_size=max_g, samples_per_size=120, seed=seed,
+                    file_abandon_fraction=leads / 80)
+    result = rig_bus_factor(snap, idmap, cfg)
     assert (result.bus_factor, result.bf_set, result.samples_evaluated,
             result.abandoned_fraction_at_return) == oracles.rig_reference(
                 snap, idmap.canonical, cfg)
