@@ -4,45 +4,60 @@ A cache is a directory holding one file, `cache.json`. save_cache
 writes `cache.json.tmp` and moves it into place with os.replace, so a
 reader finds the previous save or the new one, whole.
 
-Schema 5 file: a header line, then two parts of compact UTF-8 JSON.
+Schema 6 file: a header line, a head part of compact UTF-8 JSON, and a
+records part of one JSON table line followed by binary columns.
 
-    busfactor-cache 5 <record count> <head bytes> <head SHA-256>
+    busfactor-cache 6 <record count> <head bytes> <head SHA-256>
         <records bytes> <records SHA-256>           (one line)
     head:    {"fingerprint": ..., "blame": null or {"revision": ...,
               "authors": [[name, email], ...],
               "files": {path: [[author index, lines], ...]}}}
     records: {"authors": [[name, email], ...], "paths": [...],
-              "hash": [...], "author": [...], "epoch": [...],
-              "merge": [...], "sequence": [...],
-              "commit": [...], "path": [...], "added": [...],
-              "deleted": [...], "cos": [...]}
+              "commits": C, "records": R, "width": W,
+              "formats": {"author": letter, ..., "deleted": letter}}
+             and a newline, then the C commit hashes, W bytes each,
+             the commit columns author, epoch, merge and sequence
+             (C values each), the record columns commit, path, added
+             and deleted (R values each), and R cos values.
 
-- Records are stored as columns: after the author and path tables, five
-  columns hold one entry per commit and five one entry per record.
-  `author`, `commit` and `path` are indexes into the author table, the
-  commit columns and the path table. Each commit is stored once however
-  many files it changed, and loading builds one CommitMeta per commit,
-  shared by its records as extract_history shares them, and one
-  RawAuthor per distinct author.
+- Records are stored as columns: after the author and path tables, one
+  hash and four columns hold one entry per commit and five one entry per
+  record. `author`, `commit` and `path` are indexes into the author
+  table, the commit columns and the path table. Each commit is stored
+  once however many files it changed, and loading builds one CommitMeta
+  per commit, shared by its records as extract_history shares them, and
+  one RawAuthor per distinct author.
+- Columns are packed with `struct` under a `<` prefix, which fixes
+  every size and the byte order on any platform, so there is nothing to
+  swap and a cache loads wherever it was written. An integer column
+  takes the narrowest of the format letters B, H, I and Q that holds its
+  values, or of b, h, i and q when one is negative (an author date before
+  1970), and the table names the letter. `cos` is binary64 (`d`), which
+  holds each float exactly. A hash is stored as its raw bytes (W is 20
+  for SHA-1, 32 for SHA-256), so save_cache refuses hashes that are not
+  lowercase hex digests of one length.
 - Blame has one author table for the whole snapshot and per file one
   pair per owner, sorted by author, so equal snapshots give equal bytes.
 
 Every load checks the file's length and both parts' digests, so a
 truncated or corrupt file raises CorruptCache. A load with
 `records=False`, which is all `rig --cache` needs, parses only the head
-part; a full load also parses the records part and checks its row count
-against the header's.
+part. A full load also parses the records table, checks its counts and
+format letters and its record count against the header's, and requires
+the part to end exactly where its columns do.
 
 Schema 1 stored token bags, schema 2 one length-prefixed JSON frame per
-record, schema 3 a `manifest` file beside two data files and schema 4
-one document under one digest. A cache of any schema but 5 raises
-SchemaMismatch; `busfactor ingest` rebuilds it.
+record, schema 3 a `manifest` file beside two data files, schema 4 one
+document under one digest and schema 5 the records part as JSON
+columns. A cache of any schema but 6 raises SchemaMismatch; `busfactor
+ingest` rebuilds it.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import struct
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -51,13 +66,16 @@ from typing import Sequence
 from .errors import CorruptCache, IoFailure, SchemaMismatch
 from .records import BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _FILE = "cache.json"
 _MAGIC = b"busfactor-cache"
 _REINGEST = "re-run `busfactor ingest`"
-_COMMIT_COLUMNS = ("hash", "author", "epoch", "merge", "sequence")
-_RECORD_COLUMNS = ("commit", "path", "added", "deleted", "cos")
+_COMMIT_COLUMNS = ("author", "epoch", "merge", "sequence")
+_RECORD_COLUMNS = ("commit", "path", "added", "deleted")
+# the struct format letters of an integer column, narrowest first
+_UNSIGNED, _SIGNED = "BHIQ", "bhiq"
+_LETTERS = frozenset(_UNSIGNED + _SIGNED)
 
 
 def save_cache(records: Sequence[ChangeRecord],
@@ -70,7 +88,7 @@ def save_cache(records: Sequence[ChangeRecord],
     root = Path(cache_path)
     head = _json({"fingerprint": fingerprint,
                   "blame": None if blame is None else _encode_blame(blame)})
-    rows = _json(_encode_records(records))
+    rows = _encode_records(records)
     header = b"%s %d %d %d %s %d %s\n" % (
         _MAGIC, SCHEMA_VERSION, len(records),
         len(head), _sha256(head), len(rows), _sha256(rows))
@@ -131,9 +149,9 @@ def load_cache(cache_path: str | Path, *, records: bool = True,
         fingerprint = document["fingerprint"]
         blame = (None if document["blame"] is None
                  else _decode_blame(document["blame"]))
-        decoded = (_decode_records(json.loads(rows), promised) if records
-                   else [])
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        decoded = _decode_records(rows, promised) if records else []
+    except (AttributeError, LookupError, TypeError, ValueError,
+            struct.error) as exc:
         raise CorruptCache(f"malformed cache document: {exc!r}") from exc
     return decoded, blame, fingerprint
 
@@ -147,20 +165,26 @@ def _sha256(part: bytes) -> bytes:
     return hashlib.sha256(part).hexdigest().encode()
 
 
-def _encode_records(records: Sequence[ChangeRecord]) -> dict:
+def _encode_records(records: Sequence[ChangeRecord]) -> bytes:
     commits: dict[CommitMeta, int] = {}
     paths: dict[str, int] = {}
     authors: dict[RawAuthor, int] = {}
     commit_column = [commits.setdefault(r.commit, len(commits))
                      for r in records]
     path_column = [paths.setdefault(r.path, len(paths)) for r in records]
-    author_column = [authors.setdefault(c.author, len(authors))
-                     for c in commits]
-    return {
-        "authors": [[a.name, a.email] for a in authors],
-        "paths": list(paths),
-        "hash": [c.hash for c in commits],
-        "author": author_column,
+    hashes = [c.hash for c in commits]
+    # bytes.fromhex skips spaces and reads upper case, so only a hash
+    # that its bytes give back whole is stored
+    width = len(hashes[0]) // 2 if hashes else 0
+    joined = "".join(hashes)
+    packed = bytes.fromhex(joined)
+    if packed.hex() != joined or set(map(len, hashes)) - {2 * width} or (
+            hashes and not width):
+        raise ValueError("commit hashes must be lowercase hex digests of "
+                         "one length")
+    columns = {
+        "author": [authors.setdefault(c.author, len(authors))
+                   for c in commits],
         "epoch": [int(c.author_timestamp.timestamp()) for c in commits],
         "merge": [int(c.is_merge) for c in commits],
         "sequence": [c.sequence for c in commits],
@@ -168,24 +192,75 @@ def _encode_records(records: Sequence[ChangeRecord]) -> dict:
         "path": path_column,
         "added": [r.lines_added for r in records],
         "deleted": [r.lines_deleted for r in records],
-        "cos": [r.cos_distance for r in records],
     }
+    formats = {name: _narrowest(column) for name, column in columns.items()}
+    table = _json({
+        "authors": [[a.name, a.email] for a in authors],
+        "paths": list(paths),
+        "commits": len(commits),
+        "records": len(records),
+        "width": width,
+        "formats": formats,
+    })
+    return b"".join([
+        table, b"\n", packed,
+        *(struct.pack("<%d%s" % (len(columns[name]), formats[name]),
+                      *columns[name])
+          for name in _COMMIT_COLUMNS + _RECORD_COLUMNS),
+        struct.pack("<%dd" % len(records),
+                    *[r.cos_distance for r in records])])
 
 
-def _decode_records(columns: dict, promised: int) -> list[ChangeRecord]:
-    hashes, author_of, epochs, merges, sequences = (
-        _column(columns, _COMMIT_COLUMNS))
-    commit_of, path_of, added, deleted, cos = _column(columns,
-                                                      _RECORD_COLUMNS)
-    if len(commit_of) != promised:
+def _narrowest(column: list[int]) -> str:
+    """The format letter of the narrowest struct integer that holds every
+    value of column."""
+    low, high = min(column, default=0), max(column, default=0)
+    for letter in _UNSIGNED if low >= 0 else _SIGNED:
+        try:
+            struct.pack("<2" + letter, low, high)
+        except struct.error:
+            continue
+        return letter
+    raise ValueError(f"column values {low}..{high} exceed 64 bits")
+
+
+def _decode_records(rows: bytes, promised: int) -> list[ChangeRecord]:
+    start = rows.index(b"\n") + 1
+    table = json.loads(rows[:start])
+    commit_count, record_count, width = (
+        table[key] for key in ("commits", "records", "width"))
+    formats = table["formats"]
+    letters = [formats[name] for name in _COMMIT_COLUMNS + _RECORD_COLUMNS]
+    if any(type(n) is not int or n < 0
+           for n in (commit_count, record_count, width)) or \
+            not _LETTERS.issuperset(letters):
+        raise ValueError(f"malformed records table: {rows[:80]!r}")
+    if record_count != promised:
         raise CorruptCache(f"cache promises {promised} records, "
-                           f"found {len(commit_of)}")
+                           f"found {record_count}")
+    offset = start + width * commit_count
+    text, step = rows[start:offset].hex(), 2 * width
+    # an empty history stores no hash, and so no width
+    hashes = ([text[i:i + step] for i in range(0, step * commit_count, step)]
+              if commit_count else [])
+    counts = ([commit_count] * len(_COMMIT_COLUMNS)
+              + [record_count] * (len(_RECORD_COLUMNS) + 1))
+    columns = []
+    for count, letter in zip(counts, letters + ["d"]):  # cos is binary64
+        layout = "<%d%s" % (count, letter)
+        columns.append(struct.unpack_from(layout, rows, offset))
+        offset += struct.calcsize(layout)
+    if offset != len(rows):
+        raise ValueError(f"records part holds {len(rows) - offset} bytes "
+                         "past its columns")
+    author_of, epochs, merges, sequences, commit_of, path_of, added, \
+        deleted, cos = columns
     # Tables are looked up by key, so that a negative index is malformed
     # rather than counted from the end. One RawAuthor per distinct
     # author, shared by all their commits.
     authors = dict(enumerate(RawAuthor(name, email)
-                             for name, email in columns["authors"]))
-    paths = dict(enumerate(columns["paths"]))
+                             for name, email in table["authors"]))
+    paths = dict(enumerate(table["paths"]))
     # CommitMeta and ChangeRecord would only check what the package
     # wrote itself (UTC author dates, five fields in order), so both
     # skip their checked constructors.
@@ -196,17 +271,6 @@ def _decode_records(columns: dict, promised: int) -> list[ChangeRecord]:
     return list(map(ChangeRecord._make, zip(
         map(commits.__getitem__, commit_of), map(paths.__getitem__, path_of),
         added, deleted, cos)))
-
-
-def _column(columns: dict, names: tuple[str, ...]) -> list[list]:
-    """The named columns, which must be lists of one length: zip would
-    silently drop the tail of a longer one."""
-    found = [columns[name] for name in names]
-    if any(type(c) is not list for c in found) or \
-            len({len(c) for c in found}) != 1:
-        raise ValueError(f"columns {', '.join(names)} are not lists of "
-                         "one length")
-    return found
 
 
 def _encode_blame(blame: BlameSnapshot) -> dict:

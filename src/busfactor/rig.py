@@ -133,6 +133,9 @@ class _Departures:
         # least k of these owners (see level_bounds)
         self._killable_from: dict[int, list[tuple[list[DeveloperId],
                                                   int]]] = {}
+        # (wins_at, cap) -> first_tested, so that runs sharing the index
+        # walk the level bound once
+        self._first: dict[tuple[int, int], int] = {}
         for path in sorted(blame.files):
             owners = blame.files[path]
             if not owners:
@@ -173,6 +176,17 @@ class _Departures:
         packed = self.packed
         return (sum(map(packed.__getitem__, departed), self.bias)
                 & self.top).bit_count()
+
+    def first_tested(self, wins_at: int, cap: int) -> int:
+        """The smallest g up to cap whose level bound reaches wins_at
+        abandoned files, or cap + 1 when none does: no smaller group can
+        win."""
+        key = (wins_at, cap)
+        if key not in self._first:
+            bounds = zip(range(1, cap + 1), self.level_bounds())
+            self._first[key] = next((g for g, most in bounds
+                                     if most >= wins_at), cap + 1)
+        return self._first[key]
 
     def level_bounds(self) -> Iterator[int]:
         """For g = 1, 2, ...: an upper bound on the files that the
@@ -278,9 +292,7 @@ def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
     # abandoned / files >= file_abandon_fraction exactly when
     # abandoned >= wins_at
     wins_at = _lines_needed(files, config.file_abandon_fraction)
-    # no group smaller than first can win
-    bounds = zip(range(1, cap + 1), index.level_bounds())
-    first = next((g for g, most in bounds if most >= wins_at), cap + 1)
+    first = index.first_tested(wins_at, cap)
     samples = config.samples_per_size
 
     rng = random.Random(config.seed)

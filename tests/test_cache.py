@@ -4,10 +4,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import struct
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from busfactor import (BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor,
                        load_cache, save_cache)
@@ -67,14 +69,47 @@ def parts(cache_file: Path) -> tuple[list[bytes], bytes, bytes]:
     return fields, body[:head_size], body[head_size:]
 
 
+_COMMIT_COLUMNS = ("author", "epoch", "merge", "sequence")
+_COLUMNS = _COMMIT_COLUMNS + ("commit", "path", "added", "deleted", "cos")
+
+
+def unpacked(rows: bytes) -> tuple[dict, dict]:
+    """The records part's table and columns, read as schema 6 lays them
+    out: the hashes' bytes, then each column under the table's format
+    letter (binary64 for cos)."""
+    line, binary = rows.split(b"\n", 1)
+    table = json.loads(line)
+    columns = {"hash": binary[:table["width"] * table["commits"]]}
+    offset = len(columns["hash"])
+    for name in _COLUMNS:
+        count = table["commits" if name in _COMMIT_COLUMNS else "records"]
+        layout = "<%d%s" % (count, table["formats"].get(name, "d"))
+        columns[name] = list(struct.unpack_from(layout, binary, offset))
+        offset += struct.calcsize(layout)
+    assert offset == len(binary)
+    return table, columns
+
+
+def repacked(table: dict, columns: dict) -> bytes:
+    """The records part holding table and columns; the inverse of
+    unpacked."""
+    return b"".join([
+        json.dumps(table, separators=(",", ":"),
+                   ensure_ascii=False).encode("utf-8"),
+        b"\n", columns["hash"],
+        *(struct.pack("<%d%s" % (len(columns[name]),
+                                 table["formats"].get(name, "d")),
+                      *columns[name]) for name in _COLUMNS)])
+
+
 def with_parts(cache_file: Path, head: bytes, rows: bytes,
                count: int | None = None) -> None:
     """Replace the parts (and the record count), under a header whose
     lengths and digests match them."""
     fields, _, _ = parts(cache_file)
     count = int(fields[2]) if count is None else count
-    cache_file.write_bytes(b"busfactor-cache 5 %d %d %s %d %s\n" % (
-        count, len(head), hashlib.sha256(head).hexdigest().encode(),
+    cache_file.write_bytes(b"busfactor-cache %d %d %d %s %d %s\n" % (
+        SCHEMA_VERSION, count, len(head), hashlib.sha256(head).hexdigest().encode(),
         len(rows), hashlib.sha256(rows).hexdigest().encode()) + head + rows)
 
 
@@ -130,31 +165,36 @@ def test_header_names_schema_and_digest(tmp_path):
     cache_file = saved(tmp_path, make_records(2))
     header = cache_file.read_bytes().split(b"\n", 1)[0]
     _, head, rows = parts(cache_file)
-    assert SCHEMA_VERSION == 5
-    assert header == b"busfactor-cache 5 2 %d %s %d %s" % (
+    assert SCHEMA_VERSION == 6
+    assert header == b"busfactor-cache 6 2 %d %s %d %s" % (
         len(head), hashlib.sha256(head).hexdigest().encode(),
         len(rows), hashlib.sha256(rows).hexdigest().encode())
     assert json.loads(head)["fingerprint"] == FINGERPRINT
-    assert len(json.loads(rows)["commit"]) == 2
+    table, columns = unpacked(rows)
+    assert (table["commits"], table["records"], table["width"]) == (2, 2, 20)
+    assert len(columns["commit"]) == 2
+    assert repacked(table, columns) == rows
 
 
 def test_schema_mismatch_detected(tmp_path):
     cache_file = saved(tmp_path, make_records(2))
     fields = cache_file.read_bytes().split(b"\n", 1)[0].split()
-    with_header(cache_file, b" ".join([fields[0], b"6", *fields[2:]]))
-    with pytest.raises(SchemaMismatch, match="re-run `busfactor ingest`"):
-        load_cache(cache_file.parent)
+    for version in (b"5", b"7"):
+        with_header(cache_file, b" ".join([fields[0], version, *fields[2:]]))
+        with pytest.raises(SchemaMismatch,
+                           match="re-run `busfactor ingest`"):
+            load_cache(cache_file.parent)
 
 
 @pytest.mark.parametrize("header", [
     b"busfactor-cash 4 " + b"0" * 64,  # wrong magic
-    b"busfactor-cache 5 " + b"0" * 64,  # schema 4's fields
+    b"busfactor-cache 6 " + b"0" * 64,  # schema 4's fields
     b"busfactor-cache four " + b"0" * 64,
-    b"busfactor-cache 5",
-    b"busfactor-cache 5 two 1 %s 1 %s" % (b"0" * 64, b"0" * 64),
-    b"busfactor-cache 5 -2 1 %s 1 %s" % (b"0" * 64, b"0" * 64),
-    b"busfactor-cache 5 2 1 %s x %s" % (b"0" * 64, b"0" * 64),
-    b"busfactor-cache 5 2 1 1 %s 1 %s" % (b"0" * 64, b"0" * 64),
+    b"busfactor-cache 6",
+    b"busfactor-cache 6 two 1 %s 1 %s" % (b"0" * 64, b"0" * 64),
+    b"busfactor-cache 6 -2 1 %s 1 %s" % (b"0" * 64, b"0" * 64),
+    b"busfactor-cache 6 2 1 %s x %s" % (b"0" * 64, b"0" * 64),
+    b"busfactor-cache 6 2 1 1 %s 1 %s" % (b"0" * 64, b"0" * 64),
     b"",
 ])
 def test_malformed_header_is_corrupt(tmp_path, header):
@@ -282,19 +322,47 @@ def test_malformed_document_is_corrupt(tmp_path):
             with pytest.raises(CorruptCache, match="malformed cache document"):
                 load_cache(cache_file.parent, records=records)
 
-    columns = json.loads(rows)
-    unequal = dict(columns, added=columns["added"][:1])
-    short = dict(columns, hash=columns["hash"][:1])
-    missing = {k: v for k, v in columns.items() if k != "cos"}
-    stray = dict(columns, path=[0, 7])
-    from_end = dict(columns, commit=[0, -1])
-    for bad_rows in (b"[1, 2]", b"not json",
-                     *(json.dumps(c).encode() for c in
-                       (unequal, short, missing, stray, from_end))):
+    line = rows.split(b"\n", 1)[0]
+    table = json.loads(line)
+    missing = {k: v for k, v in table.items() if k != "formats"}
+    for bad_rows in (b"[1, 2]\n", b"not json\n", line,
+                     json.dumps(missing).encode() + rows[len(line):]):
         with_parts(cache_file, head, bad_rows)
         with pytest.raises(CorruptCache, match="malformed cache document"):
             load_cache(cache_file.parent)
         assert load_cache(cache_file.parent, records=False)[2] == FINGERPRINT
+
+
+def malformed_records_part(case: str, rows: bytes) -> bytes:
+    table, columns = unpacked(rows)
+    if case == "a byte short":
+        return rows[:-1]
+    if case == "a trailing byte":
+        return rows + b"\0"
+    if case == "an unknown format letter":
+        table["formats"]["added"] = "l"  # a struct letter, but not one of ours
+    elif case == "a count that is not an int":
+        table["records"] = float(table["records"])  # equal to the header's
+    elif case == "an index past its table":
+        columns["path"][0] = len(table["paths"])
+    elif case == "a negative index in a signed column":
+        table["formats"]["commit"] = "b"
+        columns["commit"][-1] = -1
+    return repacked(table, columns)
+
+
+@pytest.mark.parametrize("case", [
+    "a byte short", "a trailing byte", "an unknown format letter",
+    "a count that is not an int", "an index past its table",
+    "a negative index in a signed column"])
+def test_malformed_records_part_fails_only_a_full_load(tmp_path, case):
+    cache_file = saved(tmp_path, make_records(20), make_blame())
+    _, head, rows = parts(cache_file)
+    with_parts(cache_file, head, malformed_records_part(case, rows))
+    with pytest.raises(CorruptCache, match="malformed"):
+        load_cache(cache_file.parent)
+    assert load_cache(cache_file.parent, records=False) == (
+        [], make_blame(), FINGERPRINT)
 
 
 def test_record_count_mismatch_detected(tmp_path):
@@ -302,6 +370,80 @@ def test_record_count_mismatch_detected(tmp_path):
     with_record_count(cache_file, 6)
     with pytest.raises(CorruptCache, match="promises 6 records, found 5"):
         load_cache(cache_file.parent)
+
+
+def test_empty_history_roundtrips(tmp_path):
+    # a repository of only binary or empty files gives no records, so no
+    # hash sets the width
+    cache_file = saved(tmp_path, [], make_blame())
+    table, columns = unpacked(parts(cache_file)[2])
+    assert (table["commits"], table["records"], table["width"]) == (0, 0, 0)
+    assert load_cache(cache_file.parent) == ([], make_blame(), FINGERPRINT)
+
+
+@st.composite
+def histories(draw) -> list[ChangeRecord]:
+    """Records of a few commits with SHA-1 or SHA-256 hashes, author dates
+    before and after 1970, merges, line counts past 32 bits and cos
+    values at the edges of binary64."""
+    width = draw(st.sampled_from((20, 32)))
+    authors = draw(st.lists(st.builds(RawAuthor, st.text(min_size=1,
+                                                         max_size=6),
+                                      st.text(max_size=6)),
+                            min_size=1, max_size=3))
+    commits = [CommitMeta(
+        hash=draw(st.binary(min_size=width, max_size=width)).hex(),
+        author=draw(st.sampled_from(authors)),
+        author_timestamp=datetime.fromtimestamp(
+            draw(st.integers(-2**33, 2**33)), timezone.utc),
+        is_merge=draw(st.booleans()), sequence=sequence)
+        for sequence in range(draw(st.integers(0, 4)))]
+    if not commits:
+        return []
+    lines = st.one_of(st.integers(0, 300), st.just(2**32),
+                      st.integers(0, 2**63 - 1))
+    cos = st.one_of(st.sampled_from((0.0, 1.0, 5e-324)), st.floats(0.0, 1.0))
+    return draw(st.lists(st.builds(
+        ChangeRecord, st.sampled_from(commits),
+        st.sampled_from(("a.py", "dir/ü.md", "b c")), lines, lines, cos),
+        max_size=12))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(records=histories())
+def test_roundtrip_keeps_every_field(tmp_path_factory, records):
+    target = tmp_path_factory.mktemp("cache")
+    save_cache(records, None, FINGERPRINT, target)
+    got, blame, fingerprint = load_cache(target)
+    assert (got, blame, fingerprint) == (records, None, FINGERPRINT)
+    commits: dict[CommitMeta, CommitMeta] = {}
+    authors: dict[RawAuthor, RawAuthor] = {}
+    for before, after in zip(records, got):
+        assert [type(v) for v in after] == [CommitMeta, str, int, int, float]
+        assert after.cos_distance.hex() == before.cos_distance.hex()
+        commit = after.commit
+        assert [type(v) for v in commit] == [str, RawAuthor, datetime, bool,
+                                             int]
+        assert commit.author_timestamp.tzinfo is timezone.utc
+        # one CommitMeta per commit and one RawAuthor per author
+        assert commits.setdefault(commit, commit) is commit
+        assert authors.setdefault(commit.author, commit.author) is (
+            commit.author)
+
+
+@pytest.mark.parametrize("hashes", [
+    ["AB" * 20], ["ab cd"], ["abc"], ["ab" * 20, "cd" * 32], [""]],
+    ids=["uppercase", "space", "odd-length", "mixed-widths", "empty"])
+def test_save_refuses_hashes_it_cannot_pack(tmp_path, hashes):
+    author = RawAuthor("Ana", "ana@x.test")
+    records = [ChangeRecord(CommitMeta(hash, author,
+                                       datetime(2021, 1, 1,
+                                                tzinfo=timezone.utc),
+                                       sequence=i), "a.py", 1, 0, 1.0)
+               for i, hash in enumerate(hashes)]
+    with pytest.raises(ValueError):
+        save_cache(records, None, FINGERPRINT, tmp_path / "cache")
+    assert not (tmp_path / "cache").exists()
 
 
 def test_missing_cache_raises_io_failure(tmp_path):
@@ -412,7 +554,7 @@ def test_blame_runs_roundtrip_exactly(tmp_path):
     assert got == blame
 
 
-def test_schema_5_bytes_are_pinned(tmp_path):
+def test_schema_6_bytes_are_pinned(tmp_path):
     # a change to these bytes is a change of format: raise SCHEMA_VERSION
     ana = RawAuthor("Ana Núñez", "ana@x.test")
     bo = RawAuthor("Bo Li", "bo@x.test")
@@ -431,16 +573,25 @@ def test_schema_5_bytes_are_pinned(tmp_path):
                target)
     authors = '[["Ana Núñez","ana@x.test"],["Bo Li","bo@x.test"]]'
     assert (target / "cache.json").read_bytes() == (
-        "busfactor-cache 5 3 271 b0df1c8231df76a78bd1398a2ac2d45d954aa744"
-        "9877859511f6049921697b7e 358 5e744841ebf6312b49370fd12a62a71013"
-        "07ef546b2818120234d085ed1b9005\n"
+        "busfactor-cache 6 3 271 b0df1c8231df76a78bd1398a2ac2d45d954aa744"
+        "9877859511f6049921697b7e 338 770ce06ef3251459e5ec34e64637161"
+        "22b14a2abaadc066aa800cd5b2acc67aa\n"
         '{"fingerprint":"https://example.invalid/r.git@' + "b" * 40 + '",'
         '"blame":{"revision":"' + "b" * 40 + '","authors":' + authors + ','
         '"files":{"docs/ü.md":[[0,1]],"src/a.py":[[0,4],[1,1]]}}}'
         '{"authors":' + authors + ',"paths":["src/a.py","docs/ü.md"],'
-        '"hash":["' + "a" * 40 + '","' + "b" * 40 + '"],"author":[0,1],'
-        '"epoch":[1614834367,1640995200],"merge":[0,1],"sequence":[0,2],'
-        '"commit":[0,0,1],"path":[0,1,0],"added":[3,1,2],"deleted":[0,1,1],'
-        '"cos":[1.0,0.25,0.5]}').encode("utf-8")
+        '"commits":2,"records":3,"width":20,"formats":{"author":"B",'
+        '"epoch":"I","merge":"B","sequence":"B","commit":"B","path":"B",'
+        '"added":"B","deleted":"B"}}\n').encode("utf-8") + bytes.fromhex(
+        "aa" * 20 + "bb" * 20  # hash
+        + "0001"  # author
+        + "bf6a4060" "8099cf61"  # epoch, 1614834367 and 1640995200
+        + "0001"  # merge
+        + "0002"  # sequence
+        + "000001"  # commit
+        + "000100"  # path
+        + "030102"  # added
+        + "000101"  # deleted
+        + "000000000000f03f" "000000000000d03f" "000000000000e03f")  # cos
     assert load_cache(target) == (records, blame, "https://example.invalid/"
                                   "r.git@" + "b" * 40)

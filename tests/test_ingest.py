@@ -516,6 +516,29 @@ def test_blame_in_sha256_repository(tmp_path):
     assert extract_blame(repo.path, replay=replay) == snap
 
 
+def test_ingest_of_a_sha256_repository_loads_back(tmp_path):
+    # 64-digit hashes are stored as 32 bytes each in the cache
+    path = tmp_path / "sha256"
+    if subprocess.run(["git", "init", "-q", "--object-format=sha256",
+                       str(path)], capture_output=True).returncode != 0:
+        pytest.skip("this git cannot create a SHA-256 repository")
+    repo = RepoBuilder(path)
+    repo.write("a.txt", "one\ntwo\n")
+    repo.commit(ADA)
+    repo.write("a.txt", "one\nzwei\n")
+    repo.write("b.txt", "three\n")
+    repo.commit(BERT)
+    cache = tmp_path / "cache"
+    assert main(["ingest", "--repo", str(repo.path),
+                 "--cache", str(cache)]) == 0
+    records, blame, fingerprint = load_cache(cache)
+    assert records == list(extract_history(repo.path))
+    assert {len(r.commit.hash) for r in records} == {64}
+    assert records[-1].commit.hash == repo.head()
+    assert blame == extract_blame(repo.path)
+    assert fingerprint.endswith("@" + repo.head())
+
+
 def test_line_counts_match_worktree(two_dev_repo):
     snap = extract_blame(two_dev_repo.path)
     for path, owners in snap.files.items():

@@ -299,6 +299,26 @@ def test_repeat_builds_one_index_for_all_runs(monkeypatch):
     assert runs == expected
 
 
+def test_repeat_walks_the_level_bound_once(monkeypatch):
+    snap = triples()  # the bound rules out sizes 1 and 2
+    idmap = one_per_author(snap)
+    cfg = RigConfig(max_group_size=8, samples_per_size=6, seed=4)
+    expected = [rig_bus_factor(snap, idmap, cfg.replace(seed=4 + i))
+                for i in range(5)]
+    walks = []
+    index = rig_module._Departures
+
+    class Counted(index):
+        def level_bounds(self):
+            walks.append(self)
+            return super().level_bounds()
+    monkeypatch.setattr(rig_module, "_Departures", Counted)
+    runs = rig_repeat(snap, idmap, cfg, 5)
+    assert len(walks) == 1
+    assert runs == expected
+    assert all(run.bus_factor >= 3 for run in runs)
+
+
 def test_repeat_exhaustive_runs_identical():
     snap = snapshot({"f1": [A, B], "f2": [C], "f3": [C, C]})
     idmap = identity_for(snap)
