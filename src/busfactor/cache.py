@@ -24,9 +24,11 @@ records part of one JSON table line followed by binary columns.
   hash and four columns hold one entry per commit and five one entry per
   record. `author`, `commit` and `path` are indexes into the author
   table, the commit columns and the path table. Each commit is stored
-  once however many files it changed, and loading builds one CommitMeta
-  per commit, shared by its records as extract_history shares them, and
-  one RawAuthor per distinct author.
+  once however many files it changed. One decoder reads them into a
+  RecordColumns, which the cst and trend queries take as it is
+  (`columns=True`). The record form builds from it one CommitMeta per
+  commit, shared by its records as extract_history shares them, and one
+  RawAuthor per distinct author.
 - Columns are packed with `struct` under a `<` prefix, which fixes
   every size and the byte order on any platform, so there is nothing to
   swap and a cache loads wherever it was written. An integer column
@@ -43,8 +45,9 @@ Every load checks the file's length and both parts' digests, so a
 truncated or corrupt file raises CorruptCache. A load with
 `records=False`, which is all `rig --cache` needs, parses only the head
 part. A full load also parses the records table, checks its counts and
-format letters and its record count against the header's, and requires
-the part to end exactly where its columns do.
+format letters and its record count against the header's, requires
+the part to end exactly where its columns do, and every index to lie
+in its table.
 
 Schema 1 stored token bags, schema 2 one length-prefixed JSON frame per
 record, schema 3 a `manifest` file beside two data files, schema 4 one
@@ -54,17 +57,15 @@ ingest` rebuilds it.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
-from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
+from .digest import sha256_hex
 from .errors import CorruptCache, IoFailure, SchemaMismatch
-from .records import BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor
+from .records import BlameSnapshot, ChangeRecord, RawAuthor, RecordColumns
 
 SCHEMA_VERSION = 6
 
@@ -105,12 +106,17 @@ def save_cache(records: Sequence[ChangeRecord],
 
 
 def load_cache(cache_path: str | Path, *, records: bool = True,
-               ) -> tuple[list[ChangeRecord], BlameSnapshot | None, str]:
+               columns: bool = False,
+               ) -> tuple[list[ChangeRecord] | RecordColumns,
+                          BlameSnapshot | None, str]:
     """Read a cache directory back as (records, blame, fingerprint);
     the inverse of save_cache.
 
-    With `records=False` the records part is still checked (length and
-    digest) but not parsed, and an empty list comes back.
+    With `columns=True` the records come back as one RecordColumns,
+    which is what the cst and trend queries read, rather than as a list
+    of ChangeRecord. With `records=False` the records part is still
+    checked (length and digest) but not parsed, and an empty list comes
+    back.
     """
     root = Path(cache_path)
     try:
@@ -150,6 +156,8 @@ def load_cache(cache_path: str | Path, *, records: bool = True,
         blame = (None if document["blame"] is None
                  else _decode_blame(document["blame"]))
         decoded = _decode_records(rows, promised) if records else []
+        if records and not columns:
+            decoded = decoded.records()
     except (AttributeError, LookupError, TypeError, ValueError,
             struct.error) as exc:
         raise CorruptCache(f"malformed cache document: {exc!r}") from exc
@@ -162,17 +170,12 @@ def _json(document) -> bytes:
 
 
 def _sha256(part: bytes) -> bytes:
-    return hashlib.sha256(part).hexdigest().encode()
+    return sha256_hex(part).encode()
 
 
 def _encode_records(records: Sequence[ChangeRecord]) -> bytes:
-    commits: dict[CommitMeta, int] = {}
-    paths: dict[str, int] = {}
-    authors: dict[RawAuthor, int] = {}
-    commit_column = [commits.setdefault(r.commit, len(commits))
-                     for r in records]
-    path_column = [paths.setdefault(r.path, len(paths)) for r in records]
-    hashes = [c.hash for c in commits]
+    table = RecordColumns.from_records(records)
+    hashes = table.hashes
     # bytes.fromhex skips spaces and reads upper case, so only a hash
     # that its bytes give back whole is stored
     width = len(hashes[0]) // 2 if hashes else 0
@@ -183,32 +186,30 @@ def _encode_records(records: Sequence[ChangeRecord]) -> bytes:
         raise ValueError("commit hashes must be lowercase hex digests of "
                          "one length")
     columns = {
-        "author": [authors.setdefault(c.author, len(authors))
-                   for c in commits],
-        "epoch": [int(c.author_timestamp.timestamp()) for c in commits],
-        "merge": [int(c.is_merge) for c in commits],
-        "sequence": [c.sequence for c in commits],
-        "commit": commit_column,
-        "path": path_column,
-        "added": [r.lines_added for r in records],
-        "deleted": [r.lines_deleted for r in records],
+        "author": table.commit_author,
+        "epoch": table.epochs,
+        "merge": list(map(int, table.merges)),
+        "sequence": table.sequences,
+        "commit": table.commit,
+        "path": table.path,
+        "added": table.added,
+        "deleted": table.deleted,
     }
     formats = {name: _narrowest(column) for name, column in columns.items()}
-    table = _json({
-        "authors": [[a.name, a.email] for a in authors],
-        "paths": list(paths),
-        "commits": len(commits),
-        "records": len(records),
+    head = _json({
+        "authors": [[a.name, a.email] for a in table.authors],
+        "paths": table.paths,
+        "commits": len(hashes),
+        "records": len(table.commit),
         "width": width,
         "formats": formats,
     })
     return b"".join([
-        table, b"\n", packed,
+        head, b"\n", packed,
         *(struct.pack("<%d%s" % (len(columns[name]), formats[name]),
                       *columns[name])
           for name in _COMMIT_COLUMNS + _RECORD_COLUMNS),
-        struct.pack("<%dd" % len(records),
-                    *[r.cos_distance for r in records])])
+        struct.pack("<%dd" % len(table.cos), *table.cos)])
 
 
 def _narrowest(column: list[int]) -> str:
@@ -224,7 +225,7 @@ def _narrowest(column: list[int]) -> str:
     raise ValueError(f"column values {low}..{high} exceed 64 bits")
 
 
-def _decode_records(rows: bytes, promised: int) -> list[ChangeRecord]:
+def _decode_records(rows: bytes, promised: int) -> RecordColumns:
     start = rows.index(b"\n") + 1
     table = json.loads(rows[:start])
     commit_count, record_count, width = (
@@ -233,16 +234,12 @@ def _decode_records(rows: bytes, promised: int) -> list[ChangeRecord]:
     letters = [formats[name] for name in _COMMIT_COLUMNS + _RECORD_COLUMNS]
     if any(type(n) is not int or n < 0
            for n in (commit_count, record_count, width)) or \
-            not _LETTERS.issuperset(letters):
+            not _LETTERS.issuperset(letters) or (commit_count and not width):
         raise ValueError(f"malformed records table: {rows[:80]!r}")
     if record_count != promised:
         raise CorruptCache(f"cache promises {promised} records, "
                            f"found {record_count}")
     offset = start + width * commit_count
-    text, step = rows[start:offset].hex(), 2 * width
-    # an empty history stores no hash, and so no width
-    hashes = ([text[i:i + step] for i in range(0, step * commit_count, step)]
-              if commit_count else [])
     counts = ([commit_count] * len(_COMMIT_COLUMNS)
               + [record_count] * (len(_RECORD_COLUMNS) + 1))
     columns = []
@@ -255,22 +252,17 @@ def _decode_records(rows: bytes, promised: int) -> list[ChangeRecord]:
                          "past its columns")
     author_of, epochs, merges, sequences, commit_of, path_of, added, \
         deleted, cos = columns
-    # Tables are looked up by key, so that a negative index is malformed
-    # rather than counted from the end. One RawAuthor per distinct
-    # author, shared by all their commits.
-    authors = dict(enumerate(RawAuthor(name, email)
-                             for name, email in table["authors"]))
-    paths = dict(enumerate(table["paths"]))
-    # CommitMeta and ChangeRecord would only check what the package
-    # wrote itself (UTC author dates, five fields in order), so both
-    # skip their checked constructors.
-    commits = dict(enumerate(map(CommitMeta._make, zip(
-        hashes, map(authors.__getitem__, author_of),
-        map(datetime.fromtimestamp, epochs, repeat(timezone.utc)),
-        map(bool, merges), sequences))))
-    return list(map(ChangeRecord._make, zip(
-        map(commits.__getitem__, commit_of), map(paths.__getitem__, path_of),
-        added, deleted, cos)))
+    authors = [RawAuthor(name, email) for name, email in table["authors"]]
+    paths = list(table["paths"])
+    # an index outside its table is malformed, negative ones included
+    for index, size in ((author_of, len(authors)), (commit_of, commit_count),
+                        (path_of, len(paths))):
+        if index and not (min(index) >= 0 and max(index) < size):
+            raise ValueError(f"index out of range 0..{size - 1}")
+    return RecordColumns(authors, paths, author_of, merges, sequences,
+                         commit_of, path_of, added, deleted, cos,
+                         packed=rows[start:start + width * commit_count],
+                         epochs=epochs)
 
 
 def _encode_blame(blame: BlameSnapshot) -> dict:

@@ -23,6 +23,7 @@ from .gitrepo import (LineReplay, extract_blame, extract_history,
 from .identity import (DEFAULT_SIMILARITY, parse_alias_file,
                        resolve_identities)
 from .metrics import DataMetric, MetricKind
+from .records import RecordColumns
 from .report import (FORMATS, RunManifest, payload_cst, payload_ingest,
                      payload_rig, payload_trend, render)
 from .trend import yearly_trend
@@ -80,9 +81,10 @@ def _config_list(raw: str) -> list[str]:
 
 def _apply_config(parser: argparse.ArgumentParser,
                   args: argparse.Namespace) -> None:
-    """Install the [command] section of args.config as defaults of that
-    subcommand's parser (subparsers build their own namespace), for
-    `main` to parse the command line again, where every flag wins.
+    """Install the [command] section of args.config as defaults of
+    `parser`, that subcommand's parser (subparsers build their own
+    namespace), for `main` to parse the command line again, where every
+    flag wins.
 
     A value that a flag would be combined with instead is left out:
     --exclude would append to the config's list, and, where --repo and
@@ -101,9 +103,8 @@ def _apply_config(parser: argparse.ArgumentParser,
         parser.error(f"--config: {exc}")
     if section not in reader:
         return
-    target = parser.commands.choices[section]
     # A section's keys are its subcommand's long flags, minus the dashes.
-    actions = {option[2:]: action for action in target._actions
+    actions = {option[2:]: action for action in parser._actions
                for option in action.option_strings
                if action.dest not in ("help", "config")}
     defaults = {}
@@ -119,7 +120,7 @@ def _apply_config(parser: argparse.ArgumentParser,
              if getattr(args, dest, None) is not None}
     if args.command != "ingest" and given & {"repo", "cache"}:
         given |= {"repo", "cache"}
-    target.set_defaults(**{dest: value for dest, value in defaults.items()
+    parser.set_defaults(**{dest: value for dest, value in defaults.items()
                            if dest not in given})
 
 
@@ -332,7 +333,8 @@ def _window(parser, args) -> TimeWindow | None:
 
 
 def _cst_inputs(parser, args, time_range: TimeWindow | None = None):
-    """Config, records, identities and fingerprint for cst and trend."""
+    """Config, record columns, identities and fingerprint for cst and
+    trend."""
     metric = _require(parser, args, "metric", "--metric")
     cst_metric = _require(parser, args, "cst_metric", "--cst-metric")
     repo, cache = _resolve_source(parser, args)
@@ -347,13 +349,12 @@ def _cst_inputs(parser, args, time_range: TimeWindow | None = None):
     )
     if repo:
         commit = resolve_revision(repo, "HEAD")
-        records = list(extract_history(repo, commit))
+        columns = RecordColumns.from_records(extract_history(repo, commit))
         fingerprint = repo_fingerprint(repo, commit)
     else:
-        records, _, fingerprint = load_cache(cache)
-    identity = _identity_for(parser, args,
-                             Counter(r.author for r in records))
-    return config, records, identity, fingerprint
+        columns, _, fingerprint = load_cache(cache, columns=True)
+    identity = _identity_for(parser, args, columns.author_counts())
+    return config, columns, identity, fingerprint
 
 
 def _manifest(argv, fingerprint, started, seed=None) -> RunManifest:
@@ -410,9 +411,9 @@ def _cmd_ingest(parser, args, argv, started) -> int:
 
 
 def _cmd_cst(parser, args, argv, started) -> int:
-    config, records, identity, fingerprint = _cst_inputs(
+    config, columns, identity, fingerprint = _cst_inputs(
         parser, args, _window(parser, args))
-    result = cst_bus_factor(records, identity, config)
+    result = cst_bus_factor(columns, identity, config)
     payload = payload_cst(result, _manifest(argv, fingerprint, started),
                           redact=args.redact)
     _emit(payload, args)
@@ -471,8 +472,8 @@ def _cmd_rig(parser, args, argv, started) -> int:
 def _cmd_trend(parser, args, argv, started) -> int:
     first = _require(parser, args, "from_year", "--from-year")
     last = _require(parser, args, "to_year", "--to-year")
-    base, records, identity, fingerprint = _cst_inputs(parser, args)
-    series = yearly_trend(records, identity, base, first, last,
+    base, columns, identity, fingerprint = _cst_inputs(parser, args)
+    series = yearly_trend(columns, identity, base, first, last,
                           cumulative=args.cumulative)
     payload = payload_trend(series, _manifest(argv, fingerprint, started))
     _emit(payload, args)
@@ -493,11 +494,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # usage errors past argparse's own name the subcommand, as its
+        # errors do
+        command = parser.commands.choices[args.command]
         if args.config:
-            _apply_config(parser, args)
+            _apply_config(command, args)
             args = parser.parse_args(argv)
         started = datetime.now(timezone.utc)
-        return args.func(parser, args, argv, started)
+        return args.func(command, args, argv, started)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)

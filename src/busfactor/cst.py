@@ -7,13 +7,16 @@ from __future__ import annotations
 import re
 from datetime import datetime, timezone
 from enum import Enum
+from bisect import bisect_right
+from itertools import accumulate, compress, count, groupby, repeat
+from operator import add, and_, gt, mul, ne
 from typing import Iterable, Sequence
 
-from .errors import EmptyScope, ZeroDevelopers
+from .errors import EmptyScope, UnknownAuthor, ZeroDevelopers
 from .gitrepo import paths_in
 from .identity import DeveloperId, IdentityMap
-from .metrics import DataMetric, MetricKind, contribution
-from .records import ChangeRecord, Value
+from .metrics import DataMetric, MetricKind
+from .records import ChangeRecord, RecordColumns, Value
 
 
 class CstMetricKind(Enum):
@@ -171,11 +174,16 @@ def filter_records(records: Iterable[ChangeRecord],
                    window: TimeWindow | None = None,
                    scope: str | None = None,
                    exclude_globs: Sequence[str] = ()) -> list[ChangeRecord]:
-    """Keep the records inside the time window whose paths `paths_in` admits."""
-    analysed = paths_in(scope, exclude_globs)
-    return [record for record in records
-            if (not window or window.contains(record.commit.author_timestamp))
-            and analysed(record.path)]
+    """Keep the records inside the time window whose paths `paths_in`
+    admits. Each distinct path is tested once, and each commit's date."""
+    records = list(records)
+    columns = RecordColumns.from_records(records)
+    analysed = list(map(paths_in(scope, exclude_globs), columns.paths))
+    kept = map(analysed.__getitem__, columns.path)
+    if window:
+        inside = list(map(window.contains, columns.stamps))
+        kept = map(and_, kept, map(inside.__getitem__, columns.commit))
+    return list(compress(records, kept))
 
 
 def shares_from_timeline(timeline: Sequence[tuple[DeveloperId, float]],
@@ -195,35 +203,43 @@ def shares_from_timeline(timeline: Sequence[tuple[DeveloperId, float]],
     entries = [(dev, float(value)) for dev, value in timeline if value > 0]
     if not entries:
         return {}
+    devs, values = map(list, zip(*entries))
+    return _file_shares(devs, values, cst_metric, weight_scheme, unit_events)
 
+
+def _file_shares(devs: list, values: list[float], cst_metric: CstMetricKind,
+                 weight_scheme: WeightScheme, unit_events: bool) -> dict:
+    """shares_from_timeline over a non-empty timeline of positive values,
+    given as its developers and their values. Developers enter the
+    result in the order of their first event."""
     if cst_metric is CstMetricKind.LAST_CHANGE:
-        shares = {dev: 0.0 for dev, _ in entries}
-        shares[entries[-1][0]] = 1.0
+        shares = dict.fromkeys(devs, 0.0)
+        shares[devs[-1]] = 1.0
         return shares
 
     if cst_metric in _RUN_METRICS:
-        events: list[tuple[DeveloperId, float]] = []
-        for dev, value in entries:
-            if events and events[-1][0] == dev:
-                if not unit_events:
-                    events[-1] = (dev, events[-1][1] + value)
-            else:
-                events.append((dev, 1.0 if unit_events else value))
-    else:
-        events = entries
+        if unit_events:
+            devs = [dev for dev, _ in groupby(devs)]
+            values = [1.0] * len(devs)
+        else:
+            runs, sums = [devs[0]], [values[0]]
+            for dev, value in zip(devs[1:], values[1:]):
+                if dev == runs[-1]:
+                    sums[-1] += value
+                else:
+                    runs.append(dev)
+                    sums.append(value)
+            devs, values = runs, sums
 
     if cst_metric is CstMetricKind.WEIGHTED_NON_CONSECUTIVE:
         if weight_scheme is WeightScheme.EXPONENTIAL:
-            weighted = [(dev, value * 2.0 ** i)
-                        for i, (dev, value) in enumerate(events)]
+            values = [value * 2.0 ** i for i, value in enumerate(values)]
         else:
-            weighted = [(dev, value * (i + 1))
-                        for i, (dev, value) in enumerate(events)]
-        events = weighted
+            values = [value * (i + 1) for i, value in enumerate(values)]
 
-    total = sum(value for _, value in events)
-    shares = {dev: 0.0 for dev, _ in events}
-    for dev, value in events:
+    total = sum(values)
+    shares = dict.fromkeys(devs, 0.0)
+    for dev, value in zip(devs, values):
         shares[dev] += value / total
     return shares
 
@@ -238,23 +254,11 @@ def knowledge_per_file(records: Iterable[ChangeRecord],
 
     Files whose records carry no positive contribution are omitted.
     """
-    by_path: dict[str, list[ChangeRecord]] = {}
-    for record in records:
-        by_path.setdefault(record.path, []).append(record)
-    if not by_path:
+    history = _History(RecordColumns.from_records(records), identity)
+    if not history.order:
         raise EmptyScope("no change records in scope")
-
-    unit_events = data_metric.kind is MetricKind.COMMITS
-    per_file: dict[str, dict[DeveloperId, float]] = {}
-    for path in sorted(by_path):
-        chrono = sorted(by_path[path], key=ChangeRecord.sort_key)
-        timeline = [(identity.canonical(r.author), contribution(r, data_metric))
-                    for r in chrono]
-        shares = shares_from_timeline(timeline, cst_metric, weight_scheme,
-                                      unit_events=unit_events)
-        if shares:
-            per_file[path] = shares
-    return per_file
+    return {path: history.named(shares) for path, shares in history.per_file(
+        range(len(history.order)), cst_metric, data_metric, weight_scheme)}
 
 
 def aggregate_knowledge(per_file: dict[str, dict[DeveloperId, float]],
@@ -262,13 +266,173 @@ def aggregate_knowledge(per_file: dict[str, dict[DeveloperId, float]],
     """Mean of per-file shares over all files carrying contribution."""
     if not per_file:
         raise EmptyScope("no files with contribution to aggregate")
-    file_count = len(per_file)
-    totals: dict[DeveloperId, float] = {}
-    for shares in per_file.values():
+    return KnowledgeTable(shares=_mean(list(per_file.values())),
+                          file_count=len(per_file))
+
+
+def _mean(tables: list[dict]) -> dict:
+    """Each developer's share summed over the tables, in table order,
+    and divided by their number. Developers enter in the order of their
+    first share."""
+    totals: dict = {}
+    for shares in tables:
         for dev, share in shares.items():
             totals[dev] = totals.get(dev, 0.0) + share
-    aggregated = {dev: total / file_count for dev, total in totals.items()}
-    return KnowledgeTable(shares=aggregated, file_count=file_count)
+    return {dev: total / len(tables) for dev, total in totals.items()}
+
+
+class _History:
+    """The engine's view of one history under one identity map: its
+    records in file order, each with its file and developer as indexes.
+
+    File order takes files by sorted path and, within a file, records by
+    (author date, sequence, hash), ties in record order, as a stable
+    sort of each file's records by ChangeRecord.sort_key orders them.
+    `order` lists the record indexes in file order, and `file`, `dev`
+    and `commit` hold one entry per position in it. A query selects
+    positions, in ascending order, so that each file's records stay
+    together and in order.
+    """
+
+    def __init__(self, columns: RecordColumns, identity: IdentityMap):
+        self.columns = columns
+        self.identity = identity
+        index: dict[DeveloperId, int] = {}
+        of_author = []
+        for author in columns.authors:
+            try:
+                dev = identity.canonical(author)
+            except UnknownAuthor:  # raised again if a query selects them
+                of_author.append(-1)
+            else:
+                of_author.append(index.setdefault(dev, len(index)))
+        self.developers = list(index)
+        self.unknown = -1 in of_author
+
+        # One rank per commit by (author date, sequence, hash); the hash
+        # is read only when two commits share a date and a sequence.
+        rank = _ranks(columns.date_keys, columns.sequences)
+        if max(rank.values(), default=0) + 1 < len(rank):
+            rank = _ranks(columns.date_keys, columns.sequences,
+                          columns.hashes)
+        self.names = sorted(set(columns.paths))
+        place = dict(zip(self.names, count()))
+        file = list(map([place[path] for path in columns.paths].__getitem__,
+                        columns.path))
+        # Records by their commit's rank, ties in record order, then
+        # stably by file.
+        chrono = list(map(rank.__getitem__, columns.commit))
+        self.order = sorted(range(len(chrono)), key=chrono.__getitem__)
+        self.order.sort(key=file.__getitem__)
+        self.file = list(map(file.__getitem__, self.order))
+        self.commit = list(map(columns.commit.__getitem__, self.order))
+        self.dev = list(map(list(map(of_author.__getitem__,
+                                     columns.commit_author)).__getitem__,
+                            self.commit))
+        self._values: dict[DataMetric, list[float]] = {}
+
+    def select(self, config: CstConfig) -> list[int]:
+        """The positions of the records that the config's window, scope
+        and excludes admit. Each path is tested once, and each commit's
+        date."""
+        analysed = list(map(paths_in(config.scope, config.exclude_globs),
+                            self.names))
+        selected = range(len(self.order))
+        if not all(analysed):
+            selected = compress(selected, map(analysed.__getitem__,
+                                              self.file))
+        if config.time_range:
+            inside = list(map(config.time_range.contains,
+                              self.columns.stamps))
+            selected = list(selected)
+            selected = compress(selected, map(
+                inside.__getitem__, map(self.commit.__getitem__, selected)))
+        return list(selected)
+
+    def values(self, metric: DataMetric) -> list[float] | None:
+        """The contribution under metric at each position, as
+        `contribution` gives it; None for commit counting, where each
+        is 1.0."""
+        if metric.kind is MetricKind.COMMITS:
+            return None
+        if metric not in self._values:
+            columns = self.columns
+            if metric.kind is MetricKind.LOCC:
+                raw = map(add, columns.added, columns.deleted)
+            elif metric.cos_scale_by_locc:
+                raw = map(mul, columns.cos,
+                          map(add, columns.added, columns.deleted))
+            else:
+                raw = columns.cos
+            self._values[metric] = list(map(list(map(float, raw)).__getitem__,
+                                            self.order))
+        return self._values[metric]
+
+    def per_file(self, selected: list[int], cst_metric: CstMetricKind,
+                 data_metric: DataMetric, weight_scheme: WeightScheme,
+                 ) -> list[tuple[str, dict[int, float]]]:
+        """(path, shares by developer index) of each file with a positive
+        contribution among the selected positions, in file order."""
+        if self.unknown:
+            for position in selected:
+                if self.dev[position] < 0:
+                    self.identity.canonical(self.columns.authors[
+                        self.columns.commit_author[self.commit[position]]])
+        files, devs = self.file, self.dev
+        values = self.values(data_metric)
+        if len(selected) < len(files):
+            files = list(map(files.__getitem__, selected))
+            devs = list(map(devs.__getitem__, selected))
+            if values is not None:
+                values = list(map(values.__getitem__, selected))
+        if values is None:
+            values = [1.0] * len(files)
+        else:  # zero values carry no knowledge
+            positive = list(map(gt, values, repeat(0.0)))
+            if not all(positive):
+                files, devs, values = (list(compress(column, positive))
+                                       for column in (files, devs, values))
+        unit_events = data_metric.kind is MetricKind.COMMITS
+        found = []
+        start = 0
+        while start < len(files):
+            end = bisect_right(files, files[start], start)
+            found.append((self.names[files[start]], _file_shares(
+                devs[start:end], values[start:end], cst_metric,
+                weight_scheme, unit_events)))
+            start = end
+        return found
+
+    def named(self, shares: dict[int, float]) -> dict[DeveloperId, float]:
+        return {self.developers[dev]: share for dev, share in shares.items()}
+
+    def result(self, selected: list[int], config: CstConfig,
+               ) -> BusFactorResult:
+        """Per-file knowledge, aggregated and classified, over the
+        selected positions."""
+        if not selected:
+            raise EmptyScope("no change records match the configured scope")
+        per_file = self.per_file(selected, config.cst_metric,
+                                 config.data_metric, config.weight_scheme)
+        if not per_file:
+            raise ZeroDevelopers("no positive contributions in scope")
+        table = KnowledgeTable(
+            shares=self.named(_mean([shares for _, shares in per_file])),
+            file_count=len(per_file))
+        primary, secondary = classify_developers(
+            table, compute_thresholds(len(table.shares)))
+        return BusFactorResult(primary_devs=primary, secondary_devs=secondary,
+                               config=config, knowledge=table)
+
+
+def _ranks(*columns: Sequence) -> dict[int, int]:
+    """Each commit's rank by its entries in columns, compared in order;
+    equal entries share a rank."""
+    keys = list(zip(*columns))
+    chrono = sorted(range(len(keys)), key=keys.__getitem__)
+    ranked = list(map(keys.__getitem__, chrono))
+    return dict(zip(chrono, accumulate(map(ne, ranked[1:], ranked),
+                                       initial=0)))
 
 
 def compute_thresholds(developer_count: int) -> ThresholdPair:
@@ -291,23 +455,33 @@ def classify_developers(table: KnowledgeTable, thresholds: ThresholdPair,
     return primary, secondary
 
 
-def cst_bus_factor(records: Iterable[ChangeRecord], identity: IdentityMap,
+class _Pool:
+    """Records of a _History as positions in its file order, selected
+    under a config: what yearly_trend passes to cst_bus_factor for each
+    year. `len` is the number of records."""
+    __slots__ = ("history", "positions")
+
+    def __init__(self, history: _History, positions: list[int]):
+        self.history, self.positions = history, positions
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+
+def cst_bus_factor(records: Iterable[ChangeRecord] | RecordColumns,
+                   identity: IdentityMap,
                    config: CstConfig) -> BusFactorResult:
-    """Full pipeline: filter, per-file knowledge, aggregate, classify."""
-    filtered = filter_records(records, window=config.time_range,
-                              scope=config.scope,
-                              exclude_globs=config.exclude_globs)
-    if not filtered:
-        raise EmptyScope("no change records match the configured scope")
-    per_file = knowledge_per_file(filtered, identity, config.cst_metric,
-                                  config.data_metric, config.weight_scheme)
-    if not per_file:
-        raise ZeroDevelopers("no positive contributions in scope")
-    table = aggregate_knowledge(per_file)
-    primary, secondary = classify_developers(
-        table, compute_thresholds(len(table.shares)))
-    return BusFactorResult(primary_devs=primary, secondary_devs=secondary,
-                           config=config, knowledge=table)
+    """Full pipeline: filter, per-file knowledge, aggregate, classify.
+
+    The records may come as columns, as `load_cache(..., columns=True)`
+    gives them.
+    """
+    if isinstance(records, _Pool):  # filtered already, and in file order
+        return records.history.result(records.positions, config)
+    if not isinstance(records, RecordColumns):
+        records = RecordColumns.from_records(records)
+    history = _History(records, identity)
+    return history.result(history.select(config), config)
 
 
 def compare_error(bus_factor: int, reference: int) -> int:

@@ -7,9 +7,10 @@ across threads.
 """
 from __future__ import annotations
 
-from collections import _tuplegetter  # namedtuple's field accessor
+from collections import Counter, _tuplegetter  # namedtuple's accessor
 from datetime import datetime, timezone
-from typing import Mapping
+from itertools import repeat
+from typing import Iterable, Mapping, Sequence
 
 
 def _comparison(symbol: str, compare):
@@ -200,6 +201,125 @@ class ChangeRecord(Value):
     def sort_key(self):
         """Chronological ordering key (author date, ingestion order, hash)."""
         return (self.commit.author_timestamp, self.commit.sequence, self.commit.hash)
+
+
+class RecordColumns:
+    """Change records as columns over three tables, the form in which
+    the cache stores them and the cst engine reads them.
+
+    `authors` and `paths` hold each distinct author and path once. The
+    commit columns (`commit_author`, `merges`, `sequences`, `hashes` and
+    `stamps`) hold one entry per distinct commit, and `commit_author`
+    indexes `authors`. The record columns (`commit`, `path`, `added`,
+    `deleted` and `cos`) hold one entry per record, in record order, and
+    `commit` and `path` index the commit columns and `paths`. Every
+    index is in range. `len` is the number of records.
+
+    A cache stores hashes as raw bytes and author dates as whole seconds
+    since 1970. Columns read from it decode `hashes` and `stamps` only
+    when they are first asked for.
+    """
+    __slots__ = ("authors", "paths", "commit_author", "merges", "sequences",
+                 "commit", "path", "added", "deleted", "cos",
+                 "_hashes", "_packed", "_stamps", "_epochs")
+
+    def __init__(self, authors: Sequence[RawAuthor], paths: Sequence[str],
+                 commit_author: Sequence[int], merges: Sequence[bool],
+                 sequences: Sequence[int], commit: Sequence[int],
+                 path: Sequence[int], added: Sequence[int],
+                 deleted: Sequence[int], cos: Sequence[float], *,
+                 hashes: Sequence[str] | None = None, packed: bytes = b"",
+                 stamps: Sequence[datetime] | None = None,
+                 epochs: Sequence[int] | None = None) -> None:
+        """Each commit's hash comes as hex (`hashes`) or as raw bytes,
+        the same number per commit (`packed`), and its author date as a
+        UTC datetime (`stamps`) or as whole seconds (`epochs`)."""
+        self.authors, self.paths = authors, paths
+        self.commit_author, self.merges = commit_author, merges
+        self.sequences, self.commit, self.path = sequences, commit, path
+        self.added, self.deleted, self.cos = added, deleted, cos
+        self._hashes, self._packed = hashes, packed
+        self._stamps, self._epochs = stamps, epochs
+
+    def __len__(self) -> int:
+        return len(self.commit)
+
+    @property
+    def hashes(self) -> Sequence[str]:
+        if self._hashes is None:
+            text, count = self._packed.hex(), len(self.commit_author)
+            step = len(text) // count if count else 1
+            self._hashes = [text[i:i + step]
+                            for i in range(0, len(text), step)]
+        return self._hashes
+
+    @property
+    def stamps(self) -> Sequence[datetime]:
+        if self._stamps is None:
+            self._stamps = list(map(datetime.fromtimestamp, self._epochs,
+                                    repeat(timezone.utc)))
+        return self._stamps
+
+    @property
+    def epochs(self) -> Sequence[int]:
+        """Author dates as whole seconds since 1970, as a cache stores
+        them."""
+        if self._epochs is None:
+            self._epochs = [int(stamp.timestamp()) for stamp in self._stamps]
+        return self._epochs
+
+    @property
+    def date_keys(self) -> Sequence:
+        """Per commit, values that order commits as their author dates
+        do: the dates, or the whole seconds that columns read from a
+        cache hold, which decode to them."""
+        return self._epochs if self._stamps is None else self._stamps
+
+    @classmethod
+    def from_records(cls, records: Iterable[ChangeRecord]) -> "RecordColumns":
+        """Columns of records: tables in order of first appearance, and
+        one commit per distinct CommitMeta value."""
+        metas, paths, added, deleted, cos = (
+            tuple(zip(*records)) or ((),) * len(ChangeRecord._fields))
+        commits = _first_seen(metas)
+        path_index = _first_seen(paths)
+        hashes, authors, stamps, merges, sequences = (
+            tuple(zip(*commits)) or ((),) * len(CommitMeta._fields))
+        author_index = _first_seen(authors)
+        return cls(list(author_index), list(path_index),
+                   list(map(author_index.__getitem__, authors)),
+                   merges, sequences,
+                   list(map(commits.__getitem__, metas)),
+                   list(map(path_index.__getitem__, paths)),
+                   added, deleted, cos, hashes=hashes, stamps=stamps)
+
+    def records(self) -> list[ChangeRecord]:
+        """The records, each commit's CommitMeta shared by its records
+        and each author's RawAuthor by their commits."""
+        # CommitMeta and ChangeRecord would only check what the package
+        # wrote itself (UTC author dates, five fields in order), so both
+        # skip their checked constructors.
+        commits = list(map(CommitMeta._make, zip(
+            self.hashes, map(self.authors.__getitem__, self.commit_author),
+            self.stamps, map(bool, self.merges), self.sequences)))
+        return list(map(ChangeRecord._make, zip(
+            map(commits.__getitem__, self.commit),
+            map(self.paths.__getitem__, self.path),
+            self.added, self.deleted, self.cos)))
+
+    def author_counts(self) -> Counter[RawAuthor]:
+        """Records per author, as `Counter(r.author for r in records)`
+        counts them."""
+        counts: Counter[RawAuthor] = Counter()
+        for author, n in Counter(map(self.commit_author.__getitem__,
+                                     self.commit)).items():
+            counts[self.authors[author]] += n
+        return counts
+
+
+def _first_seen(items: Iterable) -> dict:
+    """Each distinct item mapped to the order of its first appearance."""
+    return {item: index for index, item in enumerate(dict.fromkeys(items))}
 
 
 class BlameSnapshot(Value):

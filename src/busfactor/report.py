@@ -8,13 +8,13 @@ descending knowledge then canonical email, shares at six decimals.
 """
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Sequence
 
 from .cst import BusFactorResult, CstConfig
+from .digest import sha256_hex
 from .errors import UnsupportedFormat
 from .identity import DeveloperId
 from .records import Value
@@ -37,8 +37,7 @@ class RunManifest(Value):
 
 def redacted_label(dev: DeveloperId) -> str:
     """Stable pseudonym for a developer, for reports shared outside."""
-    digest = hashlib.sha256(dev.label.encode("utf-8")).hexdigest()
-    return "dev-" + digest[:12]
+    return "dev-" + sha256_hex(dev.label.encode("utf-8"))[:12]
 
 
 def _share(value: float) -> float:

@@ -1,12 +1,13 @@
 """Year-over-year bus factor series for a project or directory."""
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable
 
-from .cst import CstConfig, TimeWindow, cst_bus_factor
+from .cst import CstConfig, TimeWindow, _History, _Pool, cst_bus_factor
 from .errors import EmptyScope, EmptySpan, ZeroDevelopers
 from .identity import IdentityMap
-from .records import ChangeRecord, Value
+from .records import ChangeRecord, RecordColumns, Value
 
 
 class TrendPoint(Value):
@@ -40,38 +41,45 @@ class TrendSeries(Value):
     points: tuple[TrendPoint, ...]
 
 
-def yearly_trend(records: Iterable[ChangeRecord], identity: IdentityMap,
-                 base_config: CstConfig, first_year: int, last_year: int,
+def yearly_trend(records: Iterable[ChangeRecord] | RecordColumns,
+                 identity: IdentityMap, base_config: CstConfig,
+                 first_year: int, last_year: int,
                  cumulative: bool = False) -> TrendSeries:
     """One TrendPoint per calendar year in [first_year, last_year].
 
     Each point runs the full commit-based pipeline restricted to its
     year (or, with cumulative=True, to all history through its year);
     total_developers is that window's developer count N. Years where
-    the scope has no positive contribution become inactive points.
+    the scope has no positive contribution become inactive points. The
+    records may come as columns, as `load_cache(..., columns=True)`
+    gives them.
     """
     if first_year > last_year:
         raise EmptySpan(f"year span {first_year}..{last_year} is empty")
-    # Author dates are UTC, so a record's year is the year whose window
-    # holds it. Each pass gets only the records its window admits: year
-    # by year, each year's in the given order. The pipeline sorts every
-    # file's records by date, stably, so that equals the given order.
-    by_year: dict[int, list[ChangeRecord]] = {}
-    for record in records:
-        by_year.setdefault(record.commit.author_timestamp.year,
-                           []).append(record)
-    through = [record for year in sorted(by_year) if year < first_year
-               for record in by_year[year]]
+    if not isinstance(records, RecordColumns):
+        records = RecordColumns.from_records(records)
+    # Records are put in file order, and tested against the scope, once
+    # for all years; each year's pass takes its share of them. Author dates are UTC, so a record's year is the
+    # year whose window holds it. Sorted stably by year, the positions
+    # of each year form one run, still in file order.
+    history = _History(records, identity)
+    year_of = [stamp.year for stamp in records.stamps]
+    year_at = list(map(year_of.__getitem__, history.commit))
+    by_year = sorted(history.select(base_config.replace(time_range=None)),
+                     key=year_at.__getitem__)
+    years = list(map(year_at.__getitem__, by_year))
     points = []
     for year in range(first_year, last_year + 1):
+        end = bisect_right(years, year)
         if cumulative:
-            through = through + by_year.get(year, [])
-            window, pool = TimeWindow(None, None, year, None), through
+            window, pool = (TimeWindow(None, None, year, None),
+                            sorted(by_year[:end]))
         else:
-            window, pool = TimeWindow.year(year), by_year.get(year, [])
+            window = TimeWindow.year(year)
+            pool = by_year[bisect_left(years, year):end]
         config = base_config.replace(time_range=window)
         try:
-            result = cst_bus_factor(pool, identity, config)
+            result = cst_bus_factor(_Pool(history, pool), identity, config)
         except (EmptyScope, ZeroDevelopers):
             points.append(TrendPoint(year, 0, 0))
             continue

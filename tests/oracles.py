@@ -419,3 +419,78 @@ def yearly_trend_points(records, identity, base_config, first_year: int,
             continue
         points.append((year, result.bus_factor, result.developer_count))
     return points
+
+
+# --- commit-based bus factor, record by record --------------------------------
+
+def reference_cst(records, identity, config):
+    """(shares, file count) of `cst_bus_factor` as the package computed
+    it record by record before its column engine: the same float
+    operations in the same order, so that shares compare with `==`,
+    and the same exceptions (EmptyScope, ZeroDevelopers, UnknownAuthor).
+
+    It calls into the package for what the engine does not own: the
+    path rule (`paths_in`), a window's bounds and a record's
+    `contribution`.
+    """
+    from busfactor import CstMetricKind, MetricKind, WeightScheme, paths_in
+    from busfactor.errors import EmptyScope, ZeroDevelopers
+    from busfactor.metrics import contribution
+
+    window, analysed = config.time_range, paths_in(config.scope,
+                                                   config.exclude_globs)
+    filtered = [record for record in records
+                if (not window
+                    or window.contains(record.commit.author_timestamp))
+                and analysed(record.path)]
+    if not filtered:
+        raise EmptyScope("no change records match the configured scope")
+    by_path = {}
+    for record in filtered:
+        by_path.setdefault(record.path, []).append(record)
+    unit_events = config.data_metric.kind is MetricKind.COMMITS
+    per_file = {}
+    for path in sorted(by_path):
+        chrono = sorted(by_path[path], key=lambda r: (
+            r.commit.author_timestamp, r.commit.sequence, r.commit.hash))
+        timeline = [(identity.canonical(r.author),
+                     contribution(r, config.data_metric)) for r in chrono]
+        entries = [(dev, float(value)) for dev, value in timeline
+                   if value > 0]
+        if not entries:
+            continue
+        if config.cst_metric is CstMetricKind.LAST_CHANGE:
+            shares = {dev: 0.0 for dev, _ in entries}
+            shares[entries[-1][0]] = 1.0
+            per_file[path] = shares
+            continue
+        events = entries
+        if config.cst_metric in (CstMetricKind.NON_CONSECUTIVE,
+                                 CstMetricKind.WEIGHTED_NON_CONSECUTIVE):
+            events = []
+            for dev, value in entries:
+                if events and events[-1][0] == dev:
+                    if not unit_events:
+                        events[-1] = (dev, events[-1][1] + value)
+                else:
+                    events.append((dev, 1.0 if unit_events else value))
+        if config.cst_metric is CstMetricKind.WEIGHTED_NON_CONSECUTIVE:
+            if config.weight_scheme is WeightScheme.EXPONENTIAL:
+                events = [(dev, value * 2.0 ** i)
+                          for i, (dev, value) in enumerate(events)]
+            else:
+                events = [(dev, value * (i + 1))
+                          for i, (dev, value) in enumerate(events)]
+        total = sum(value for _, value in events)
+        shares = {dev: 0.0 for dev, _ in events}
+        for dev, value in events:
+            shares[dev] += value / total
+        per_file[path] = shares
+    if not per_file:
+        raise ZeroDevelopers("no positive contributions in scope")
+    totals = {}
+    for shares in per_file.values():
+        for dev, share in shares.items():
+            totals[dev] = totals.get(dev, 0.0) + share
+    return ({dev: total / len(per_file) for dev, total in totals.items()},
+            len(per_file))

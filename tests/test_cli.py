@@ -706,3 +706,35 @@ def test_ingest_reports_stats(two_dev_repo, tmp_path):
     assert proc.returncode == 0
     assert "records" in proc.stdout
     assert "commits" in proc.stdout
+
+
+@pytest.mark.parametrize("case", ["require", "source", "window", "alias",
+                                  "config"])
+def test_usage_errors_name_the_subcommand(case, two_dev_repo, tmp_path,
+                                          capsys, monkeypatch):
+    # Each check past argparse reports through the subcommand's parser,
+    # as argparse's own errors for that subcommand do.
+    monkeypatch.delenv("BUSFACTOR_CACHE_DIR", raising=False)
+    cache = str(tmp_path / "cache")
+    assert run_main(capsys, "ingest", "--repo", str(two_dev_repo.path),
+                    "--cache", cache)[0] == 0
+    aliases = tmp_path / "aliases"
+    aliases.write_text("no arrow here\n", encoding="utf-8")
+    config = tmp_path / "busfactor.ini"
+    config.write_text("[cst]\nnosuch = 1\n", encoding="utf-8")
+    query = ["--metric", "commits", "--cst-metric", "mul-equal"]
+    argv, message = {
+        "require": (["--cache", cache, "--cst-metric", "mul-equal"],
+                    "--metric is required"),
+        "source": (query, "one of --repo or --cache is required"),
+        "window": (["--cache", cache, *query, "--from", "2022",
+                    "--to", "2021"], "--from/--to:"),
+        "alias": (["--cache", cache, *query, "--alias-file", str(aliases)],
+                  "--alias-file: malformed alias line"),
+        "config": (["--cache", cache, *query, "--config", str(config)],
+                   "--config: unknown key 'nosuch'"),
+    }[case]
+    code, out, err = run_main(capsys, "cst", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: busfactor cst ")
+    assert f"busfactor cst: error: {message}" in err

@@ -14,8 +14,11 @@ from busfactor import (BlameSnapshot, BusFactorResult, ChangeRecord,
                        cst_bus_factor, filter_records, filter_snapshot,
                        knowledge_per_file, resolve_identities,
                        shares_from_timeline)
+from busfactor import load_cache, save_cache
 from busfactor.cst import KnowledgeTable
-from busfactor.errors import EmptyScope, ZeroDevelopers
+from busfactor.errors import EmptyScope, UnknownAuthor, ZeroDevelopers
+
+from . import oracles
 
 A = RawAuthor("Ada Core", "ada@fixture.test")
 B = RawAuthor("Bert Low", "bert@fixture.test")
@@ -346,6 +349,98 @@ def test_result_carries_knowledge_table():
     assert isinstance(result, BusFactorResult)
     assert result.knowledge.file_count == 1
     assert abs(sum(result.knowledge.shares.values()) - 1.0) <= 1e-9
+
+
+# --- the column engine against the record-by-record pipeline ---------------
+
+# Instants with microseconds, which a cache drops, equal ones, and both
+# sides of a year boundary.
+_INSTANTS = [datetime(2020, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
+             datetime(2020, 12, 31, 23, 59, 59, 250_000,
+                      tzinfo=timezone.utc),
+             datetime(2021, 1, 1, tzinfo=timezone.utc),
+             datetime(2021, 6, 15, 12, tzinfo=timezone.utc),
+             datetime(2022, 3, 1, tzinfo=timezone.utc)]
+# "Core, Ada" merges with Ada Core, so one developer has two spellings.
+_AUTHORS = [A, B, C, RawAuthor("Core, Ada", "a.core@other.test")]
+_PATHS = ["src/a.py", "src/gen/b.py", "docs/c.md", "d.txt", "src/e.py"]
+_COS = (0.0, 0.1, 1 / 3, 0.7071067811865476, 1.0)
+
+
+@st.composite
+def _histories(draw):
+    commits = draw(st.lists(st.tuples(
+        st.sampled_from(_INSTANTS), st.sampled_from(_AUTHORS),
+        st.integers(0, 2), st.sampled_from("0af")), max_size=14))
+    records = []
+    for instant, author, seq, digit in commits:
+        meta = CommitMeta(hash=digit * 40, author=author,
+                          author_timestamp=instant, sequence=seq)
+        for path in draw(st.lists(st.sampled_from(_PATHS), min_size=1,
+                                  max_size=3, unique=True)):
+            records.append(ChangeRecord(
+                commit=meta, path=path,
+                lines_added=draw(st.integers(0, 5)),
+                lines_deleted=draw(st.integers(0, 3)),
+                cos_distance=draw(st.sampled_from(_COS))))
+    return draw(st.permutations(records))
+
+
+_WINDOWS = [None, TimeWindow.year(2021), TimeWindow.year(2020),
+            TimeWindow(2020, 12, 2021, 6), TimeWindow(end_year=2020),
+            TimeWindow(start_year=2021, start_month=2)]
+
+
+def _outcome(compute):
+    """The shares, in order, and file count; or the exception's type and
+    message."""
+    try:
+        result = compute()
+    except (EmptyScope, ZeroDevelopers, UnknownAuthor) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, BusFactorResult):
+        result = result.knowledge.shares, result.knowledge.file_count
+    shares, files = result
+    return list(shares.items()), files
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(records=_histories(),
+       cst_metric=st.sampled_from(list(CstMetricKind)),
+       kind=st.sampled_from(list(MetricKind)),
+       scale=st.booleans(),
+       scheme=st.sampled_from(list(WeightScheme)),
+       window=st.sampled_from(_WINDOWS),
+       scope=st.sampled_from([None, "src", "docs"]),
+       exclude=st.sampled_from([(), ("*.md",), ("src/gen/*",)]))
+def test_engine_equals_the_record_pipeline(
+        tmp_path_factory, records, cst_metric, kind, scale, scheme, window,
+        scope, exclude):
+    config = CstConfig(cst_metric=cst_metric,
+                       data_metric=DataMetric(kind, cos_scale_by_locc=scale),
+                       scope=scope, time_range=window,
+                       exclude_globs=exclude, weight_scheme=scheme)
+    identity = resolve_identities(_AUTHORS)
+    expected = _outcome(lambda: oracles.reference_cst(records, identity,
+                                                      config))
+    assert _outcome(lambda: cst_bus_factor(records, identity, config)) == \
+        expected
+    # The cache keeps whole seconds; its columns against its records.
+    cache = tmp_path_factory.getbasetemp() / "engine-cache"
+    save_cache(records, None, "fixture@0", cache)
+    loaded = load_cache(cache)[0]
+    columns = load_cache(cache, columns=True)[0]
+    assert _outcome(lambda: cst_bus_factor(columns, identity, config)) == \
+        _outcome(lambda: oracles.reference_cst(loaded, identity, config))
+
+
+def test_unknown_author_raises_only_when_selected():
+    records = [record(A, path="src/a.py"), record(B, path="docs/b.md")]
+    identity = resolve_identities([A])
+    with pytest.raises(UnknownAuthor, match="Bert Low"):
+        cst_bus_factor(records, identity, base_config())
+    result = cst_bus_factor(records, identity, base_config(scope="src"))
+    assert result.knowledge.shares == {identity.canonical(A): 1.0}
 
 
 # --- error comparison -------------------------------------------------------

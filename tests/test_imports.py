@@ -169,3 +169,44 @@ def test_cst_on_reordered_names_loads_no_difflib(bare, repo_factory,
         "assert json.loads(out.getvalue())['developer_count'] == 2") - bare
     assert "busfactor.identity" in loaded
     assert "difflib" not in loaded
+
+
+# OpenSSL's bindings: `hashlib` loads `_hashlib` on import. The cache's
+# checks and `--redact` take SHA-256 from the built-in module instead.
+OPENSSL = {"hashlib", "_hashlib"}
+
+
+def test_import_cli_loads_no_openssl(bare):
+    loaded = _modules_after("import busfactor.cli") - bare
+    assert "busfactor.cli" in loaded
+    assert not loaded & OPENSSL
+
+
+def test_queries_on_a_cache_load_no_openssl(bare, two_dev_repo, tmp_path):
+    cache = str(tmp_path / "cache")
+    from busfactor.cli import main
+    assert main(["ingest", "--repo", str(two_dev_repo.path),
+                 "--cache", cache]) == 0
+    cst = ["cst", "--cache", cache, "--metric", "commits",
+           "--cst-metric", "mul-equal", "--format", "json"]
+    queries = [cst, cst + ["--redact"],
+               ["rig", "--cache", cache, "--format", "json"],
+               ["trend", "--cache", cache, "--from-year", "2021",
+                "--to-year", "2021", "--format", "json"]]
+    loaded = _modules_after(
+        "import contextlib, io\n"
+        "from busfactor.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + "".join(f"    assert main({argv!r}) == 0\n" for argv in queries)
+    ) - bare
+    assert {"busfactor.cache", "busfactor.rig"} <= loaded
+    assert not loaded & OPENSSL
+
+
+@pytest.mark.parametrize("size", [0, 1, 83_000, 1 << 20])
+def test_lean_sha256_equals_hashlib(size):
+    import hashlib
+
+    from busfactor.digest import sha256_hex
+    data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()

@@ -190,13 +190,17 @@ def test_matches_one_pass_over_all_records_per_year(
 
 @pytest.mark.parametrize("cumulative", [False, True])
 def test_each_year_passes_only_its_records(monkeypatch, cumulative):
+    # Each year passes its records as positions in the file order of
+    # the history that yearly_trend builds, which lists indexes into the
+    # records.
     records = [record(A, 2019, 12, 0), record(B, 2020, 3, 1),
                record(A, 2021, 6, 2), record(B, 2019, 1, 3)]
     calls = []
     real = trend_module.cst_bus_factor
 
     def spy(pool, identity, config):
-        calls.append((config.time_range, list(pool)))
+        calls.append((config.time_range, [
+            records[pool.history.order[k]] for k in pool.positions]))
         return real(pool, identity, config)
     monkeypatch.setattr(trend_module, "cst_bus_factor", spy)
     yearly_trend(records, identity_for(records), config(), 2018, 2022,
