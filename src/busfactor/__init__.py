@@ -16,7 +16,8 @@ __version__ = "0.1.0"
 # Exported names by the submodule that defines them; "errors" exports
 # the submodule itself.
 _EXPORTS = {
-    "records": ("RawAuthor", "CommitMeta", "ChangeRecord", "BlameSnapshot"),
+    "records": ("RawAuthor", "CommitMeta", "ChangeRecord", "BlameSnapshot",
+                "RecordColumns"),
     "metrics": ("MetricKind", "DataMetric", "tokenize", "locc",
                 "token_distance", "contribution"),
     "identity": ("DeveloperId", "IdentityMap", "resolve_identities",

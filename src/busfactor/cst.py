@@ -309,12 +309,7 @@ class _History:
         self.developers = list(index)
         self.unknown = -1 in of_author
 
-        # One rank per commit by (author date, sequence, hash); the hash
-        # is read only when two commits share a date and a sequence.
-        rank = _ranks(columns.date_keys, columns.sequences)
-        if max(rank.values(), default=0) + 1 < len(rank):
-            rank = _ranks(columns.date_keys, columns.sequences,
-                          columns.hashes)
+        rank = _ranks(columns)
         self.names = sorted(set(columns.paths))
         place = dict(zip(self.names, count()))
         file = list(map([place[path] for path in columns.paths].__getitem__,
@@ -425,10 +420,16 @@ class _History:
                                config=config, knowledge=table)
 
 
-def _ranks(*columns: Sequence) -> dict[int, int]:
-    """Each commit's rank by its entries in columns, compared in order;
-    equal entries share a rank."""
-    keys = list(zip(*columns))
+def _ranks(columns: RecordColumns) -> dict[int, int]:
+    """Each commit's rank by (author date, sequence, hash); commits equal
+    in all three share a rank."""
+    dates, sequences = columns.date_keys, columns.sequences
+    if len(set(sequences)) == len(sequences):  # no two tie: no hash read
+        chrono = sorted(sorted(range(len(sequences)),
+                               key=sequences.__getitem__),
+                        key=dates.__getitem__)
+        return dict(zip(chrono, count()))
+    keys = list(zip(dates, sequences, columns.hashes))
     chrono = sorted(range(len(keys)), key=keys.__getitem__)
     ranked = list(map(keys.__getitem__, chrono))
     return dict(zip(chrono, accumulate(map(ne, ranked[1:], ranked),

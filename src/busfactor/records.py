@@ -1,9 +1,10 @@
 """Core value types produced by repository ingestion, and `Value`, the
 immutable base that every record, configuration and result in the
-package derives from.
+package derives from; and RecordColumns, the same records as columns.
 
 Everything here is immutable after construction and safe to share
-across threads.
+across threads. RecordColumns decodes some columns on first use; two
+threads that race to do so compute equal lists.
 """
 from __future__ import annotations
 

@@ -59,9 +59,10 @@ def yearly_trend(records: Iterable[ChangeRecord] | RecordColumns,
     if not isinstance(records, RecordColumns):
         records = RecordColumns.from_records(records)
     # Records are put in file order, and tested against the scope, once
-    # for all years; each year's pass takes its share of them. Author dates are UTC, so a record's year is the
+    # for all years. Author dates are UTC, so a record's year is the
     # year whose window holds it. Sorted stably by year, the positions
-    # of each year form one run, still in file order.
+    # of each year form one run, still in file order, and each year's
+    # pass takes its run, or with cumulative=True every run up to it.
     history = _History(records, identity)
     year_of = [stamp.year for stamp in records.stamps]
     year_at = list(map(year_of.__getitem__, history.commit))
