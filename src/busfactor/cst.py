@@ -8,7 +8,7 @@ import re
 from datetime import datetime, timezone
 from enum import Enum
 from bisect import bisect_right
-from itertools import accumulate, compress, count, groupby, repeat
+from itertools import accumulate, chain, compress, count, groupby, repeat
 from operator import add, and_, gt, mul, ne
 from typing import Iterable, Sequence
 
@@ -315,10 +315,12 @@ class _History:
         file = list(map([place[path] for path in columns.paths].__getitem__,
                         columns.path))
         # Records by their commit's rank, ties in record order, then
-        # stably by file.
+        # dealt out to their files, which keeps that order in each file.
         chrono = list(map(rank.__getitem__, columns.commit))
-        self.order = sorted(range(len(chrono)), key=chrono.__getitem__)
-        self.order.sort(key=file.__getitem__)
+        by_file: list[list[int]] = [[] for _ in self.names]
+        for record in sorted(range(len(chrono)), key=chrono.__getitem__):
+            by_file[file[record]].append(record)
+        self.order = list(chain.from_iterable(by_file))
         self.file = list(map(file.__getitem__, self.order))
         self.commit = list(map(columns.commit.__getitem__, self.order))
         self.dev = list(map(list(map(of_author.__getitem__,

@@ -8,6 +8,7 @@ threads that race to do so compute equal lists.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, _tuplegetter  # namedtuple's accessor
 from datetime import datetime, timezone
 from itertools import repeat
@@ -268,6 +269,20 @@ class RecordColumns:
         if self._epochs is None:
             self._epochs = [int(stamp.timestamp()) for stamp in self._stamps]
         return self._epochs
+
+    @property
+    def years(self) -> list[int]:
+        """Each commit's author year, in UTC. Whole seconds are placed
+        between the first seconds of the years they span, so that no
+        date is decoded."""
+        if self._stamps is not None or not self._epochs:
+            return [stamp.year for stamp in self.stamps]
+        first, last = (datetime.fromtimestamp(epoch, timezone.utc).year
+                       for epoch in (min(self._epochs), max(self._epochs)))
+        starts = [int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
+                  for year in range(first + 1, last + 1)]
+        return list(map(first.__add__,
+                        map(bisect_right, repeat(starts), self._epochs)))
 
     @property
     def date_keys(self) -> Sequence:

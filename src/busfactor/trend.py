@@ -1,7 +1,7 @@
 """Year-over-year bus factor series for a project or directory."""
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Iterable
 
 from .cst import CstConfig, TimeWindow, _History, _Pool, cst_bus_factor
@@ -60,24 +60,23 @@ def yearly_trend(records: Iterable[ChangeRecord] | RecordColumns,
         records = RecordColumns.from_records(records)
     # Records are put in file order, and tested against the scope, once
     # for all years. Author dates are UTC, so a record's year is the
-    # year whose window holds it. Sorted stably by year, the positions
-    # of each year form one run, still in file order, and each year's
-    # pass takes its run, or with cumulative=True every run up to it.
+    # year whose window holds it. Dealt out by year in file order, each
+    # year's positions stay in file order, and each year's pass takes
+    # its own, or with cumulative=True all of them up to its year.
     history = _History(records, identity)
-    year_of = [stamp.year for stamp in records.stamps]
-    year_at = list(map(year_of.__getitem__, history.commit))
-    by_year = sorted(history.select(base_config.replace(time_range=None)),
-                     key=year_at.__getitem__)
-    years = list(map(year_at.__getitem__, by_year))
+    year_of, commit = records.years, history.commit
+    by_year: dict[int, list[int]] = {year: [] for year in set(year_of)}
+    for position in history.select(base_config.replace(time_range=None)):
+        by_year[year_of[commit[position]]].append(position)
+    through = sorted(chain.from_iterable(
+        pool for year, pool in by_year.items() if year < first_year))
     points = []
     for year in range(first_year, last_year + 1):
-        end = bisect_right(years, year)
         if cumulative:
-            window, pool = (TimeWindow(None, None, year, None),
-                            sorted(by_year[:end]))
+            through = sorted(through + by_year.get(year, []))
+            window, pool = TimeWindow(None, None, year, None), through
         else:
-            window = TimeWindow.year(year)
-            pool = by_year[bisect_left(years, year):end]
+            window, pool = TimeWindow.year(year), by_year.get(year, [])
         config = base_config.replace(time_range=window)
         try:
             result = cst_bus_factor(_Pool(history, pool), identity, config)

@@ -10,6 +10,7 @@ from busfactor import (ChangeRecord, CommitMeta, CstConfig, CstMetricKind,
                        DataMetric, MetricKind, RawAuthor, TimeWindow,
                        TrendPoint, cst_bus_factor, resolve_identities,
                        yearly_trend)
+from busfactor import load_cache, save_cache
 from busfactor import trend as trend_module
 from busfactor.errors import EmptySpan
 
@@ -211,3 +212,29 @@ def test_each_year_passes_only_its_records(monkeypatch, cumulative):
                   if window.contains(r.commit.author_timestamp)]
         assert sorted(pool, key=ChangeRecord.sort_key) == \
             sorted(inside, key=ChangeRecord.sort_key)
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+def test_cache_columns_place_dates_in_their_years(tmp_path, cumulative):
+    # A cache's columns hold whole seconds, which are placed in years
+    # without decoding them; the last and first second of a year, and
+    # dates before 1970, land where their dates do.
+    instants = [datetime(1969, 12, 31, 23, 59, 59), datetime(1970, 1, 1),
+                datetime(2020, 12, 31, 23, 59, 59), datetime(2021, 1, 1),
+                datetime(2024, 2, 29, 12), datetime(1969, 7, 20, 20, 17)]
+    records = [ChangeRecord(
+        commit=CommitMeta(hash=f"{i:040x}", author=(A, B)[i % 2],
+                          author_timestamp=instant.replace(
+                              tzinfo=timezone.utc), sequence=i),
+        path="f.txt", lines_added=1, lines_deleted=0, cos_distance=0.5)
+        for i, instant in enumerate(instants)]
+    save_cache(records, None, "fixture@0", tmp_path / "cache")
+    columns = load_cache(tmp_path / "cache", columns=True)[0]
+    years = columns.years
+    assert years == [1969, 1970, 2020, 2021, 2024, 1969]
+    assert years == [stamp.year for stamp in columns.stamps]
+    idmap = identity_for(records)
+    assert yearly_trend(columns, idmap, config(), 1968, 2025,
+                        cumulative=cumulative) == \
+        yearly_trend(records, idmap, config(), 1968, 2025,
+                     cumulative=cumulative)
