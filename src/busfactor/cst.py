@@ -175,15 +175,28 @@ def filter_records(records: Iterable[ChangeRecord],
                    scope: str | None = None,
                    exclude_globs: Sequence[str] = ()) -> list[ChangeRecord]:
     """Keep the records inside the time window whose paths `paths_in`
-    admits. Each distinct path is tested once, and each commit's date."""
+    admits."""
     records = list(records)
-    columns = RecordColumns.from_records(records)
+    admitted = _admitted(RecordColumns.from_records(records), window, scope,
+                         exclude_globs)
+    return records if admitted is None else list(compress(records, admitted))
+
+
+def _admitted(columns: RecordColumns, window: TimeWindow | None,
+              scope: str | None, exclude_globs: Sequence[str],
+              ) -> list[bool] | None:
+    """Per record, whether the window admits its commit's date and
+    `paths_in` its path; None when every record is admitted. Each path
+    is tested once, and each commit's date."""
     analysed = list(map(paths_in(scope, exclude_globs), columns.paths))
-    kept = map(analysed.__getitem__, columns.path)
+    admitted = (None if all(analysed)
+                else list(map(analysed.__getitem__, columns.path)))
     if window:
         inside = list(map(window.contains, columns.stamps))
-        kept = map(and_, kept, map(inside.__getitem__, columns.commit))
-    return list(compress(records, kept))
+        dated = map(inside.__getitem__, columns.commit)
+        admitted = list(dated if admitted is None
+                        else map(and_, admitted, dated))
+    return admitted
 
 
 def shares_from_timeline(timeline: Sequence[tuple[DeveloperId, float]],
@@ -330,21 +343,14 @@ class _History:
 
     def select(self, config: CstConfig) -> list[int]:
         """The positions of the records that the config's window, scope
-        and excludes admit. Each path is tested once, and each commit's
-        date."""
-        analysed = list(map(paths_in(config.scope, config.exclude_globs),
-                            self.names))
-        selected = range(len(self.order))
-        if not all(analysed):
-            selected = compress(selected, map(analysed.__getitem__,
-                                              self.file))
-        if config.time_range:
-            inside = list(map(config.time_range.contains,
-                              self.columns.stamps))
-            selected = list(selected)
-            selected = compress(selected, map(
-                inside.__getitem__, map(self.commit.__getitem__, selected)))
-        return list(selected)
+        and excludes admit."""
+        admitted = _admitted(self.columns, config.time_range, config.scope,
+                             config.exclude_globs)
+        positions = range(len(self.order))
+        if admitted is None:
+            return list(positions)
+        return list(compress(positions, map(admitted.__getitem__,
+                                            self.order)))
 
     def values(self, metric: DataMetric) -> list[float] | None:
         """The contribution under metric at each position, as
