@@ -29,6 +29,10 @@ records part of one JSON table line followed by binary columns.
   (`columns=True`). The record form builds from it one CommitMeta per
   commit, shared by its records as extract_history shares them, and one
   RawAuthor per distinct author.
+- `epoch` holds each commit's author date as whole seconds since 1970
+  UTC, floored, so that each date keeps the second it lies in, before
+  1970 too. Git's whole-second dates round-trip exactly, and loaded
+  columns hold them as microseconds, in RecordColumns.instants.
 - Columns are packed with `struct` under a `<` prefix, which fixes
   every size and the byte order on any platform, so there is nothing to
   swap and a cache loads wherever it was written. An integer column
@@ -187,7 +191,7 @@ def _encode_records(records: Sequence[ChangeRecord]) -> bytes:
                          "one length")
     columns = {
         "author": table.commit_author,
-        "epoch": table.epochs,
+        "epoch": [instant // 1_000_000 for instant in table.instants],
         "merge": list(map(int, table.merges)),
         "sequence": table.sequences,
         "commit": table.commit,
@@ -259,10 +263,10 @@ def _decode_records(rows: bytes, promised: int) -> RecordColumns:
                         (path_of, len(paths))):
         if index and not (min(index) >= 0 and max(index) < size):
             raise ValueError(f"index out of range 0..{size - 1}")
-    return RecordColumns(authors, paths, author_of, merges, sequences,
-                         commit_of, path_of, added, deleted, cos,
-                         packed=rows[start:start + width * commit_count],
-                         epochs=epochs)
+    return RecordColumns(authors, paths, author_of,
+                         [epoch * 1_000_000 for epoch in epochs], merges,
+                         sequences, commit_of, path_of, added, deleted, cos,
+                         packed=rows[start:start + width * commit_count])
 
 
 def _encode_blame(blame: BlameSnapshot) -> dict:

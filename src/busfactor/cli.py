@@ -472,6 +472,8 @@ def _cmd_rig(parser, args, argv, started) -> int:
 def _cmd_trend(parser, args, argv, started) -> int:
     first = _require(parser, args, "from_year", "--from-year")
     last = _require(parser, args, "to_year", "--to-year")
+    if first > last:
+        parser.error(f"--from-year/--to-year: {first} is after {last}")
     base, columns, identity, fingerprint = _cst_inputs(parser, args)
     series = yearly_trend(columns, identity, base, first, last,
                           cumulative=args.cumulative)

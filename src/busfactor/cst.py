@@ -16,7 +16,7 @@ from .errors import EmptyScope, UnknownAuthor, ZeroDevelopers
 from .gitrepo import paths_in
 from .identity import DeveloperId, IdentityMap
 from .metrics import DataMetric, MetricKind
-from .records import ChangeRecord, RecordColumns, Value
+from .records import ChangeRecord, RecordColumns, Value, to_instant
 
 
 class CstMetricKind(Enum):
@@ -36,12 +36,19 @@ _RUN_METRICS = (CstMetricKind.NON_CONSECUTIVE,
                 CstMetricKind.WEIGHTED_NON_CONSECUTIVE)
 
 
+# the instants of the first and just past the last datetime
+_FIRST = to_instant(datetime.min.replace(tzinfo=timezone.utc))
+_PAST = to_instant(datetime.max.replace(tzinfo=timezone.utc)) + 1
+
+
 class TimeWindow(Value):
     """An inclusive year or year-month range, on UTC author dates.
 
     Either bound may be None (unbounded). Years are 1-9999 and months
     1-12; a bound with month=None spans the whole year, and a month
-    needs its year.
+    needs its year. It keeps its bounds as instants (records.to_instant):
+    the first that it holds and the first past its end, those of the
+    first datetime and just past the last where it is unbounded.
     """
     start_year: int | None = None
     start_month: int | None = None
@@ -60,17 +67,17 @@ class TimeWindow(Value):
                 raise ValueError(f"{side} month {month} has no {side} year")
             if not 1 <= month <= 12:
                 raise ValueError(f"month out of range: {month}")
-        lo = hi = None
+        lo, hi = _FIRST, _PAST
         if self.start_year is not None:
-            lo = datetime(self.start_year, self.start_month or 1, 1,
-                          tzinfo=timezone.utc)
-        if self.end_year is not None:
-            year, month = self.end_year, (self.end_month or 12)
-            if month < 12:
-                hi = datetime(year, month + 1, 1, tzinfo=timezone.utc)
-            elif year != 9999:  # no datetime lies beyond 9999-12
-                hi = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
-        if lo and hi and lo >= hi:
+            lo = to_instant(datetime(self.start_year, self.start_month or 1,
+                                     1, tzinfo=timezone.utc))
+        if self.end_year is not None:  # hi opens the month after the end
+            year, month = divmod(12 * self.end_year + (self.end_month or 12),
+                                 12)
+            if year <= 9999:  # no datetime lies beyond 9999-12
+                hi = to_instant(datetime(year, month + 1, 1,
+                                         tzinfo=timezone.utc))
+        if lo >= hi:
             raise ValueError("time range start is after its end")
         # Not a field: the bounds follow from the fields, so equality,
         # hashing and repr leave them out.
@@ -89,12 +96,9 @@ class TimeWindow(Value):
         return cls(start_year=year, end_year=year)
 
     def contains(self, instant: datetime) -> bool:
+        """Whether the window holds the aware datetime `instant`."""
         lo, hi = self._bounds
-        if lo and instant < lo:
-            return False
-        if hi and instant >= hi:
-            return False
-        return True
+        return lo <= to_instant(instant) < hi
 
     def describe(self) -> str:
         def fmt(year, month):
@@ -192,7 +196,8 @@ def _admitted(columns: RecordColumns, window: TimeWindow | None,
     admitted = (None if all(analysed)
                 else list(map(analysed.__getitem__, columns.path)))
     if window:
-        inside = list(map(window.contains, columns.stamps))
+        lo, hi = window._bounds
+        inside = [lo <= instant < hi for instant in columns.instants]
         dated = map(inside.__getitem__, columns.commit)
         admitted = list(dated if admitted is None
                         else map(and_, admitted, dated))
@@ -431,7 +436,7 @@ class _History:
 def _ranks(columns: RecordColumns) -> dict[int, int]:
     """Each commit's rank by (author date, sequence, hash); commits equal
     in all three share a rank."""
-    dates, sequences = columns.date_keys, columns.sequences
+    dates, sequences = columns.instants, columns.sequences
     if len(set(sequences)) == len(sequences):  # no two tie: no hash read
         chrono = sorted(sorted(range(len(sequences)),
                                key=sequences.__getitem__),

@@ -3,14 +3,14 @@ immutable base that every record, configuration and result in the
 package derives from; and RecordColumns, the same records as columns.
 
 Everything here is immutable after construction and safe to share
-across threads. RecordColumns decodes some columns on first use; two
+across threads. RecordColumns decodes its hashes on first use; two
 threads that race to do so compute equal lists.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, _tuplegetter  # namedtuple's accessor
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -205,43 +205,54 @@ class ChangeRecord(Value):
         return (self.commit.author_timestamp, self.commit.sequence, self.commit.hash)
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def to_instant(stamp: datetime) -> int:
+    """An aware datetime as whole microseconds since 1970 UTC, the form
+    of RecordColumns.instants: exact in years 1-9999, and ordered as
+    the datetimes are."""
+    return (stamp - _EPOCH) // _MICROSECOND
+
+
 class RecordColumns:
     """Change records as columns over three tables, the form in which
     the cache stores them and the cst engine reads them.
 
     `authors` and `paths` hold each distinct author and path once. The
-    commit columns (`commit_author`, `merges`, `sequences`, `hashes` and
-    `stamps`) hold one entry per distinct commit, and `commit_author`
-    indexes `authors`. The record columns (`commit`, `path`, `added`,
-    `deleted` and `cos`) hold one entry per record, in record order, and
-    `commit` and `path` index the commit columns and `paths`. Every
-    index is in range. `len` is the number of records.
+    commit columns (`commit_author`, `instants`, `merges`, `sequences`
+    and `hashes`) hold one entry per distinct commit, and
+    `commit_author` indexes `authors`. `instants` holds each commit's
+    author date as `to_instant` gives it, which windows, years and
+    commit order read as it is. The record columns (`commit`, `path`,
+    `added`, `deleted` and `cos`) hold one entry per record, in record
+    order, and `commit` and `path` index the commit columns and
+    `paths`. Every index is in range. `len` is the number of records.
 
-    A cache stores hashes as raw bytes and author dates as whole seconds
-    since 1970. Columns read from it decode `hashes` and `stamps` only
-    when they are first asked for.
+    A cache stores hashes as raw bytes, which columns read from it
+    decode to hex only when `hashes` is first asked for.
     """
-    __slots__ = ("authors", "paths", "commit_author", "merges", "sequences",
-                 "commit", "path", "added", "deleted", "cos",
-                 "_hashes", "_packed", "_stamps", "_epochs")
+    __slots__ = ("authors", "paths", "commit_author", "instants", "merges",
+                 "sequences", "commit", "path", "added", "deleted", "cos",
+                 "_hashes", "_packed")
 
     def __init__(self, authors: Sequence[RawAuthor], paths: Sequence[str],
-                 commit_author: Sequence[int], merges: Sequence[bool],
-                 sequences: Sequence[int], commit: Sequence[int],
-                 path: Sequence[int], added: Sequence[int],
-                 deleted: Sequence[int], cos: Sequence[float], *,
-                 hashes: Sequence[str] | None = None, packed: bytes = b"",
-                 stamps: Sequence[datetime] | None = None,
-                 epochs: Sequence[int] | None = None) -> None:
+                 commit_author: Sequence[int], instants: Sequence[int],
+                 merges: Sequence[bool], sequences: Sequence[int],
+                 commit: Sequence[int], path: Sequence[int],
+                 added: Sequence[int], deleted: Sequence[int],
+                 cos: Sequence[float], *,
+                 hashes: Sequence[str] | None = None,
+                 packed: bytes = b"") -> None:
         """Each commit's hash comes as hex (`hashes`) or as raw bytes,
-        the same number per commit (`packed`), and its author date as a
-        UTC datetime (`stamps`) or as whole seconds (`epochs`)."""
+        the same number per commit (`packed`)."""
         self.authors, self.paths = authors, paths
-        self.commit_author, self.merges = commit_author, merges
-        self.sequences, self.commit, self.path = sequences, commit, path
+        self.commit_author, self.instants = commit_author, instants
+        self.merges, self.sequences = merges, sequences
+        self.commit, self.path = commit, path
         self.added, self.deleted, self.cos = added, deleted, cos
         self._hashes, self._packed = hashes, packed
-        self._stamps, self._epochs = stamps, epochs
 
     def __len__(self) -> int:
         return len(self.commit)
@@ -256,40 +267,17 @@ class RecordColumns:
         return self._hashes
 
     @property
-    def stamps(self) -> Sequence[datetime]:
-        if self._stamps is None:
-            self._stamps = list(map(datetime.fromtimestamp, self._epochs,
-                                    repeat(timezone.utc)))
-        return self._stamps
-
-    @property
-    def epochs(self) -> Sequence[int]:
-        """Author dates as whole seconds since 1970, as a cache stores
-        them."""
-        if self._epochs is None:
-            self._epochs = [int(stamp.timestamp()) for stamp in self._stamps]
-        return self._epochs
-
-    @property
     def years(self) -> list[int]:
-        """Each commit's author year, in UTC. Whole seconds are placed
-        between the first seconds of the years they span, so that no
+        """Each commit's author year, in UTC: its instant placed between
+        the first instants of the years the column spans, so that no
         date is decoded."""
-        if self._stamps is not None or not self._epochs:
-            return [stamp.year for stamp in self.stamps]
-        first, last = (datetime.fromtimestamp(epoch, timezone.utc).year
-                       for epoch in (min(self._epochs), max(self._epochs)))
-        starts = [int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
+        first, last = ((_EPOCH + instant * _MICROSECOND).year for instant in
+                       (min(self.instants, default=0),
+                        max(self.instants, default=0)))
+        starts = [to_instant(datetime(year, 1, 1, tzinfo=timezone.utc))
                   for year in range(first + 1, last + 1)]
         return list(map(first.__add__,
-                        map(bisect_right, repeat(starts), self._epochs)))
-
-    @property
-    def date_keys(self) -> Sequence:
-        """Per commit, values that order commits as their author dates
-        do: the dates, or the whole seconds that columns read from a
-        cache hold, which decode to them."""
-        return self._epochs if self._stamps is None else self._stamps
+                        map(bisect_right, repeat(starts), self.instants)))
 
     @classmethod
     def from_records(cls, records: Iterable[ChangeRecord]) -> "RecordColumns":
@@ -304,10 +292,10 @@ class RecordColumns:
         author_index = _first_seen(authors)
         return cls(list(author_index), list(path_index),
                    list(map(author_index.__getitem__, authors)),
-                   merges, sequences,
+                   list(map(to_instant, stamps)), merges, sequences,
                    list(map(commits.__getitem__, metas)),
                    list(map(path_index.__getitem__, paths)),
-                   added, deleted, cos, hashes=hashes, stamps=stamps)
+                   added, deleted, cos, hashes=hashes)
 
     def records(self) -> list[ChangeRecord]:
         """The records, each commit's CommitMeta shared by its records
@@ -315,9 +303,10 @@ class RecordColumns:
         # CommitMeta and ChangeRecord would only check what the package
         # wrote itself (UTC author dates, five fields in order), so both
         # skip their checked constructors.
+        stamps = map(_EPOCH.__add__, map(_MICROSECOND.__mul__, self.instants))
         commits = list(map(CommitMeta._make, zip(
             self.hashes, map(self.authors.__getitem__, self.commit_author),
-            self.stamps, map(bool, self.merges), self.sequences)))
+            stamps, map(bool, self.merges), self.sequences)))
         return list(map(ChangeRecord._make, zip(
             map(commits.__getitem__, self.commit),
             map(self.paths.__getitem__, self.path),

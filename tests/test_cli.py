@@ -220,6 +220,45 @@ def test_rig_cache_rev_head_names_cached_commit(two_dev_repo, tmp_path):
     assert "other revisions need --repo" in proc.stderr
 
 
+def test_repo_and_cache_give_equal_reports(repo_factory, tmp_path, capsys):
+    # The columns built from a clone's history and those read from its
+    # cache give the same cst and trend reports, with a window, a scope
+    # and a cumulative trend; dates straddle year ends, one under a
+    # non-UTC offset that puts it in the next UTC year.
+    repo = repo_factory()
+    ada, bert = ("Ada Core", "ada@fixture.test"), ("Bert Low",
+                                                   "bert@fixture.test")
+    for author, rel, date in (
+            (ada, "src/a.py", "2019-06-01T12:00:00 +0000"),
+            (bert, "src/a.py", "2020-12-31T23:59:59 +0000"),
+            (ada, "docs/b.md", "2021-01-01T00:00:00 +0000"),
+            (bert, "src/c.py", "2021-05-31T23:59:59 +0000"),
+            (ada, "src/c.py", "2021-12-31T23:30:00 -0200"),
+            (bert, "docs/b.md", "2022-03-01T08:00:00 +0100")):
+        repo.write(rel, f"{rel} by {author[0]} at {date}\n")
+        repo.commit(author, date=date)
+    cache = str(tmp_path / "cache")
+    assert run_main(capsys, "ingest", "--repo", str(repo.path),
+                    "--cache", cache)[0] == 0
+    for query in (
+            ["cst", "--metric", "commits", "--cst-metric", "mul-equal"],
+            ["cst", "--metric", "locc", "--cst-metric", "non-consecutive",
+             "--from", "2020-12", "--to", "2021-05"],
+            ["cst", "--metric", "cos", "--cst-metric", "last-change",
+             "--dir", "src"],
+            ["trend", "--from-year", "2019", "--to-year", "2022"],
+            ["trend", "--from-year", "2019", "--to-year", "2022",
+             "--cumulative", "--metric", "locc", "--cst-metric",
+             "weighted-non-consecutive"]):
+        reports = []
+        for source in (["--repo", str(repo.path)], ["--cache", cache]):
+            code, out, err = run_main(capsys, *query, *source,
+                                      "--format", "json")
+            assert code == 0, (query, source, err)
+            reports.append(_without_run_fields(json.loads(out)))
+        assert reports[0] == reports[1], query
+
+
 def test_rig_repo_rev_fingerprint_names_that_commit(two_dev_repo):
     first = two_dev_repo.git("rev-list", "--max-parents=0", "HEAD").strip()
     proc = run_cli("rig", "--repo", str(two_dev_repo.path), "--rev", first,
@@ -709,7 +748,7 @@ def test_ingest_reports_stats(two_dev_repo, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["require", "source", "window", "alias",
-                                  "config"])
+                                  "config", "span"])
 def test_usage_errors_name_the_subcommand(case, two_dev_repo, tmp_path,
                                           capsys, monkeypatch):
     # Each check past argparse reports through the subcommand's parser,
@@ -724,17 +763,21 @@ def test_usage_errors_name_the_subcommand(case, two_dev_repo, tmp_path,
     config.write_text("[cst]\nnosuch = 1\n", encoding="utf-8")
     query = ["--metric", "commits", "--cst-metric", "mul-equal"]
     argv, message = {
-        "require": (["--cache", cache, "--cst-metric", "mul-equal"],
+        "require": (["cst", "--cache", cache, "--cst-metric", "mul-equal"],
                     "--metric is required"),
-        "source": (query, "one of --repo or --cache is required"),
-        "window": (["--cache", cache, *query, "--from", "2022",
+        "source": (["cst", *query], "one of --repo or --cache is required"),
+        "window": (["cst", "--cache", cache, *query, "--from", "2022",
                     "--to", "2021"], "--from/--to:"),
-        "alias": (["--cache", cache, *query, "--alias-file", str(aliases)],
-                  "--alias-file: malformed alias line"),
-        "config": (["--cache", cache, *query, "--config", str(config)],
-                   "--config: unknown key 'nosuch'"),
+        "alias": (["cst", "--cache", cache, *query, "--alias-file",
+                   str(aliases)], "--alias-file: malformed alias line"),
+        "config": (["cst", "--cache", cache, *query, "--config",
+                    str(config)], "--config: unknown key 'nosuch'"),
+        # before any input is read: this cache does not exist
+        "span": (["trend", "--cache", str(tmp_path / "absent"),
+                  "--from-year", "2021", "--to-year", "2020"],
+                 "--from-year/--to-year: 2021 is after 2020"),
     }[case]
-    code, out, err = run_main(capsys, "cst", *argv)
+    code, out, err = run_main(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("usage: busfactor cst ")
-    assert f"busfactor cst: error: {message}" in err
+    assert err.startswith(f"usage: busfactor {argv[0]} ")
+    assert f"busfactor {argv[0]}: error: {message}" in err

@@ -354,8 +354,12 @@ def test_result_carries_knowledge_table():
 # --- the column engine against the record-by-record pipeline ---------------
 
 # Instants with microseconds, which a cache drops, equal ones, and both
-# sides of a year boundary.
-_INSTANTS = [datetime(2020, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
+# sides of a year boundary and of 1970, the instant 0.
+_INSTANTS = [datetime(1969, 12, 31, 23, 59, 59, 500_000,
+                      tzinfo=timezone.utc),
+             datetime(1970, 1, 1, tzinfo=timezone.utc),
+             datetime(1970, 1, 1, 0, 0, 0, 250_000, tzinfo=timezone.utc),
+             datetime(2020, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
              datetime(2020, 12, 31, 23, 59, 59, 250_000,
                       tzinfo=timezone.utc),
              datetime(2021, 1, 1, tzinfo=timezone.utc),
@@ -388,7 +392,8 @@ def _histories(draw):
 
 _WINDOWS = [None, TimeWindow.year(2021), TimeWindow.year(2020),
             TimeWindow(2020, 12, 2021, 6), TimeWindow(end_year=2020),
-            TimeWindow(start_year=2021, start_month=2)]
+            TimeWindow(start_year=2021, start_month=2),
+            TimeWindow(start_year=1970), TimeWindow(end_year=1969)]
 
 
 def _outcome(compute):

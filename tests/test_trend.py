@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from busfactor import (ChangeRecord, CommitMeta, CstConfig, CstMetricKind,
-                       DataMetric, MetricKind, RawAuthor, TimeWindow,
-                       TrendPoint, cst_bus_factor, resolve_identities,
-                       yearly_trend)
+                       DataMetric, MetricKind, RawAuthor, RecordColumns,
+                       TimeWindow, TrendPoint, cst_bus_factor,
+                       resolve_identities, yearly_trend)
 from busfactor import load_cache, save_cache
 from busfactor import trend as trend_module
 from busfactor.errors import EmptySpan
@@ -216,25 +216,39 @@ def test_each_year_passes_only_its_records(monkeypatch, cumulative):
 
 @pytest.mark.parametrize("cumulative", [False, True])
 def test_cache_columns_place_dates_in_their_years(tmp_path, cumulative):
-    # A cache's columns hold whole seconds, which are placed in years
-    # without decoding them; the last and first second of a year, and
-    # dates before 1970, land where their dates do.
+    # Columns keep each date to the microsecond. A cache keeps the
+    # second each lies in, and its columns place those seconds in years
+    # without decoding them: the last and first second of a year, dates
+    # before 1970, half a second before 1970 and the last microsecond
+    # of 9999 land where their dates do.
     instants = [datetime(1969, 12, 31, 23, 59, 59), datetime(1970, 1, 1),
                 datetime(2020, 12, 31, 23, 59, 59), datetime(2021, 1, 1),
-                datetime(2024, 2, 29, 12), datetime(1969, 7, 20, 20, 17)]
+                datetime(2024, 2, 29, 12), datetime(1969, 7, 20, 20, 17),
+                datetime(1969, 12, 31, 23, 59, 59, 500_000),
+                datetime(9999, 12, 31, 23, 59, 59, 999_999)]
     records = [ChangeRecord(
         commit=CommitMeta(hash=f"{i:040x}", author=(A, B)[i % 2],
                           author_timestamp=instant.replace(
                               tzinfo=timezone.utc), sequence=i),
         path="f.txt", lines_added=1, lines_deleted=0, cos_distance=0.5)
         for i, instant in enumerate(instants)]
+    exact = RecordColumns.from_records(records)
+    assert exact.instants[-2:] == [-500_000, 253_402_300_799_999_999]
+    assert exact.records() == records
     save_cache(records, None, "fixture@0", tmp_path / "cache")
+    loaded = load_cache(tmp_path / "cache")[0]
+    assert [r.commit.author_timestamp for r in loaded] == [
+        instant.replace(microsecond=0, tzinfo=timezone.utc)
+        for instant in instants]
     columns = load_cache(tmp_path / "cache", columns=True)[0]
     years = columns.years
-    assert years == [1969, 1970, 2020, 2021, 2024, 1969]
-    assert years == [stamp.year for stamp in columns.stamps]
+    assert years == [1969, 1970, 2020, 2021, 2024, 1969, 1969, 9999]
+    # one record per commit: the record form's years are the commits'
+    assert years == [r.commit.author_timestamp.year for r in loaded]
+    assert years == exact.years
     idmap = identity_for(records)
-    assert yearly_trend(columns, idmap, config(), 1968, 2025,
-                        cumulative=cumulative) == \
-        yearly_trend(records, idmap, config(), 1968, 2025,
-                     cumulative=cumulative)
+    for first, last in ((1968, 2025), (9998, 9999)):
+        assert yearly_trend(columns, idmap, config(), first, last,
+                            cumulative=cumulative) == \
+            yearly_trend(records, idmap, config(), first, last,
+                         cumulative=cumulative)
