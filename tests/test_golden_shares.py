@@ -1,13 +1,15 @@
-"""Exact knowledge shares of the benchmark's queries, pinned as golden
-values.
+"""Exact knowledge shares of the benchmark's queries, and the bytes of
+the cache they read, pinned as golden values.
 
 Seed 0 of each benchmark workload is built and ingested as in
-`tests/test_bench_digests.py`. The four cst queries of a session must
-give the shares recorded in `golden_shares.json` bit for bit (as
-`float.hex`, each before its developer's label), in the same order, and
-the trend query the same (year, bus factor, developers) points.
-Reports round shares to six decimals, so the recorded digests alone
-would let a change in the last bits of a share pass.
+`tests/test_bench_digests.py`. Its `cache.json` must hash to the SHA-256
+recorded in `golden_shares.json`. The four cst queries of a session must
+give the shares recorded there bit for bit (as `float.hex`, each before
+its developer's label), in the same order, and the trend query the same
+(year, bus factor, developers) points. Reports round shares to six
+decimals, so the recorded digests alone would let a change in the last
+bits of a share pass; and a cache that still round-trips to the same
+reports could change its bytes unseen.
 
 Regenerate the file only for a deliberate change of results:
 `PYTHONPATH=src python -m tests.test_golden_shares` prints it.
@@ -15,6 +17,7 @@ Regenerate the file only for a deliberate change of results:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -35,17 +38,19 @@ _WORKLOADS = ("deep-history", "wide-tree", "many-identities")
 
 
 def observed(workloads, session, workload: str, work: Path) -> dict:
-    """The exact results of seed 0's cst and trend queries."""
+    """The exact results of seed 0's cst and trend queries, and the
+    SHA-256 of the cache they read."""
     env = session.cli_env(str(Path(__file__).resolve().parents[1]),
                           str(work))
     repo, cache = str(work / "repo"), str(work / "cache")
     planted = workloads.build_repo(workload, 0, repo, env)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["ingest", "--repo", repo, "--cache", cache]) == 0
+    found = {"cache.json sha256": hashlib.sha256(
+        (work / "cache" / "cache.json").read_bytes()).hexdigest()}
     records, _, _ = load_cache(cache)
     weights = Counter(r.author for r in records)
     identity = resolve_identities(weights.keys(), weights=weights)
-    found = {}
     for cst_metric, metric in session.CST_QUERIES:
         kind, *flags = metric.split()
         config = CstConfig(
