@@ -24,11 +24,9 @@ records part of one JSON table line followed by binary columns.
   hash and four columns hold one entry per commit and five one entry per
   record. `author`, `commit` and `path` are indexes into the author
   table, the commit columns and the path table. Each commit is stored
-  once however many files it changed. One decoder reads them into a
-  RecordColumns, which the cst and trend queries take as it is
-  (`columns=True`). The record form builds from it one CommitMeta per
-  commit, shared by its records as extract_history shares them, and one
-  RawAuthor per distinct author.
+  once however many files it changed. save_cache encodes a
+  RecordColumns, as extract_history builds it, and load_cache decodes
+  one, which the cst and trend queries take as it is.
 - `epoch` holds each commit's author date as whole seconds since 1970
   UTC, floored, so that each date keeps the second it lies in, before
   1970 too. Git's whole-second dates round-trip exactly, and loaded
@@ -69,7 +67,7 @@ from typing import Sequence
 
 from .digest import sha256_hex
 from .errors import CorruptCache, IoFailure, SchemaMismatch
-from .records import BlameSnapshot, ChangeRecord, RawAuthor, RecordColumns
+from .records import BlameSnapshot, RawAuthor, RecordColumns
 
 SCHEMA_VERSION = 6
 
@@ -83,13 +81,14 @@ _UNSIGNED, _SIGNED = "BHIQ", "bhiq"
 _LETTERS = frozenset(_UNSIGNED + _SIGNED)
 
 
-def save_cache(records: Sequence[ChangeRecord],
+def save_cache(records: RecordColumns | Sequence,
                blame: BlameSnapshot | None,
                fingerprint: str,
                cache_path: str | Path) -> None:
     """Write records, an optional blame snapshot and the repository
     fingerprint as `cache.json` under cache_path, replacing any earlier
-    save whole."""
+    save whole. The records come as columns, as extract_history gives
+    them, or as a sequence of ChangeRecords."""
     root = Path(cache_path)
     head = _json({"fingerprint": fingerprint,
                   "blame": None if blame is None else _encode_blame(blame)})
@@ -110,17 +109,13 @@ def save_cache(records: Sequence[ChangeRecord],
 
 
 def load_cache(cache_path: str | Path, *, records: bool = True,
-               columns: bool = False,
-               ) -> tuple[list[ChangeRecord] | RecordColumns,
-                          BlameSnapshot | None, str]:
+               ) -> tuple[RecordColumns | None, BlameSnapshot | None, str]:
     """Read a cache directory back as (records, blame, fingerprint);
-    the inverse of save_cache.
+    the inverse of save_cache. The records come back as columns, which
+    iterate as ChangeRecords.
 
-    With `columns=True` the records come back as one RecordColumns,
-    which is what the cst and trend queries read, rather than as a list
-    of ChangeRecord. With `records=False` the records part is still
-    checked (length and digest) but not parsed, and an empty list comes
-    back.
+    With `records=False` the records part is still checked (length and
+    digest) but not parsed, and None comes back in its place.
     """
     root = Path(cache_path)
     try:
@@ -159,9 +154,7 @@ def load_cache(cache_path: str | Path, *, records: bool = True,
         fingerprint = document["fingerprint"]
         blame = (None if document["blame"] is None
                  else _decode_blame(document["blame"]))
-        decoded = _decode_records(rows, promised) if records else []
-        if records and not columns:
-            decoded = decoded.records()
+        decoded = _decode_records(rows, promised) if records else None
     except (AttributeError, LookupError, TypeError, ValueError,
             struct.error) as exc:
         raise CorruptCache(f"malformed cache document: {exc!r}") from exc
@@ -177,7 +170,7 @@ def _sha256(part: bytes) -> bytes:
     return sha256_hex(part).encode()
 
 
-def _encode_records(records: Sequence[ChangeRecord]) -> bytes:
+def _encode_records(records: RecordColumns | Sequence) -> bytes:
     table = RecordColumns.from_records(records)
     hashes = table.hashes
     # bytes.fromhex skips spaces and reads upper case, so only a hash

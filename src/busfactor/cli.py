@@ -352,7 +352,7 @@ def _cst_inputs(parser, args, time_range: TimeWindow | None = None):
         columns = RecordColumns.from_records(extract_history(repo, commit))
         fingerprint = repo_fingerprint(repo, commit)
     else:
-        columns, _, fingerprint = load_cache(cache, columns=True)
+        columns, _, fingerprint = load_cache(cache)
     identity = _identity_for(parser, args, columns.author_counts())
     return config, columns, identity, fingerprint
 
@@ -390,19 +390,18 @@ def _cmd_ingest(parser, args, argv, started) -> int:
     # the history pass replays line owners; blame runs only for the
     # files the replay cannot prove
     replay = LineReplay()
-    records = list(extract_history(repo, commit,
-                                   include_merges=args.include_merges,
-                                   replay=replay))
+    columns = RecordColumns.from_records(extract_history(
+        repo, commit, include_merges=args.include_merges, replay=replay))
     blame = extract_blame(repo, commit, replay=replay)
     fingerprint = repo_fingerprint(repo, commit)
-    save_cache(records, blame if blame.files else None, fingerprint, cache)
+    save_cache(columns, blame if blame.files else None, fingerprint, cache)
     stats = {
         "cache_path": str(cache),
-        "records": len(records),
-        "commits": len({r.commit.hash for r in records}),
-        "files_in_history": len({r.path for r in records}),
+        "records": len(columns),
+        "commits": len(columns.commit_author),
+        "files_in_history": len(columns.paths),
         "blame_files": len(blame.files),
-        "authors": len({r.author for r in records} | blame.authors()),
+        "authors": len(blame.authors().union(columns.authors)),
     }
     sys.stdout.write(
         render(payload_ingest(stats, _manifest(argv, fingerprint, started)),

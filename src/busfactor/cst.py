@@ -16,7 +16,7 @@ from .errors import EmptyScope, UnknownAuthor, ZeroDevelopers
 from .gitrepo import paths_in
 from .identity import DeveloperId, IdentityMap
 from .metrics import DataMetric, MetricKind
-from .records import ChangeRecord, RecordColumns, Value, to_instant
+from .records import INSTANTS, ChangeRecord, RecordColumns, Value, to_instant
 
 
 class CstMetricKind(Enum):
@@ -36,19 +36,14 @@ _RUN_METRICS = (CstMetricKind.NON_CONSECUTIVE,
                 CstMetricKind.WEIGHTED_NON_CONSECUTIVE)
 
 
-# the instants of the first and just past the last datetime
-_FIRST = to_instant(datetime.min.replace(tzinfo=timezone.utc))
-_PAST = to_instant(datetime.max.replace(tzinfo=timezone.utc)) + 1
-
-
 class TimeWindow(Value):
     """An inclusive year or year-month range, on UTC author dates.
 
     Either bound may be None (unbounded). Years are 1-9999 and months
     1-12; a bound with month=None spans the whole year, and a month
     needs its year. It keeps its bounds as instants (records.to_instant):
-    the first that it holds and the first past its end, those of the
-    first datetime and just past the last where it is unbounded.
+    the first that it holds and the first past its end, the ends of
+    records.INSTANTS where it is unbounded.
     """
     start_year: int | None = None
     start_month: int | None = None
@@ -67,7 +62,7 @@ class TimeWindow(Value):
                 raise ValueError(f"{side} month {month} has no {side} year")
             if not 1 <= month <= 12:
                 raise ValueError(f"month out of range: {month}")
-        lo, hi = _FIRST, _PAST
+        lo, hi = INSTANTS.start, INSTANTS.stop
         if self.start_year is not None:
             lo = to_instant(datetime(self.start_year, self.start_month or 1,
                                      1, tzinfo=timezone.utc))
@@ -96,7 +91,8 @@ class TimeWindow(Value):
         return cls(start_year=year, end_year=year)
 
     def contains(self, instant: datetime) -> bool:
-        """Whether the window holds the aware datetime `instant`."""
+        """Whether the window holds the datetime `instant`, a naive one
+        read as UTC (records.to_instant)."""
         lo, hi = self._bounds
         return lo <= to_instant(instant) < hi
 
@@ -487,14 +483,12 @@ def cst_bus_factor(records: Iterable[ChangeRecord] | RecordColumns,
                    config: CstConfig) -> BusFactorResult:
     """Full pipeline: filter, per-file knowledge, aggregate, classify.
 
-    The records may come as columns, as `load_cache(..., columns=True)`
-    gives them.
+    The records may come as columns, as `extract_history` and
+    `load_cache` give them.
     """
     if isinstance(records, _Pool):  # filtered already, and in file order
         return records.history.result(records.positions, config)
-    if not isinstance(records, RecordColumns):
-        records = RecordColumns.from_records(records)
-    history = _History(records, identity)
+    history = _History(RecordColumns.from_records(records), identity)
     return history.result(history.select(config), config)
 
 

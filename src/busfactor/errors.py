@@ -32,6 +32,11 @@ class UnknownRevision(BusFactorError):
     """The requested revision does not resolve."""
 
 
+class UnsupportedCommit(BusFactorError):
+    """A commit's author has neither name nor email, or its author date
+    lies outside years 1-9999: a record cannot hold it."""
+
+
 class InvalidGlob(BusFactorError):
     """An exclusion pattern failed to parse."""
 

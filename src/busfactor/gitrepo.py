@@ -21,8 +21,7 @@ import io
 import os
 import re
 from collections import Counter
-from contextlib import contextmanager
-from datetime import datetime, timezone
+from contextlib import closing, contextmanager
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -32,9 +31,10 @@ from .errors import (
     InvalidGlob,
     NotARepository,
     UnknownRevision,
+    UnsupportedCommit,
 )
 from .metrics import holds_token, token_distance, tokenize
-from .records import BlameSnapshot, ChangeRecord, CommitMeta, RawAuthor
+from .records import INSTANTS, BlameSnapshot, RawAuthor, RecordColumns
 
 _FIELD_SEP = "\x01"
 _COMMIT_MARK = "\x00"
@@ -154,15 +154,6 @@ def repo_fingerprint(repo_path: str, commit: str) -> str:
 
 # --- history extraction ---
 
-def _parse_header(line: str, sequence: int) -> tuple[CommitMeta, str]:
-    """A commit header's CommitMeta, and its parents' hashes as git
-    lists them."""
-    hash_, name, email, epoch, parents = line[1:].split(_FIELD_SEP)
-    return CommitMeta(hash_, RawAuthor(name, email),
-                      datetime.fromtimestamp(int(epoch), tz=timezone.utc),
-                      len(parents.split()) > 1, sequence), parents
-
-
 # An escape in a C-quoted name: "\" and a key of _C_CHARS or 3 octal digits
 _C_ESCAPE = r"\\([0-7]{3}|.)"
 _C_CHARS = {"a": "\a", "b": "\b", "t": "\t", "n": "\n", "v": "\v",
@@ -191,11 +182,10 @@ class LineReplay:
     """Each file's line owners, replayed from the patches of the history
     pass, for `extract_blame` to take instead of blaming the file.
 
-    Pass one to `extract_history`. Once its log has been read to the
-    end, `revision` is the commit the log was read at and `files` maps
-    each path whose owners the replay proves to the author of each of
-    its lines. A history stopped early leaves `revision` None and
-    `files` empty.
+    Pass one to `extract_history`. Once it returns, `revision` is the
+    commit the log was read at and `files` maps each path whose owners
+    the replay proves to the author of each of its lines. A history
+    that fails part way leaves `revision` None and `files` empty.
 
     A hunk replaces the lines it deletes with one owner per line it
     adds. When the logged history is one line of commits ending at the
@@ -271,20 +261,21 @@ class LineReplay:
 
 def extract_history(repo_path: str, revision: str = "HEAD",
                     include_merges: bool = False,
-                    replay: LineReplay | None = None,
-                    ) -> Iterator[ChangeRecord]:
-    """Yield one ChangeRecord per (commit, modified text file) pair.
+                    replay: LineReplay | None = None) -> RecordColumns:
+    """One change record per (commit, modified text file) pair, as
+    columns read whole; iterating them gives each as a ChangeRecord.
 
     Covers the full history reachable from a revision, oldest first
     (author-date order under topological constraints).
     Merge commits are skipped unless include_merges is set, in which
     case their diff is taken against the first parent. Binary files
     and submodule pointer bumps are skipped. Authors are taken through
-    the repository's .mailmap, as `git blame` takes them.
+    the repository's .mailmap, as `git blame` takes them. A commit that
+    no record can hold raises UnsupportedCommit.
 
-    A LineReplay passed as replay receives each file's line owners at
-    the revision once the last record has been yielded; without one,
-    no owners are tracked.
+    A LineReplay passed as replay holds each file's line owners at the
+    revision once the columns return; without one, no owners are
+    tracked.
     """
     commit = _commit_of(repo_path, revision)
     # Flags, not -c: each overrides every config key that feeds it, so
@@ -298,22 +289,32 @@ def extract_history(repo_path: str, revision: str = "HEAD",
             f"{commit}^{{commit}}", "--"]  # a tree's log would be empty
     if replay is not None:
         replay._reset()
-    with _rejections_of(repo_path, revision):
-        yield from _parse_log(_git(repo_path, *args), replay)
+    lines = _git(repo_path, *args)
+    # closed at once when the parse fails, so git is killed and reaped
+    with _rejections_of(repo_path, revision), closing(lines):
+        columns = _parse_log(lines, replay)
     if replay is not None:
         replay._finish(commit)
+    return columns
 
 
 def _parse_log(lines: Iterable[str],
-               replay: LineReplay | None = None) -> Iterator[ChangeRecord]:
-    """Change records from the lines of `git log -p -U0` in _LOG_FORMAT;
-    each commit and file section also goes to the replay, if any.
+               replay: LineReplay | None = None) -> RecordColumns:
+    """The change records in the lines of `git log -p -U0` in
+    _LOG_FORMAT, as columns; each commit and file section also goes to
+    the replay, if any.
 
     A file section runs from its "diff --git" line to the next one, the
     next commit header or the end of the stream, and gives a record when
-    it changed lines of a file that is no submodule (gitlink).
+    it changed lines of a file that is no submodule (gitlink). Tables
+    and commits are numbered in order of first appearance among the
+    records, as `RecordColumns.from_records` numbers them.
     """
-    commit: CommitMeta | None = None
+    paths: dict[str, int] = {}
+    commits: list[tuple] = []  # (hash, author key, instant, merge, sequence)
+    rows: list[tuple] = []  # (commit, path, added, deleted, cos)
+    header: tuple = ()  # the current commit's, appended at its first record
+    author: RawAuthor | None = None  # the current commit's, for the replay
     sequence = 0
     path: str | None = None
     added: list[str] = []
@@ -344,23 +345,37 @@ def _parse_log(lines: Iterable[str],
                 # A mode-only, empty-file or binary change has no changed
                 # lines.
                 if not gitlink and (added or deleted):
+                    if not commits or commits[-1] is not header:
+                        commits.append(header)  # the commit's first record
                     if added and deleted:
                         distance = token_distance(tokenize(added),
                                                   tokenize(deleted))
                     else:  # `token_distance`'s rule for an empty bag
                         distance = float(holds_token(added or deleted))
-                    yield ChangeRecord(commit, path, len(added), len(deleted),
-                                       distance)
+                    rows.append((len(commits) - 1,
+                                 paths.setdefault(path, len(paths)),
+                                 len(added), len(deleted), distance))
                 if replay is not None:
-                    replay._section(path, status, hunks, commit.author)
+                    replay._section(path, status, hunks, author)
             path, added, deleted, hunks, status, gitlink = (
                 None, [], [], [], "", False)
             if line.startswith("diff --git "):
                 path = _section_path(line)
             elif line != _COMMIT_MARK:
-                commit, parents = _parse_header(line, sequence)
-                if replay is not None:
-                    replay._commit(commit.hash, parents)
+                hash_, name, email, epoch, parents = line[1:].split(_FIELD_SEP)
+                if not name and not email:
+                    raise UnsupportedCommit(f"commit {hash_}: author name "
+                                            "and email are both empty")
+                instant = int(epoch) * 1_000_000
+                if instant not in INSTANTS:
+                    raise UnsupportedCommit(f"commit {hash_}: author date "
+                                            f"{epoch} lies outside years "
+                                            "1-9999")
+                header = (hash_, (name, email), instant,
+                          len(parents.split()) > 1, sequence)
+                if replay is not None:  # its check passed just above
+                    author = RawAuthor._make((name, email))
+                    replay._commit(hash_, parents)
                 sequence += 1
         elif line.startswith("@@"):
             in_hunks = True
@@ -374,6 +389,13 @@ def _parse_log(lines: Iterable[str],
                 gitlink = True
             if line.startswith(("new file mode ", "deleted file mode ")):
                 status = line.split(" ", 1)[0]
+    hashes, keys, instants, merges, sequences = (
+        tuple(zip(*commits)) or ((),) * 5)
+    authors: dict[tuple[str, str], int] = {}
+    commit_author = [authors.setdefault(key, len(authors)) for key in keys]
+    return RecordColumns(list(map(RawAuthor._make, authors)), list(paths),
+                         commit_author, instants, merges, sequences,
+                         *(tuple(zip(*rows)) or ((),) * 5), hashes=hashes)
 
 
 # --- blame extraction ---
@@ -430,6 +452,9 @@ def _blame_file(repo_path: str, revision: str, path: str,
             name = line[len("author "):]
         elif line.startswith("author-mail <") and line.endswith(">"):
             email = line[len("author-mail <"):-1]
+    if ("", "") in counts:
+        raise UnsupportedCommit(f"{path}: a line at {revision} has an author "
+                                "whose name and email are both empty")
     return {RawAuthor(name=name, email=email): n
             for (name, email), n in counts.items()}
 

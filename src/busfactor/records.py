@@ -12,7 +12,7 @@ from bisect import bisect_right
 from collections import Counter, _tuplegetter  # namedtuple's accessor
 from datetime import datetime, timedelta, timezone
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def _comparison(symbol: str, compare):
@@ -210,15 +210,22 @@ _MICROSECOND = timedelta(microseconds=1)
 
 
 def to_instant(stamp: datetime) -> int:
-    """An aware datetime as whole microseconds since 1970 UTC, the form
-    of RecordColumns.instants: exact in years 1-9999, and ordered as
-    the datetimes are."""
-    return (stamp - _EPOCH) // _MICROSECOND
+    """A datetime as whole microseconds since 1970 UTC, the form of
+    RecordColumns.instants: exact in years 1-9999, and ordered as the
+    datetimes are. A naive datetime is read as UTC, as CommitMeta reads
+    an author date."""
+    return (stamp.replace(tzinfo=stamp.tzinfo or timezone.utc)
+            - _EPOCH) // _MICROSECOND
+
+
+# The instants of years 1-9999, from the first datetime's to the last's
+INSTANTS = range(to_instant(datetime.min), to_instant(datetime.max) + 1)
 
 
 class RecordColumns:
     """Change records as columns over three tables, the form in which
-    the cache stores them and the cst engine reads them.
+    the history pass builds them, the cache stores them and the cst
+    engine reads them. Iterating them gives the records (`records()`).
 
     `authors` and `paths` hold each distinct author and path once. The
     commit columns (`commit_author`, `instants`, `merges`, `sequences`
@@ -282,7 +289,10 @@ class RecordColumns:
     @classmethod
     def from_records(cls, records: Iterable[ChangeRecord]) -> "RecordColumns":
         """Columns of records: tables in order of first appearance, and
-        one commit per distinct CommitMeta value."""
+        one commit per distinct CommitMeta value. Columns come back as
+        they are."""
+        if isinstance(records, RecordColumns):
+            return records
         metas, paths, added, deleted, cos = (
             tuple(zip(*records)) or ((),) * len(ChangeRecord._fields))
         commits = _first_seen(metas)
@@ -311,6 +321,9 @@ class RecordColumns:
             map(commits.__getitem__, self.commit),
             map(self.paths.__getitem__, self.path),
             self.added, self.deleted, self.cos)))
+
+    def __iter__(self) -> Iterator[ChangeRecord]:
+        return iter(self.records())
 
     def author_counts(self) -> Counter[RawAuthor]:
         """Records per author, as `Counter(r.author for r in records)`

@@ -51,13 +51,12 @@ def yearly_trend(records: Iterable[ChangeRecord] | RecordColumns,
     year (or, with cumulative=True, to all history through its year);
     total_developers is that window's developer count N. Years where
     the scope has no positive contribution become inactive points. The
-    records may come as columns, as `load_cache(..., columns=True)`
-    gives them.
+    records may come as columns, as `extract_history` and `load_cache`
+    give them.
     """
     if first_year > last_year:
         raise EmptySpan(f"year span {first_year}..{last_year} is empty")
-    if not isinstance(records, RecordColumns):
-        records = RecordColumns.from_records(records)
+    records = RecordColumns.from_records(records)
     # Records are put in file order, and tested against the scope, once
     # for all years. Author dates are UTC, so a record's year is the
     # year whose window holds it. Dealt out by year in file order, each

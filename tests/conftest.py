@@ -109,6 +109,27 @@ class RepoBuilder:
         })
         return self.git("rev-parse", "HEAD").strip()
 
+    def import_commits(self, commits) -> list[str]:
+        """Commit on top of HEAD through `git fast-import`, which takes
+        what `git commit` refuses: an author with neither name nor
+        email, or an author date past year 9999. Each commit is the
+        value of its author line, "Name <email> <epoch> +0000", and
+        {path: text} of the files it writes. Returns the hash of every
+        commit on the branch, oldest first."""
+        stream = [b"reset refs/heads/main\nfrom %s\n" % self.head().encode()]
+        for ident, files in commits:
+            stream.append(b"commit refs/heads/main\nauthor %s\ncommitter "
+                          b"fixture <fixture@invalid> 1700000000 +0000\n"
+                          b"data 0\n" % ident.encode())
+            for path, text in files.items():
+                data = text.encode()
+                stream.append(b"M 100644 inline %s\ndata %d\n%s\n" % (
+                    path.encode(), len(data), data))
+        subprocess.run(["git", "-C", str(self.path), "fast-import",
+                        "--quiet"], input=b"".join(stream),
+                       capture_output=True, check=True)
+        return self.git("rev-list", "--reverse", "HEAD").split()
+
     def head(self) -> str:
         return self.git("rev-parse", "HEAD").strip()
 

@@ -127,7 +127,10 @@ def part_offsets(cache_file: Path) -> tuple[int, int, int]:
 
 
 def roundtrip(tmp_path, records, blame):
-    return load_cache(saved(tmp_path, records, blame).parent)
+    """One save and load, the records loaded as ChangeRecords."""
+    got, blame, fingerprint = load_cache(saved(tmp_path, records,
+                                               blame).parent)
+    return got.records(), blame, fingerprint
 
 
 def test_roundtrip_small(tmp_path):
@@ -232,7 +235,7 @@ def test_blame_only_load_skips_records(tmp_path):
     target = tmp_path / "cache"
     save_cache(records, make_blame(), FINGERPRINT, target)
     loaded, blame, fingerprint = load_cache(target, records=False)
-    assert loaded == []
+    assert loaded is None
     assert blame == make_blame()
     assert fingerprint == FINGERPRINT
 
@@ -261,7 +264,7 @@ def test_unparsable_records_fail_only_a_full_load(tmp_path):
     _, head, _ = parts(cache_file)
     with_parts(cache_file, head, b"\xff not json")
     assert load_cache(cache_file.parent, records=False) == (
-        [], make_blame(), FINGERPRINT)
+        None, make_blame(), FINGERPRINT)
     with pytest.raises(CorruptCache, match="malformed"):
         load_cache(cache_file.parent)
 
@@ -362,7 +365,7 @@ def test_malformed_records_part_fails_only_a_full_load(tmp_path, case):
     with pytest.raises(CorruptCache, match="malformed"):
         load_cache(cache_file.parent)
     assert load_cache(cache_file.parent, records=False) == (
-        [], make_blame(), FINGERPRINT)
+        None, make_blame(), FINGERPRINT)
 
 
 def test_record_count_mismatch_detected(tmp_path):
@@ -378,7 +381,9 @@ def test_empty_history_roundtrips(tmp_path):
     cache_file = saved(tmp_path, [], make_blame())
     table, columns = unpacked(parts(cache_file)[2])
     assert (table["commits"], table["records"], table["width"]) == (0, 0, 0)
-    assert load_cache(cache_file.parent) == ([], make_blame(), FINGERPRINT)
+    got, blame, fingerprint = load_cache(cache_file.parent)
+    assert (got.records(), blame, fingerprint) == ([], make_blame(),
+                                                   FINGERPRINT)
 
 
 @st.composite
@@ -415,7 +420,7 @@ def test_roundtrip_keeps_every_field(tmp_path_factory, records):
     target = tmp_path_factory.mktemp("cache")
     save_cache(records, None, FINGERPRINT, target)
     got, blame, fingerprint = load_cache(target)
-    assert (got, blame, fingerprint) == (records, None, FINGERPRINT)
+    assert (got.records(), blame, fingerprint) == (records, None, FINGERPRINT)
     commits: dict[CommitMeta, CommitMeta] = {}
     authors: dict[RawAuthor, RawAuthor] = {}
     for before, after in zip(records, got):
@@ -465,7 +470,7 @@ def test_save_overwrites_previous_cache(tmp_path):
     second = make_records(3, seed=2)
     save_cache(second, None, "/tmp/x@" + "b" * 40, target)
     got_records, got_blame, got_fingerprint = load_cache(target)
-    assert got_records == second
+    assert got_records.records() == second
     assert got_blame is None
     assert got_fingerprint == "/tmp/x@" + "b" * 40
 
@@ -498,7 +503,7 @@ def test_interrupted_save_without_blame_keeps_old_save(tmp_path, monkeypatch):
         save_cache(other, None, FINGERPRINT, target)
     monkeypatch.undo()
     got, blame, _ = load_cache(target)
-    assert got == records
+    assert got.records() == records
     assert blame == make_blame()
 
     save_cache(records, None, FINGERPRINT, target)
@@ -593,5 +598,6 @@ def test_schema_6_bytes_are_pinned(tmp_path):
         + "030102"  # added
         + "000101"  # deleted
         + "000000000000f03f" "000000000000d03f" "000000000000e03f")  # cos
-    assert load_cache(target) == (records, blame, "https://example.invalid/"
-                                  "r.git@" + "b" * 40)
+    got, got_blame, fingerprint = load_cache(target)
+    assert (got.records(), got_blame, fingerprint) == (
+        records, blame, "https://example.invalid/r.git@" + "b" * 40)

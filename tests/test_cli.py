@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from tests.conftest import ADA, BERT
+
 CLI = [sys.executable, "-m", "busfactor"]
 
 
@@ -257,6 +259,82 @@ def test_repo_and_cache_give_equal_reports(repo_factory, tmp_path, capsys):
             assert code == 0, (query, source, err)
             reports.append(_without_run_fields(json.loads(out)))
         assert reports[0] == reports[1], query
+
+
+@pytest.mark.parametrize("ident, detail, blame_fails", [
+    ("<> 1600000000 +0000", "author name and email are both empty", True),
+    ("Ada Core <ada@fixture.test> 253402300800 +0000",
+     "author date 253402300800 lies outside years 1-9999", False)],
+    ids=["nameless-author", "year-10000"])
+def test_commit_that_no_record_holds_is_an_error_line(
+        ident, detail, blame_fails, repo_factory, tmp_path, capsys):
+    # `git fast-import` takes both commits; `git commit` refuses them.
+    repo = repo_factory()
+    repo.write("a.txt", "one\n")
+    repo.commit(ADA)
+    bad = repo.import_commits([(ident, {"a.txt": "one\ntwo\n"})])[-1]
+    source = ["--repo", str(repo.path)]
+    for argv in (["ingest", *source, "--cache", str(tmp_path / "cache")],
+                 ["cst", *source, "--metric", "commits",
+                  "--cst-metric", "mul-equal"],
+                 ["trend", *source, "--from-year", "2020",
+                  "--to-year", "2021"]):
+        assert run_main(capsys, *argv) == (
+            1, "", f"ERROR UnsupportedCommit: commit {bad}: {detail}\n")
+    code, out, err = run_main(capsys, "rig", *source, "--exhaustive")
+    if blame_fails:  # blame reads no date
+        assert (code, out, err) == (
+            1, "", f"ERROR UnsupportedCommit: a.txt: a line at {bad} has "
+                   "an author whose name and email are both empty\n")
+    else:
+        assert (code, err) == (0, "")
+
+
+def test_no_command_builds_a_record_object(repo_factory, tmp_path, capsys,
+                                           monkeypatch):
+    # Columns run from `git log` to every report: with ChangeRecord and
+    # CommitMeta unbuildable, each command gives the report and the
+    # cache it gives with them.
+    from busfactor import ChangeRecord, CommitMeta, extract_history
+    repo = repo_factory()
+    for author, rel, date in (
+            (ADA, "src/a.py", "2020-03-01T10:00:00 +0000"),
+            (BERT, "src/a.py", "2020-12-31T23:00:00 -0300"),
+            (ADA, "docs/b.md", "2021-02-01T09:00:00 +0000"),
+            (BERT, "src/c.py", "2021-07-01T12:00:00 +0000")):
+        repo.write(rel, f"{rel} by {author[0]} at {date}\n")
+        repo.commit(author, date=date)
+    cache = tmp_path / "cache"
+    source = {"--repo": str(repo.path), "--cache": str(cache)}
+    queries = [[*query, flag, path, "--format", "json"]
+               for query in (["cst", "--metric", "locc", "--cst-metric",
+                              "non-consecutive"],
+                             ["trend", "--from-year", "2020",
+                              "--to-year", "2021"])
+               for flag, path in source.items()]
+    queries.append(["rig", "--cache", str(cache), "--exhaustive",
+                    "--format", "json"])
+
+    def outcomes():
+        code, report, err = run_main(capsys, "ingest", "--repo",
+                                     str(repo.path), "--cache", str(cache))
+        assert (code, err) == (0, "")
+        found = [report, (cache / "cache.json").read_bytes()]
+        for argv in queries:
+            code, out, err = run_main(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            found.append(_without_run_fields(json.loads(out)))
+        return found
+    expected = outcomes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record object was built")
+    for kind in (ChangeRecord, CommitMeta):
+        monkeypatch.setattr(kind, "__new__", refuse)
+        monkeypatch.setattr(kind, "_make", refuse)
+    with pytest.raises(AssertionError, match="record object"):
+        list(extract_history(repo.path))  # the records, not the columns
+    assert outcomes() == expected
 
 
 def test_rig_repo_rev_fingerprint_names_that_commit(two_dev_repo):

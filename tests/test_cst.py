@@ -1,7 +1,7 @@
 """Commit-based knowledge shares, thresholds, classification, windows."""
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,6 +282,18 @@ def test_time_window_year_granularity():
     assert [r.author.name for r in kept] == ["Ada Core"]
 
 
+def test_time_window_reads_a_naive_date_as_utc():
+    # as CommitMeta reads an author date
+    window = TimeWindow.year(2021)
+    assert window.contains(datetime(2021, 6, 1))
+    assert window.contains(datetime(2021, 1, 1))
+    assert not window.contains(datetime(2020, 12, 31, 23, 59, 59, 999_999))
+    ahead = timezone(timedelta(hours=2))  # 2020 in UTC
+    assert not window.contains(datetime(2021, 1, 1, 1, tzinfo=ahead))
+    assert window.contains(CommitMeta("h", A, datetime(2021, 6, 1))
+                           .author_timestamp)
+
+
 def test_time_window_rejects_inverted_range():
     with pytest.raises(ValueError):
         TimeWindow.parse("2022", "2021")
@@ -434,7 +446,7 @@ def test_engine_equals_the_record_pipeline(
     cache = tmp_path_factory.getbasetemp() / "engine-cache"
     save_cache(records, None, "fixture@0", cache)
     loaded = load_cache(cache)[0]
-    columns = load_cache(cache, columns=True)[0]
+    columns = load_cache(cache)[0]
     assert _outcome(lambda: cst_bus_factor(columns, identity, config)) == \
         _outcome(lambda: oracles.reference_cst(loaded, identity, config))
 

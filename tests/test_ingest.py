@@ -20,7 +20,8 @@ from busfactor import (BlameSnapshot, LineReplay, RawAuthor, extract_blame,
 from busfactor import cli, gitrepo
 from busfactor.cli import main
 from busfactor.errors import (EmptyRepository, GitInvocationFailure,
-                              InvalidGlob, NotARepository, UnknownRevision)
+                              InvalidGlob, NotARepository, UnknownRevision,
+                              UnsupportedCommit)
 
 from tests.conftest import ADA, BERT, CLEO, RepoBuilder
 from tests.oracles import changed_lines, numstat_totals, raw_blame
@@ -531,7 +532,8 @@ def test_ingest_of_a_sha256_repository_loads_back(tmp_path):
     cache = tmp_path / "cache"
     assert main(["ingest", "--repo", str(repo.path),
                  "--cache", str(cache)]) == 0
-    records, blame, fingerprint = load_cache(cache)
+    columns, blame, fingerprint = load_cache(cache)
+    records = columns.records()
     assert records == list(extract_history(repo.path))
     assert {len(r.commit.hash) for r in records} == {64}
     assert records[-1].commit.hash == repo.head()
@@ -735,13 +737,16 @@ def test_git_stream_survives_large_stderr(monkeypatch):
 
 
 def test_history_stopped_early_reaps_git_quietly(repo_factory, monkeypatch):
-    # Each file is more than a pipe holds, so git is still writing when
-    # the reader stops.
+    # The parse stops at a commit that no record can hold. The files
+    # after it are more than a pipe holds, so git is still writing.
     repo = repo_factory()
-    for name, author in (("a.txt", ADA), ("b.txt", BERT)):
-        line = f"{name}: a line long enough that 5,000 of them fill a pipe\n"
-        repo.write(name, line * 5000)
-        head = repo.commit(author)
+    repo.write("a.txt", "a\n")
+    repo.commit(ADA)
+    line = "a line long enough that 5,000 of them fill a pipe\n"
+    hashes = repo.import_commits([
+        ("<> 1600000000 +0000", {"a.txt": "a\nb\n"}),
+        ("Bert Low <bert@fixture.test> 1600000100 +0000",
+         {name: f"{name}: {line}" * 5000 for name in ("b.txt", "c.txt")})])
     real_popen = subprocess.Popen
     procs = []
 
@@ -752,9 +757,8 @@ def test_history_stopped_early_reaps_git_quietly(repo_factory, monkeypatch):
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
 
-    records = extract_history(repo.path, head)
-    assert next(records).path == "a.txt"
-    records.close()
+    with pytest.raises(UnsupportedCommit, match=f"commit {hashes[1]}"):
+        extract_history(repo.path, hashes[-1])
     assert unraisable == []
     assert [proc.returncode is not None for proc in procs] == [True]
 

@@ -17,6 +17,7 @@ from busfactor import (LineReplay, RawAuthor, extract_blame, extract_history,
                        load_cache)
 from busfactor import gitrepo
 from busfactor.cli import main
+from busfactor.errors import UnsupportedCommit
 
 from tests.conftest import ADA, BERT, CLEO, DMITRI
 from tests.oracles import raw_blame
@@ -272,17 +273,22 @@ def test_history_stopped_early_proves_nothing(repo_factory):
     repo.write("a.txt", "a\n")
     repo.commit(ADA)
     repo.write("b.txt", "b\n")
-    repo.commit(BERT)
+    head = repo.commit(BERT)
     replay = LineReplay()
     list(extract_history(repo.path, replay=replay))
     assert set(replay.files) == {"a.txt", "b.txt"}
-    everything = extract_blame(repo.path, replay=replay)
-    records = extract_history(repo.path, replay=replay)  # the same replay
-    next(records)
-    records.close()
+    everything = extract_blame(repo.path, head, replay=replay)
+    # The next pass, with the same replay, stops at a commit that no
+    # record can hold, while git is still writing the long file after it.
+    line = "a line long enough that 5,000 of them fill a pipe\n"
+    repo.import_commits([("<> 1600000000 +0000", {"a.txt": "a\nz\n"}),
+                         ("Cleo Vian <cleo@fixture.test> 1600000100 +0000",
+                          {"c.txt": line * 5000})])
+    with pytest.raises(UnsupportedCommit):
+        extract_history(repo.path, replay=replay)
     assert replay.revision is None and replay.files == {}
-    assert (extract_blame(repo.path, replay=replay) == everything
-            == extract_blame(repo.path))
+    assert (extract_blame(repo.path, head, replay=replay) == everything
+            == extract_blame(repo.path, head))
 
 
 def test_history_without_a_replay_tracks_no_owners(repo_factory,

@@ -240,7 +240,7 @@ def test_cache_columns_place_dates_in_their_years(tmp_path, cumulative):
     assert [r.commit.author_timestamp for r in loaded] == [
         instant.replace(microsecond=0, tzinfo=timezone.utc)
         for instant in instants]
-    columns = load_cache(tmp_path / "cache", columns=True)[0]
+    columns = load_cache(tmp_path / "cache")[0]
     years = columns.years
     assert years == [1969, 1970, 2020, 2021, 2024, 1969, 1969, 9999]
     # one record per commit: the record form's years are the commits'
