@@ -16,7 +16,8 @@ import pytest
 from busfactor import (BlameSnapshot, LineReplay, RawAuthor, extract_blame,
                        extract_history, filter_records, filter_snapshot,
                        load_cache, paths_in, repo_fingerprint,
-                       resolve_revision, token_distance, tokenize)
+                       resolve_revision, save_cache, token_distance,
+                       tokenize)
 from busfactor import cli, gitrepo
 from busfactor.cli import main
 from busfactor.errors import (EmptyRepository, GitInvocationFailure,
@@ -65,6 +66,26 @@ def test_binary_files_skipped(repo_factory):
     repo.write_bytes("blob.bin", bytes(range(256)) * 4)
     repo.commit(ADA)
     assert list(extract_history(repo.path)) == []
+
+
+def test_history_columns_are_those_of_its_records(repo_factory, tmp_path):
+    # A commit that gives no record numbers no author and keeps its
+    # place in commit order, so the columns, and the cache, are those
+    # that the records give.
+    repo = repo_factory()
+    repo.write_bytes("blob.bin", bytes(range(256)))
+    repo.commit(BERT)
+    repo.write("a.txt", "one\n")
+    repo.commit(ADA)
+    repo.write("b.txt", "two\n")
+    repo.commit(BERT)
+    columns = extract_history(repo.path)
+    assert columns.authors == [RawAuthor(*ADA), RawAuthor(*BERT)]
+    assert list(columns.sequences) == [1, 2]
+    for name, records in (("columns", columns), ("records", list(columns))):
+        save_cache(records, None, "fixture@0", tmp_path / name)
+    assert ((tmp_path / "columns" / "cache.json").read_bytes()
+            == (tmp_path / "records" / "cache.json").read_bytes())
 
 
 def _commit_index(repo, author):
@@ -757,10 +778,13 @@ def test_history_stopped_early_reaps_git_quietly(repo_factory, monkeypatch):
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
 
-    with pytest.raises(UnsupportedCommit, match=f"commit {hashes[1]}"):
+    with pytest.raises(UnsupportedCommit) as caught:
         extract_history(repo.path, hashes[-1])
-    assert unraisable == []
+    # reaped before the error returns, not once its traceback is freed
     assert [proc.returncode is not None for proc in procs] == [True]
+    assert str(caught.value).startswith(f"commit {hashes[1]}: ")
+    del caught
+    assert unraisable == []
 
 
 def test_blame_of_missing_path_carries_git_diagnostics(repo_factory):
