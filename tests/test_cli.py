@@ -282,11 +282,11 @@ def test_commit_that_no_record_holds_is_an_error_line(
         assert run_main(capsys, *argv) == (
             1, "", f"ERROR UnsupportedCommit: commit {bad}: {detail}\n")
     code, out, err = run_main(capsys, "rig", *source, "--exhaustive")
-    if blame_fails:  # blame reads no date
+    if blame_fails:
         assert (code, out, err) == (
             1, "", f"ERROR UnsupportedCommit: a.txt: a line at {bad} has "
                    "an author whose name and email are both empty\n")
-    else:
+    else:  # blame reads no date
         assert (code, err) == (0, "")
 
 
