@@ -30,13 +30,14 @@ from .trend import yearly_trend
 
 _ENV_CACHE = "BUSFACTOR_CACHE_DIR"
 # What `rig --cache --rev` accepts besides HEAD: an abbreviated or full
-# hash, which must then prefix the cached commit's hash.
-_HASH_PREFIX = re.compile(r"[0-9a-f]{4,64}")
+# hash in either case, as git takes it, which must then prefix the cached
+# commit's hash.
+_HASH_PREFIX = re.compile(r"[0-9a-fA-F]{4,64}")
 
 
 # --- argument casting ----------------------------------------------------
 
-def _number(cast, rule: str = "", ok=lambda value: True):
+def _number(cast, rule: str, ok):
     """argparse type: `cast` the text, then require `ok(value)` or fail
     with `rule`."""
     noun = "an integer" if cast is int else "a number"
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="random subsets per group size (default %(default)s)")
     rig.add_argument("--max-g", type=_COUNT, default=200,
                      help="largest departing group to try (default %(default)s)")
-    rig.add_argument("--seed", type=_number(int), default=0,
+    rig.add_argument("--seed", type=_NATURAL, default=0,
                      help="random seed (default %(default)s)")
     rig.add_argument("--runs", type=_COUNT, default=1,
                      help="independent runs with derived seeds (default %(default)s)")
@@ -433,8 +434,9 @@ def _cmd_rig(parser, args, argv, started) -> int:
         # the fingerprint holds ("<source>@<commit>") even when no text
         # file was there to blame.
         commit = fingerprint.rpartition("@")[2]
-        if args.rev != "HEAD" and not (_HASH_PREFIX.fullmatch(args.rev)
-                                       and commit.startswith(args.rev)):
+        if args.rev != "HEAD" and not (
+                _HASH_PREFIX.fullmatch(args.rev)
+                and commit.startswith(args.rev.lower())):
             raise UnknownRevision(f"cache was ingested at {commit}, not "
                                   f"{args.rev}; other revisions need --repo")
         if blame is not None:  # None: ingest found no text file to blame

@@ -210,15 +210,16 @@ def test_rig_cache_rev_head_names_cached_commit(two_dev_repo, tmp_path):
             "--cache", str(cache))
     args = ("rig", "--cache", str(cache), "--exhaustive", "--format", "json")
     plain = run_cli(*args)
-    for rev in ("HEAD", two_dev_repo.head()[:4], two_dev_repo.head()):
-        head = run_cli(*args, "--rev", rev)
-        assert plain.returncode == head.returncode == 0, head.stderr
-        assert _without_run_fields(json.loads(head.stdout)) == \
+    head = two_dev_repo.head()
+    for rev in ("HEAD", head[:4], head[:8].upper(), head):
+        named = run_cli(*args, "--rev", rev)
+        assert plain.returncode == named.returncode == 0, named.stderr
+        assert _without_run_fields(json.loads(named.stdout)) == \
             _without_run_fields(json.loads(plain.stdout))
     proc = run_cli(*args, "--rev", "main")
     assert proc.returncode == 1
     assert proc.stderr.startswith("ERROR UnknownRevision:")
-    assert two_dev_repo.head() in proc.stderr
+    assert head in proc.stderr
     assert "other revisions need --repo" in proc.stderr
 
 
@@ -226,7 +227,9 @@ def test_repo_and_cache_give_equal_reports(repo_factory, tmp_path, capsys):
     # The columns built from a clone's history and those read from its
     # cache give the same cst and trend reports, with a window, a scope
     # and a cumulative trend; dates straddle year ends, one under a
-    # non-UTC offset that puts it in the next UTC year.
+    # non-UTC offset that puts it in the next UTC year. The blame that
+    # rig reads from the clone and from the cache gives the same sampled
+    # and exhaustive reports.
     repo = repo_factory()
     ada, bert = ("Ada Core", "ada@fixture.test"), ("Bert Low",
                                                    "bert@fixture.test")
@@ -251,7 +254,9 @@ def test_repo_and_cache_give_equal_reports(repo_factory, tmp_path, capsys):
             ["trend", "--from-year", "2019", "--to-year", "2022"],
             ["trend", "--from-year", "2019", "--to-year", "2022",
              "--cumulative", "--metric", "locc", "--cst-metric",
-             "weighted-non-consecutive"]):
+             "weighted-non-consecutive"],
+            ["rig", "--seed", "3", "--samples", "20", "--runs", "2"],
+            ["rig", "--exhaustive", "--max-g", "3"]):
         reports = []
         for source in (["--repo", str(repo.path)], ["--cache", cache]):
             code, out, err = run_main(capsys, *query, *source,
@@ -826,7 +831,7 @@ def test_ingest_reports_stats(two_dev_repo, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["require", "source", "window", "alias",
-                                  "config", "span"])
+                                  "config", "span", "seed"])
 def test_usage_errors_name_the_subcommand(case, two_dev_repo, tmp_path,
                                           capsys, monkeypatch):
     # Each check past argparse reports through the subcommand's parser,
@@ -854,6 +859,10 @@ def test_usage_errors_name_the_subcommand(case, two_dev_repo, tmp_path,
         "span": (["trend", "--cache", str(tmp_path / "absent"),
                   "--from-year", "2021", "--to-year", "2020"],
                  "--from-year/--to-year: 2021 is after 2020"),
+        # random.Random(-1) draws what random.Random(1) draws, so
+        # --runs would repeat a stream
+        "seed": (["rig", "--cache", cache, "--seed", "-1", "--runs", "3"],
+                 "argument --seed: must be >= 0"),
     }[case]
     code, out, err = run_main(capsys, *argv)
     assert (code, out) == (2, "")

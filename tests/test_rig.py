@@ -375,6 +375,7 @@ def test_summary_mode_tie_takes_smallest():
     dict(line_abandon_fraction=0.0),
     dict(line_abandon_fraction=1.5),
     dict(file_abandon_fraction=-0.1),
+    dict(seed=-1),  # random.Random(-1) draws what random.Random(1) draws
 ])
 def test_rig_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -673,6 +674,155 @@ def test_sampling_stops_at_the_first_winner(monkeypatch, seed):
     assert drawn == calls
 
 
+# --- the proof that no group of a size wins -----------------------------------
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(snap=_SNAPSHOTS, line=_FRACTIONS, budget=st.integers(1, 40))
+def test_proof_agrees_with_brute_force_whenever_it_decides(snap, line,
+                                                          budget):
+    idmap = one_per_author(snap)
+    index = rig_module._Departures(snap, idmap, line)
+    per_file = oracles.per_file_counts(snap, idmap.canonical)
+    for g in range(1, len(index.population) + 1):
+        most = oracles.most_abandoned(per_file, g, line)
+        for wins_at in range(1, len(index.need) + 1):
+            assert index.search(g, wins_at, budget) in (None,
+                                                        most >= wins_at)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(snap=_SNAPSHOTS, line=_FRACTIONS)
+def test_unlimited_proof_decides_every_size(snap, line):
+    idmap = one_per_author(snap)
+    index = rig_module._Departures(snap, idmap, line)
+    per_file = oracles.per_file_counts(snap, idmap.canonical)
+    unlimited = 2**63
+    for g in range(1, len(index.population) + 1):
+        most = oracles.most_abandoned(per_file, g, line)
+        for wins_at in range(1, len(index.need) + 1):
+            assert index.search(g, wins_at, unlimited) == (most >= wins_at)
+
+
+def deep_history_shaped():
+    """24 files of 20-60 lines among 20 developers, 2-12 owners each
+    with geometrically falling shares, as the deep-history benchmark
+    repository's blame looks: the level bound leaves g = 6 to test,
+    and no 6 developers abandon half of the files."""
+    rng = random.Random(8)
+    people = [RawAuthor(f"Dev {i:02d}", f"dev{i:02d}@fixture.test")
+              for i in range(20)]
+    files = {}
+    for i in range(24):
+        owners = rng.sample(people, rng.randint(2, 12))
+        lines = dict.fromkeys(owners, 0)
+        for _ in range(rng.randint(20, 60)):
+            rank = min(int(rng.expovariate(0.6)), len(owners) - 1)
+            lines[owners[rank]] += 1
+        files[f"d{i % 4}/f{i:02d}.txt"] = {a: n for a, n in lines.items()
+                                          if n}
+    return BlameSnapshot(revision="e" * 40, files=files)
+
+
+def counted_draws(monkeypatch):
+    """The widths of every getrandbits call made from now on, by the
+    engine and by the reference loop alike."""
+    calls = []
+
+    class Counted(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+    monkeypatch.setattr(rig_module.random, "Random", Counted)
+    return calls
+
+
+def test_deep_history_shape_leaves_six_to_the_proof():
+    snap = deep_history_shaped()
+    index = rig_module._Departures(snap, one_per_author(snap), 0.9)
+    assert index.first_tested(12, 6) == 6
+    assert index.search(6, 12, 2**63) is False
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sampled_run_that_no_size_can_win_draws_nothing(monkeypatch, seed):
+    snap = deep_history_shaped()
+    calls = counted_draws(monkeypatch)
+    cfg = RigConfig(samples_per_size=2000, max_group_size=6, seed=seed)
+    assert rig_bus_factor(snap, one_per_author(snap), cfg) == RigResult(
+        bf_set=None, samples_evaluated=12000,
+        abandoned_fraction_at_return=0.0)
+    assert calls == []
+
+
+def test_exhaustive_run_tests_no_size_the_proof_rules_out(monkeypatch):
+    snap = deep_history_shaped()
+    idmap = one_per_author(snap)
+    sizes = []
+
+    class Recorded:
+        def __getattr__(self, name):
+            return getattr(itertools, name)
+
+        def combinations(self, pool, g):
+            sizes.append(g)
+            return itertools.combinations(pool, g)
+    monkeypatch.setattr(rig_module, "itertools", Recorded())
+    cfg = RigConfig(exhaustive=True, max_group_size=6)
+    result = rig_bus_factor(snap, idmap, cfg)
+    assert sizes == []
+    assert result.samples_evaluated == sum(math.comb(20, g)
+                                           for g in range(1, 7))
+    assert (result.bus_factor, result.bf_set, result.samples_evaluated,
+            result.abandoned_fraction_at_return) == oracles.rig_reference(
+                snap, idmap.canonical, cfg)
+
+
+@pytest.mark.parametrize("snap, cfg", [
+    *[pytest.param(deep_history_shaped(),
+                   RigConfig(samples_per_size=30, max_group_size=6,
+                             seed=seed), id=f"seed{seed}")
+      for seed in range(3)],
+    pytest.param(GOLDEN_FIXTURES["owned"][0],
+                 RigConfig(exhaustive=True, max_group_size=6),
+                 id="exhaustive")])
+def test_proof_out_of_budget_runs_as_without_it(monkeypatch, snap, cfg):
+    idmap = one_per_author(snap)
+    verdicts = []
+    search = rig_module._Departures.search
+
+    def starved(self, g, wins_at, budget):
+        verdicts.append(search(self, g, wins_at, 3))
+        return verdicts[-1]
+    monkeypatch.setattr(rig_module._Departures, "search", starved)
+    # any work pays for a proof, which then has 3 nodes
+    monkeypatch.setattr(rig_module, "_WORK_PER_STEP", 1e-6)
+    calls = counted_draws(monkeypatch)
+    result = rig_bus_factor(snap, idmap, cfg)
+    drawn, calls[:] = calls[:], []
+    assert verdicts and set(verdicts) == {None}
+    assert (result.bus_factor, result.bf_set, result.samples_evaluated,
+            result.abandoned_fraction_at_return) == oracles.rig_reference(
+                snap, idmap.canonical, cfg)
+    assert drawn == calls
+
+
+def test_repeat_proves_once(monkeypatch):
+    snap = deep_history_shaped()
+    idmap = one_per_author(snap)
+    cfg = RigConfig(samples_per_size=2000, max_group_size=6, seed=7)
+    proofs = []
+    search = rig_module._Departures.search
+
+    def counted(self, *args):
+        proofs.append(args)
+        return search(self, *args)
+    monkeypatch.setattr(rig_module._Departures, "search", counted)
+    runs = rig_repeat(snap, idmap, cfg, 4)
+    assert len(proofs) == 1
+    assert runs == [RigResult(bf_set=None, samples_evaluated=12000,
+                              abandoned_fraction_at_return=0.0)] * 4
+
+
 def two_thousand_developers():
     """80 files among 2,000 developers: 40 leads own one file each, and
     the other 1,960 hold one line each of 40 shared files, so a file
@@ -701,3 +851,17 @@ def test_sampling_two_thousand_developers_matches_reference_loop(
     assert (result.bus_factor, result.bf_set, result.samples_evaluated,
             result.abandoned_fraction_at_return) == oracles.rig_reference(
                 snap, idmap.canonical, cfg)
+
+
+@pytest.mark.parametrize("leads, max_g", [(1, 2), (2, 3)])
+def test_two_thousand_developers_build_no_suffix_table(monkeypatch, leads,
+                                                      max_g):
+    # a table of 2,000 rows costs more than the draws it could save
+    snap = two_thousand_developers()
+    tables = []
+    monkeypatch.setattr(rig_module._Departures, "suffix_best",
+                        lambda self, slots: tables.append(slots))
+    rig_bus_factor(snap, one_per_author(snap),
+                   RigConfig(max_group_size=max_g, samples_per_size=120,
+                             file_abandon_fraction=leads / 80))
+    assert tables == []
