@@ -394,9 +394,7 @@ def rig_bus_factor(blame: BlameSnapshot, identity: IdentityMap,
 
     if (not config.exhaustive and first <= cap and index.cannot_win(
             cap, wins_at, samples * cap * (cap + 1) // 2)):
-        # no group of size cap wins, so neither does a smaller one
-        return RigResult(bf_set=None, samples_evaluated=samples * cap,
-                         abandoned_fraction_at_return=0.0)
+        first = cap + 1  # no group of size cap wins, so no smaller one does
     rng = random.Random(config.seed)
     if config.exhaustive:
         evaluated = sum(math.comb(population, g) for g in range(1, first))
