@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # the submodule itself.
 _EXPORTS = {
     "records": ("RawAuthor", "CommitMeta", "ChangeRecord", "BlameSnapshot",
-                "RecordColumns"),
+                "RecordColumns", "paths_in", "filter_snapshot"),
     "metrics": ("MetricKind", "DataMetric", "tokenize", "locc",
                 "token_distance", "contribution"),
     "identity": ("DeveloperId", "IdentityMap", "resolve_identities",
@@ -31,7 +31,7 @@ _EXPORTS = {
             "rig_bus_factor", "rig_repeat", "summarize_runs"),
     "trend": ("TrendPoint", "TrendSeries", "yearly_trend"),
     "gitrepo": ("resolve_revision", "repo_fingerprint", "extract_history",
-                "extract_blame", "LineReplay", "paths_in", "filter_snapshot"),
+                "extract_blame", "LineReplay"),
     "cache": ("SCHEMA_VERSION", "save_cache", "load_cache"),
     "report": ("RunManifest", "render", "FORMATS", "payload_cst",
                "payload_ingest", "payload_rig", "payload_trend",

@@ -19,11 +19,11 @@ from .cst import (CstConfig, CstMetricKind, TimeWindow, WeightScheme,
                   compare_error, cst_bus_factor)
 from .errors import BusFactorError, EmptySnapshot, IoFailure, UnknownRevision
 from .gitrepo import (LineReplay, extract_blame, extract_history,
-                      filter_snapshot, repo_fingerprint, resolve_revision)
+                      repo_fingerprint, resolve_revision)
 from .identity import (DEFAULT_SIMILARITY, parse_alias_file,
                        resolve_identities)
 from .metrics import DataMetric, MetricKind
-from .records import RecordColumns
+from .records import RecordColumns, filter_snapshot
 from .report import (FORMATS, RunManifest, payload_cst, payload_ingest,
                      payload_rig, payload_trend, render)
 from .trend import yearly_trend

@@ -13,10 +13,10 @@ from operator import add, and_, gt, mul, ne
 from typing import Iterable, Sequence
 
 from .errors import EmptyScope, UnknownAuthor, ZeroDevelopers
-from .gitrepo import paths_in
 from .identity import DeveloperId, IdentityMap
 from .metrics import DataMetric, MetricKind
-from .records import INSTANTS, ChangeRecord, RecordColumns, Value, to_instant
+from .records import (INSTANTS, ChangeRecord, RecordColumns, Value, paths_in,
+                      to_instant)
 
 
 class CstMetricKind(Enum):

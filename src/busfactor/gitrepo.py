@@ -14,6 +14,9 @@ for every file but those a rename or a binary change may have touched;
 it runs `git blame` on each other file, in a pool of threads. Both
 passes read authors through .mailmap and diff with the same pinned
 algorithm.
+
+This module holds git I/O, the log parser, the replay and blame only;
+which paths a blame covers is the path rule of `records.paths_in`.
 """
 from __future__ import annotations
 
@@ -23,18 +26,18 @@ import re
 from collections import Counter
 from contextlib import closing, contextmanager
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyRepository,
     GitInvocationFailure,
-    InvalidGlob,
     NotARepository,
     UnknownRevision,
     UnsupportedCommit,
 )
 from .metrics import holds_token, token_distance, tokenize
-from .records import INSTANTS, BlameSnapshot, RawAuthor, RecordColumns
+from .records import (INSTANTS, BlameSnapshot, RawAuthor, RecordColumns,
+                      normalize_scope, paths_in)
 
 _FIELD_SEP = "\x01"
 _COMMIT_MARK = "\x00"
@@ -492,80 +495,3 @@ def extract_blame(repo_path: str, revision: str = "HEAD",
                     lambda p: _blame_file(repo_path, commit, p), unproven)))
     return BlameSnapshot(revision=commit,
                          files={path: owners[path] for path in paths})
-
-
-# --- path filtering ---
-
-# One token of a path glob: "**/", "**", "*", "?", a character class,
-# or any other character. A "]" right after "[" or a negating "!" or "^"
-# is a member; a class without its closing "]" is unterminated.
-_GLOB_TOKEN = r"(?s)\*\*/|\*\*|\*|\?|\[([!^]?)(\]?[^\]]*)(\]?)|."
-# `*` and `?` do not cross `/`; `**` spans directories, and `**/` also
-# matches zero directories.
-_WILDCARDS = {"**/": r"(?:.*/)?", "**": r".*", "*": r"[^/]*", "?": r"[^/]"}
-# A member of a class, or a range of two, as `re` reads a class
-_CLASS_ITEM = r"(?s)(.)(?:-(.))?"
-
-
-def _glob_to_regex(pattern: str) -> re.Pattern:
-    """Translate a path glob to a regex; a leading `/` is dropped."""
-    if not pattern or pattern.isspace():
-        raise InvalidGlob("empty pattern")
-    pattern = pattern.lstrip("/")
-    out = []
-    for token in re.finditer(_GLOB_TOKEN, pattern):
-        text, negate, members, close = token.group(0, 1, 2, 3)
-        if text in _WILDCARDS:
-            out.append(_WILDCARDS[text])
-        elif members is not None:
-            if not close:
-                raise InvalidGlob(
-                    f"unterminated character class in {pattern!r}")
-            # "!" or "^" negates. Each member is escaped, so that a
-            # backslash, "[", "&&" or "--" means only itself to `re`.
-            body = "".join(re.escape(lo) + ("-" + re.escape(hi) if hi else "")
-                           for lo, hi in re.findall(_CLASS_ITEM, members))
-            if members.startswith("]"):  # a member to `re` as written
-                body = body[1:]
-            out.append("[" + "^" * len(negate) + body + "]")
-        else:
-            out.append(re.escape(text))
-    try:
-        return re.compile("^" + "".join(out) + "$")
-    except re.error as exc:
-        raise InvalidGlob(f"cannot compile pattern {pattern!r}: {exc}")
-
-
-def normalize_scope(scope: str | None) -> str:
-    """A directory scope as a bare repo-relative path; "" is the whole tree.
-
-    "./src/", "/src" and "src" all name "src"; ".", "./" and "/" name
-    the whole tree.
-    """
-    cleaned = (scope or "").strip("/")
-    while cleaned.startswith("./"):
-        cleaned = cleaned[2:].lstrip("/")
-    return "" if cleaned == "." else cleaned
-
-
-def paths_in(scope: str | None = None,
-             exclude_globs: Iterable[str] = ()) -> Callable[[str], bool]:
-    """The one rule of which paths are analysed: whether a path lies in
-    a directory scope (any spelling `normalize_scope` takes) and matches
-    none of the exclusion globs. Raises InvalidGlob for a bad glob."""
-    scope = normalize_scope(scope)
-    prefix = scope + "/"
-    excluded = [_glob_to_regex(pattern) for pattern in exclude_globs]
-
-    def analysed(path: str) -> bool:
-        return ((not scope or path == scope or path.startswith(prefix))
-                and not (excluded and any(rx.match(path) for rx in excluded)))
-    return analysed
-
-
-def filter_snapshot(blame: BlameSnapshot, scope: str | None = None,
-                    exclude_globs: Sequence[str] = ()) -> BlameSnapshot:
-    """Restrict a blame snapshot to a directory prefix minus exclusions."""
-    analysed = paths_in(scope, exclude_globs)
-    return blame.replace(files={path: lines for path, lines
-                                in blame.files.items() if analysed(path)})

@@ -1,6 +1,8 @@
 """Core value types produced by repository ingestion, and `Value`, the
 immutable base that every record, configuration and result in the
-package derives from; and RecordColumns, the same records as columns.
+package derives from; RecordColumns, the same records as columns; and
+the path rule (`paths_in`) that decides which files an analysis reads,
+with `filter_snapshot`, which applies it to a BlameSnapshot.
 
 Everything here is immutable after construction and safe to share
 across threads. RecordColumns decodes its hashes on first use; two
@@ -8,11 +10,14 @@ threads that race to do so compute equal lists.
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from collections import Counter, _tuplegetter  # namedtuple's accessor
 from datetime import datetime, timedelta, timezone
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from .errors import InvalidGlob
 
 
 def _comparison(symbol: str, compare):
@@ -365,3 +370,86 @@ class BlameSnapshot(Value):
         for owners in self.files.values():
             seen.update(owners)
         return seen
+
+
+# --- path filtering ---
+
+# One token of a path glob: "**/", "**", "*", "?", a character class,
+# or any other character. A "]" right after "[" or a negating "!" or "^"
+# is a member; a class without its closing "]" is unterminated.
+_GLOB_TOKEN = r"(?s)\*\*/|\*\*|\*|\?|\[([!^]?)(\]?[^\]]*)(\]?)|."
+# `*` and `?` do not cross `/`; `**` spans directories, and `**/` also
+# matches zero directories.
+_WILDCARDS = {"**/": r"(?:.*/)?", "**": r".*", "*": r"[^/]*", "?": r"[^/]"}
+# A member of a class, or a range of two, as `re` reads a class
+_CLASS_ITEM = r"(?s)(.)(?:-(.))?"
+
+
+def _drop_leading_dots(path: str) -> str:
+    """A path without its leading `/` and `./` segments."""
+    path = path.lstrip("/")
+    while path.startswith("./"):
+        path = path[2:].lstrip("/")
+    return path
+
+
+def _glob_to_regex(pattern: str) -> re.Pattern:
+    """Translate a path glob to a regex; a leading `/` or `./` is dropped."""
+    if not pattern or pattern.isspace():
+        raise InvalidGlob("empty pattern")
+    pattern = _drop_leading_dots(pattern)
+    out = []
+    for token in re.finditer(_GLOB_TOKEN, pattern):
+        text, negate, members, close = token.group(0, 1, 2, 3)
+        if text in _WILDCARDS:
+            out.append(_WILDCARDS[text])
+        elif members is not None:
+            if not close:
+                raise InvalidGlob(
+                    f"unterminated character class in {pattern!r}")
+            # "!" or "^" negates. Each member is escaped, so that a
+            # backslash, "[", "&&" or "--" means only itself to `re`.
+            body = "".join(re.escape(lo) + ("-" + re.escape(hi) if hi else "")
+                           for lo, hi in re.findall(_CLASS_ITEM, members))
+            if members.startswith("]"):  # a member to `re` as written
+                body = body[1:]
+            out.append("[" + "^" * len(negate) + body + "]")
+        else:
+            out.append(re.escape(text))
+    try:
+        return re.compile("^" + "".join(out) + "$")
+    except re.error as exc:
+        raise InvalidGlob(f"cannot compile pattern {pattern!r}: {exc}")
+
+
+def normalize_scope(scope: str | None) -> str:
+    """A directory scope as a bare repo-relative path; "" is the whole tree.
+
+    "./src/", "/src" and "src" all name "src"; ".", "./" and "/" name
+    the whole tree.
+    """
+    cleaned = _drop_leading_dots((scope or "").rstrip("/"))
+    return "" if cleaned == "." else cleaned
+
+
+def paths_in(scope: str | None = None,
+             exclude_globs: Iterable[str] = ()) -> Callable[[str], bool]:
+    """The one rule of which paths are analysed: whether a path lies in
+    a directory scope (any spelling `normalize_scope` takes) and matches
+    none of the exclusion globs. Raises InvalidGlob for a bad glob."""
+    scope = normalize_scope(scope)
+    prefix = scope + "/"
+    excluded = [_glob_to_regex(pattern) for pattern in exclude_globs]
+
+    def analysed(path: str) -> bool:
+        return ((not scope or path == scope or path.startswith(prefix))
+                and not (excluded and any(rx.match(path) for rx in excluded)))
+    return analysed
+
+
+def filter_snapshot(blame: BlameSnapshot, scope: str | None = None,
+                    exclude_globs: Sequence[str] = ()) -> BlameSnapshot:
+    """Restrict a blame snapshot to a directory prefix minus exclusions."""
+    analysed = paths_in(scope, exclude_globs)
+    return blame.replace(files={path: lines for path, lines
+                                in blame.files.items() if analysed(path)})

@@ -13,15 +13,15 @@ import json
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Sequence
 
-from .cst import BusFactorResult, CstConfig
 from .digest import sha256_hex
 from .errors import UnsupportedFormat
 from .identity import DeveloperId
 from .records import Value
-from .trend import TrendSeries
 
 if TYPE_CHECKING:
+    from .cst import BusFactorResult, CstConfig
     from .rig import RigConfig, RigResult
+    from .trend import TrendSeries
 
 FORMATS = ("json", "csv", "text")
 

@@ -800,16 +800,19 @@ def test_rig_repo_blames_no_excluded_path(repo_factory, tmp_path,
             blamed.append(cmd[-1])  # git blame ... -- <path>
         return real_popen(cmd, *args, **kwargs)
     monkeypatch.setattr(subprocess, "Popen", popen)
-    reports = []
-    for source in (["--repo", str(repo.path)], ["--cache", cache]):
-        assert main(["rig", *source, "--exclude", "vendor/**",
-                     "--exhaustive", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        del doc["manifest"]
-        reports.append(doc)
-    assert sorted(blamed) == ["src/s0.py", "src/s1.py", "src/s2.py"]
-    assert reports[0] == reports[1]
-    assert reports[0]["file_count"] == 3
+    # a leading "./" is dropped, as it is from --dir
+    for glob in ("vendor/**", "./vendor/**"):
+        blamed.clear()
+        reports = []
+        for source in (["--repo", str(repo.path)], ["--cache", cache]):
+            assert main(["rig", *source, "--exclude", glob,
+                         "--exhaustive", "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["manifest"]
+            reports.append(doc)
+        assert sorted(blamed) == ["src/s0.py", "src/s1.py", "src/s2.py"], glob
+        assert reports[0] == reports[1], glob
+        assert reports[0]["file_count"] == 3, glob
 
 
 def test_git_missing_from_path(two_dev_repo, tmp_path):

@@ -3,7 +3,10 @@ the collector's frozen heap.
 
 Each command should load only the modules it runs, so the checks below
 run a fresh interpreter and compare the modules an import leaves loaded
-with those a bare interpreter already has in the same environment.
+with those a bare interpreter already has in the same environment. Both
+run under `-S`: the `site` module and the `.pth` files it executes may
+load dozens of modules, which would hide the same modules loaded by the
+package.
 """
 from __future__ import annotations
 
@@ -29,8 +32,9 @@ NEVER = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 def _fresh(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(_SRC))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=60).stdout
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=60).stdout
 
 
 def _modules_after(statement: str) -> set[str]:
@@ -59,6 +63,22 @@ def test_import_cli_loads_no_deferred_module(bare):
     loaded = _modules_after("import busfactor.cli") - bare
     assert "busfactor.cli" in loaded
     assert not loaded & DEFERRED
+
+
+# The engines read paths through the rule in `records`, not the git layer
+@pytest.mark.parametrize("module", ["busfactor.cst", "busfactor.trend"])
+def test_engine_import_loads_no_git_layer(bare, module):
+    loaded = _modules_after(f"import {module}") - bare
+    assert module in loaded
+    assert "busfactor.gitrepo" not in loaded
+
+
+def test_import_report_loads_no_engine(bare):
+    # The engines' types appear in the report's annotations only.
+    loaded = _modules_after("import busfactor.report") - bare
+    assert "busfactor.report" in loaded
+    assert not loaded & {"busfactor.cst", "busfactor.trend", "busfactor.rig",
+                         "busfactor.gitrepo", "busfactor.metrics"}
 
 
 @pytest.mark.parametrize("module", ["busfactor.cli", "busfactor.rig"])

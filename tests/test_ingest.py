@@ -18,7 +18,7 @@ from busfactor import (BlameSnapshot, LineReplay, RawAuthor, extract_blame,
                        load_cache, paths_in, repo_fingerprint,
                        resolve_revision, save_cache, token_distance,
                        tokenize)
-from busfactor import cli, gitrepo
+from busfactor import cli, gitrepo, records
 from busfactor.cli import main
 from busfactor.errors import (EmptyRepository, GitInvocationFailure,
                               InvalidGlob, NotARepository, UnknownRevision,
@@ -632,6 +632,7 @@ _GLOB_REGEXES = [
     ("a\\b", r"^a\\b$"),
     ("[a\\]", r"^[a\\]$"),
     ("/vendor/**", r"^vendor/.*$"),
+    ("./vendor/**", r"^vendor/.*$"),
     ("//a/*", r"^a/[^/]*$"),
     ("a b.txt", r"^a\ b\.txt$"),
     ("x-y.^$", r"^x\-y\.\^\$$"),
@@ -646,7 +647,7 @@ _GLOB_REGEXES = [
 
 @pytest.mark.parametrize("glob, regex", _GLOB_REGEXES)
 def test_glob_translation_is_pinned(glob, regex):
-    assert gitrepo._glob_to_regex(glob).pattern == regex
+    assert records._glob_to_regex(glob).pattern == regex
 
 
 # A "]" right after "[!" is a member of the class, as in fnmatch, so
@@ -658,7 +659,7 @@ def test_glob_translation_is_pinned(glob, regex):
 ])
 def test_glob_bracket_after_negation_is_a_member(glob, regex, paths):
     import fnmatch
-    compiled = gitrepo._glob_to_regex(glob)
+    compiled = records._glob_to_regex(glob)
     assert compiled.pattern == regex
     for path, matched in paths.items():
         assert bool(compiled.match(path)) is matched
